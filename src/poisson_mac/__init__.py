@@ -59,6 +59,7 @@ from .siso import (
     IntersectionSearch,
     LineCoefficients,
     Scenario,
+    SolveBatch,
     SolveReport,
     Strategy,
     SufficiencyRecord,
@@ -68,6 +69,7 @@ from .siso import (
     regime_fraction_rule,
     single_user_duty,
     solve,
+    solve_many,
     sufficiency_tests,
     sweep_strategy_region,
     uvw,

@@ -89,6 +89,14 @@ def alpha_cont(x: float) -> float:
     return (math.exp((1.0 + 1.0 / x) * math.log1p(x) - 1.0) - 1.0) / x
 
 
+def _require_finite(params: object, names: tuple[str, ...]) -> None:
+    """Reject infinite or NaN fields, naming the first one."""
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """One two-user problem instance: peak rates, background rate, dead time."""
@@ -99,6 +107,7 @@ class ChannelParams:
     tau: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("a1", "a2", "lambda0", "tau"))
         if not self.a1 > 0.0:
             raise ValueError(f"a1 must be positive, got {self.a1}")
         if not self.a2 > 0.0:

@@ -18,14 +18,15 @@ significant digits so identical inputs give byte-identical files.  Inputs
 can come from a flat key=value config file; command-line flags win.
 
 Exit status: 0 on success, 2 on a validation error (the message names the
-offending field), 3 when --strict is set and an instance is out of regime.
+offending field), 3 when --strict is set and an instance is out of regime,
+4 when the arithmetic breaks down (hit probabilities that round to 1 far out
+of regime).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from contextlib import nullcontext
 from typing import Callable, ContextManager, Iterable, Sequence, TextIO
@@ -33,7 +34,7 @@ from typing import Callable, ContextManager, Iterable, Sequence, TextIO
 from .channel import ChannelParams
 from .continuous import ContinuousParams, cont_capacity, convergence_report
 from .miso import MisoConfig, solve_miso
-from .siso import find_intersections, solve, sweep_strategy_region
+from .siso import find_intersections, regime_fraction_rule, solve, solve_many, sweep_strategy_region
 from .symmetric import solve_symmetric
 
 __all__ = ["main"]
@@ -42,6 +43,7 @@ DEFAULT_LAMBDA0 = 0.001
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_OUT_OF_REGIME = 3
+EXIT_NUMERICAL = 4
 
 
 def _fmt(x: object) -> str:
@@ -131,13 +133,6 @@ def _cells(args: argparse.Namespace) -> int | None:
     return int(value) if value is not None else None
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get("POISSON_MAC_THREADS")
-    if not raw:
-        return None
-    return max(1, int(raw))
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     params = ChannelParams(
         a1=float(_require(args, "a1")),
@@ -149,14 +144,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("out of regime: tau > ln2/(a1+a2+lambda0)", file=sys.stderr)
         return EXIT_OUT_OF_REGIME
     report = solve(params)
-    inter = find_intersections(params)
     meta = {
         "command": "solve",
         "a1": params.a1,
         "a2": params.a2,
         "lambda0": params.lambda0,
         "tau": params.tau,
-        "intersections": len(inter.points),
+        "intersections": len(report.search.points),
     }
     header = ["a1", "a2", "lambda0", "tau", "capacity_nats", "mu1", "mu2", "strategy", "regime_ok"]
     row = [
@@ -244,8 +238,16 @@ def _cmd_sweep_peak(args: argparse.Namespace) -> int:
     taus = _parse_floats(_require(args, "tau"))
     grid_step = float(_merged(args, "grid-step", 1e-3))
     grid_refine = int(_merged(args, "grid-refine", 3))
+    # Every finite-tau row in one batch, in row order.
+    finite_taus = [tau for tau in taus if tau != 0.0]
+    batch = solve_many(
+        a1,
+        [a2 for _ in finite_taus for a2 in a2_values],
+        lambda0,
+        [tau for tau in finite_taus for _ in a2_values],
+    )
+    solved = zip(batch.mu1.tolist(), batch.mu2.tolist(), batch.capacity.tolist())
     rows: list[list[object]] = []
-    out_of_regime = False
     for tau in taus:
         if tau == 0.0:
             for a2 in a2_values:
@@ -257,11 +259,9 @@ def _cmd_sweep_peak(args: argparse.Namespace) -> int:
                 rows.append([a2, 0.0, duty.mu1, duty.mu2, rate])
             continue
         for a2 in a2_values:
-            params = ChannelParams(a1, a2, lambda0, tau)
-            out_of_regime |= not params.in_regime
-            report = solve(params)
-            rows.append([a2, tau, report.optimum.mu1, report.optimum.mu2, report.capacity])
-    if args.strict and out_of_regime:
+            mu1, mu2, capacity = next(solved)
+            rows.append([a2, tau, mu1, mu2, capacity])
+    if args.strict and not batch.regime_ok.all():
         print("out of regime for at least one cell", file=sys.stderr)
         return EXIT_OUT_OF_REGIME
     meta = {
@@ -286,10 +286,8 @@ def _cmd_sweep_region(args: argparse.Namespace) -> int:
     if tau_flag is not None:
         rule = float(tau_flag)
     else:
-        rule = lambda x1, x2: tau_scale * math.log(2.0) / (x1 + x2 + lambda0)
-    labels = sweep_strategy_region(
-        a1_values, a2_values, lambda0, rule, max_workers=_max_workers()
-    )
+        rule = regime_fraction_rule(tau_scale, lambda0)
+    labels = sweep_strategy_region(a1_values, a2_values, lambda0, rule)
     meta = {
         "command": "sweep-region",
         "a1": _require(args, "a1"),
@@ -466,6 +464,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ArithmeticError as exc:
+        print(f"error: numerical failure ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, DutyPair, phi
+from .channel import ChannelParams, DutyPair, _require_finite, phi
 from .siso import SolveReport, solve
 
 __all__ = [
@@ -47,6 +47,7 @@ class ContinuousParams:
     lambda0: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("a1", "a2", "lambda0"))
         for name in ("a1", "a2", "lambda0"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

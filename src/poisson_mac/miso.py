@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, binary_entropy
+from .channel import ChannelParams, _require_finite, binary_entropy
 from .siso import SolveReport, solve
 
 __all__ = [
@@ -64,6 +64,9 @@ class MisoConfig:
                 raise ValueError(f"{name} supports at most {MAX_ANTENNAS} antennas")
             if any(a <= 0.0 for a in peaks):
                 raise ValueError(f"every peak in {name} must be positive")
+            if not all(math.isfinite(a) for a in peaks):
+                raise ValueError(f"every peak in {name} must be finite")
+        _require_finite(self, ("lambda0", "tau"))
         if not self.lambda0 > 0.0:
             raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
         if not self.tau > 0.0:

@@ -18,15 +18,19 @@ problem:
 The best of the at-most-four candidates is the capacity.  Out of the stated
 regime the convexity guarantee lapses; the solver still runs but flags the
 report and cross-checks against a brute-force grid, keeping the larger value.
+
+solve_many runs the same enumeration over arrays of channels at once, with
+results identical to solve lane by lane; the sweeps are built on it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .channel import (
     ChannelParams,
@@ -47,6 +51,7 @@ __all__ = [
     "SufficiencyRecord",
     "IntersectionSearch",
     "SolveReport",
+    "SolveBatch",
     "uvw",
     "f_mac",
     "g_mac",
@@ -54,6 +59,7 @@ __all__ = [
     "single_user_duty",
     "sufficiency_tests",
     "solve",
+    "solve_many",
     "sweep_strategy_region",
     "regime_fraction_rule",
 ]
@@ -85,12 +91,10 @@ _STRATEGY_OF_SCENARIO = {
     Scenario.ONLY_USER2: Strategy.ONLY_USER2,
 }
 
-# Deterministic tie-break: prefer both-active, then user 2, then user 1.
-_TIE_RANK = {
-    Strategy.BOTH_ACTIVE: 0,
-    Strategy.ONLY_USER2: 1,
-    Strategy.ONLY_USER1: 2,
-}
+# Deterministic tie-break: prefer both-active, then user 2, then user 1.  A
+# strategy's rank is also its code in SolveBatch.
+_BY_RANK = (Strategy.BOTH_ACTIVE, Strategy.ONLY_USER2, Strategy.ONLY_USER1)
+_TIE_RANK = {s: rank for rank, s in enumerate(_BY_RANK)}
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,25 @@ class SolveReport:
     # None only for saturated out-of-regime channels where the screens'
     # curve algebra is undefined.
     sufficiency: SufficiencyRecord | None
+    # The curve intersections behind the interior candidates; empty for the
+    # saturated channels above.
+    search: IntersectionSearch
     grid_checked: bool = False
+
+
+@dataclass(frozen=True)
+class SolveBatch:
+    """Per-channel results of solve_many, as parallel arrays.  code holds the
+    strategy's tie-break rank; strategies() maps it back."""
+
+    capacity: np.ndarray
+    mu1: np.ndarray
+    mu2: np.ndarray
+    code: np.ndarray
+    regime_ok: np.ndarray
+
+    def strategies(self) -> list[Strategy]:
+        return [_BY_RANK[c] for c in self.code.tolist()]
 
 
 def uvw(params: ChannelParams) -> LineCoefficients:
@@ -396,8 +418,264 @@ def solve(params: ChannelParams) -> SolveReport:
         near_ties=tuple(near) if len(near) > 1 else (),
         regime_ok=params.in_regime,
         sufficiency=sufficiency,
+        search=inter,
         grid_checked=grid_checked,
     )
+
+
+# Batched enumeration.  Every helper below repeats, lane by lane, the
+# arithmetic of its scalar counterpart above, in the same order, so that each
+# lane's result is bit for bit the scalar one.  Transcendentals are the one
+# catch: numpy's vectorised exp and log differ from the math module's in the
+# last bit for a few percent of arguments, and that would move the
+# golden-section and bisection decisions and with them the printed digits.
+# So exact values call the math module lane by lane, and the searches decide
+# on a numpy estimate of g - f unless the estimate is within slack of the
+# decision, in which case they use the exact value.
+
+# numpy's exp is within an ulp of math.exp, and the rest of g - f is the same
+# IEEE arithmetic, so an estimate differs from the exact value by at most ten
+# units of roundoff (2**-53) times 4/min(den) + |slope| + |intercept|, which
+# bounds the terms of g - f on [0, 1].  The slack is a hundred times that.
+_ESTIMATE_SLACK = 1e-13
+_NO_LANES = np.empty(0, dtype=np.intp)
+
+
+def _lanes(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _entropy_many(q: np.ndarray) -> np.ndarray:
+    """binary_entropy lane by lane; nan outside [0, 1]."""
+    inside = (q > 0.0) & (q < 1.0)
+    q_in = np.where(inside, q, 0.5)
+    h = -q_in * _lanes(math.log, q_in) - (1.0 - q_in) * _lanes(math.log1p, -q_in)
+    return np.where(inside, h, np.where((q == 0.0) | (q == 1.0), 0.0, np.nan))
+
+
+class _CurvesMany(NamedTuple):
+    """Coefficients of f and g for many channels (see _f_of and _g_of), and
+    the slack of each lane's estimate of g - f."""
+
+    slope: np.ndarray
+    intercept: np.ndarray
+    dp_13: np.ndarray
+    dp_24: np.ndarray
+    dh_13: np.ndarray
+    dh_24: np.ndarray
+    p3: np.ndarray
+    p4: np.ndarray
+    slack: np.ndarray
+
+    def take(self, lanes: np.ndarray) -> "_CurvesMany":
+        return _CurvesMany(*(x[lanes] for x in self))
+
+    def g(self, mu1: np.ndarray, exact: np.ndarray | None = None) -> np.ndarray:
+        """g at mu1: exact on the lanes indexed by exact (all when None), an
+        estimate within slack elsewhere."""
+        den = mu1 * self.dp_13 + (1.0 - mu1) * self.dp_24
+        expo = np.minimum((mu1 * self.dh_13 + (1.0 - mu1) * self.dh_24) / den, 700.0)
+        if exact is None:
+            a_m = _lanes(math.exp, expo)
+        else:
+            a_m = np.exp(expo)
+            if exact.size:
+                a_m[exact] = _lanes(math.exp, expo[exact])
+        return (1.0 / (a_m + 1.0) - (mu1 * self.p3 + (1.0 - mu1) * self.p4)) / den
+
+    def d(self, mu1: np.ndarray, exact: np.ndarray | None = None) -> np.ndarray:
+        """g - f at mu1, exact on the same lanes as g."""
+        return self.g(mu1, exact) - (self.slope * mu1 + self.intercept)
+
+
+def _curves_many(p: tuple[np.ndarray, ...], h: tuple[np.ndarray, ...]) -> _CurvesMany:
+    p1, p2, p3, p4 = p
+    h1, h2, h3, h4 = h
+    u = (p1 - p2) * (h3 - h4) - (p3 - p4) * (h1 - h2)
+    v = (p1 - p3) * (h2 - h4) - (p2 - p4) * (h1 - h3)
+    w = (p2 - p4) * (h3 - h4) - (p3 - p4) * (h2 - h4)
+    slope, intercept = u / v, w / v
+    den_min = np.minimum(p1 - p3, p2 - p4)
+    # A lane whose den can vanish on [0, 1] gets no estimates at all.
+    scale = np.where(den_min > 0.0, 4.0 / den_min, np.inf) + np.abs(slope) + np.abs(intercept)
+    return _CurvesMany(slope, intercept, p1 - p3, p2 - p4, h1 - h3, h2 - h4, p3, p4, _ESTIMATE_SLACK * scale)
+
+
+def _rate_many(
+    p: tuple[np.ndarray, ...], h: tuple[np.ndarray, ...], tau: np.ndarray, mu1: np.ndarray, mu2: np.ndarray
+) -> np.ndarray:
+    """_mutual_info / tau lane by lane."""
+    w0, w1, w2, w3 = mu1 * mu2, (1.0 - mu1) * mu2, mu1 * (1.0 - mu2), (1.0 - mu1) * (1.0 - mu2)
+    ph = w0 * p[0] + w1 * p[1] + w2 * p[2] + w3 * p[3]
+    return (_entropy_many(ph) - (w0 * h[0] + w1 * h[1] + w2 * h[2] + w3 * h[3])) / tau
+
+
+def _solo_duty_many(p_on: np.ndarray, p_off: np.ndarray, h_on: np.ndarray, h_off: np.ndarray) -> np.ndarray:
+    """single_user_duty lane by lane, from its hit probabilities and entropies."""
+    chord = (h_on - h_off) / (p_on - p_off)
+    return (1.0 / (1.0 + _lanes(math.exp, np.minimum(chord, 700.0))) - p_off) / (p_on - p_off)
+
+
+def _golden_min_many(curves: _CurvesMany, tol: float) -> np.ndarray:
+    """_golden_min of g - f on [0, 1] per lane.
+
+    A lane's result is fixed once b - a <= tol; it keeps stepping with the
+    others, unused.  From its first comparison that the estimates cannot
+    settle, a lane evaluates g - f exactly.
+    """
+    n = curves.slack.size
+    a, b = np.zeros(n), np.ones(n)
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = curves.d(c, _NO_LANES), curves.d(d, _NO_LANES)
+    m_star = np.full(n, np.nan)
+    exact = np.zeros(n, dtype=bool)
+    active = b - a > tol
+    while active.any():
+        enter = active & ~exact & (np.abs(fc - fd) <= 2.0 * curves.slack)
+        if enter.any():
+            lanes = np.flatnonzero(enter)
+            sub = curves.take(lanes)
+            fc[lanes], fd[lanes] = sub.d(c[lanes]), sub.d(d[lanes])
+            exact |= enter
+        lt = fc < fd
+        b = np.where(lt, d, b)
+        a = np.where(lt, a, c)
+        x = np.where(lt, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
+        fx = curves.d(x, np.flatnonzero(exact & active))
+        c, fc, d, fd = np.where(lt, x, d), np.where(lt, fx, fd), np.where(lt, c, x), np.where(lt, fc, fx)
+        done = active & (b - a <= tol)
+        m_star = np.where(done, 0.5 * (a + b), m_star)
+        active &= ~done
+    return m_star
+
+
+def _bisect_many(curves: _CurvesMany, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.ndarray:
+    """_bisect_root of g - f per lane, given its exact value flo at lo."""
+    root = np.where(flo == 0.0, lo, np.nan)
+    active = flo != 0.0
+    sign_lo = flo > 0.0
+    for _ in range(120):
+        if not active.any():
+            break
+        mid = 0.5 * (lo + hi)
+        fm = curves.d(mid, _NO_LANES)
+        close = np.flatnonzero(active & (np.abs(fm) <= curves.slack))
+        if close.size:
+            fm[close] = curves.take(close).d(mid[close])
+        # Once the midpoint rounds onto an end the bracket can no longer
+        # shrink, and the scalar loop ends (now or after its last step) on
+        # that same midpoint.
+        stop = active & ((fm == 0.0) | (mid == lo) | (mid == hi))
+        root = np.where(stop, mid, root)
+        active &= ~stop
+        up = (fm > 0.0) == sign_lo
+        lo = np.where(active & up, mid, lo)
+        hi = np.where(active & ~up, mid, hi)
+        narrow = active & (hi - lo <= 1e-16)
+        root = np.where(narrow, 0.5 * (lo + hi), root)
+        active &= ~narrow
+    return np.where(active, 0.5 * (lo + hi), root)
+
+
+def _enumerate_many(
+    a1: np.ndarray, a2: np.ndarray, lambda0: np.ndarray, tau: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four-candidate enumeration of solve for in-regime lanes.
+
+    Returns capacity, mu1, mu2, strategy code and a mask of the lanes whose
+    algebra stayed finite; the others carry no result.
+    """
+    n = tau.size
+    zeros, ones = np.zeros(n), np.ones(n)
+    p = tuple(-_lanes(math.expm1, -x * tau) for x in (a1 + a2 + lambda0, a2 + lambda0, a1 + lambda0, lambda0))
+    h = tuple(_entropy_many(q) for q in p)
+    curves = _curves_many(p, h)
+
+    m_star = _golden_min_many(curves, 1e-14)
+    d_m, d_0, d_1 = curves.d(m_star), curves.d(zeros), curves.d(ones)
+    crosses = d_m <= 0.0
+    left = np.flatnonzero(crosses & (d_0 >= 0.0))
+    right = np.flatnonzero(crosses & (d_1 >= 0.0))
+    # Both sides in one pass: left roots on [0, m*], right roots on [m*, 1].
+    roots = _bisect_many(
+        curves.take(np.concatenate((left, right))),
+        np.concatenate((zeros[left], m_star[right])),
+        np.concatenate((m_star[left], ones[right])),
+        np.concatenate((d_0[left], d_m[right])),
+    )
+    root_l, root_r = np.full(n, np.nan), np.full(n, np.nan)
+    root_l[left], root_r[right] = roots[: left.size], roots[left.size :]
+    has_l, has_r = ~np.isnan(root_l), ~np.isnan(root_r)
+    has_r &= ~(has_l & (np.abs(root_l - root_r) < 1e-9))
+
+    mu2_l, mu2_r = curves.g(root_l), curves.g(root_r)
+    in_l = has_l & (-1e-12 <= mu2_l) & (mu2_l <= 1.0 + 1e-12)
+    in_r = has_r & (-1e-12 <= mu2_r) & (mu2_r <= 1.0 + 1e-12)
+    # Interior slot 0 is the first in-box root, slot 1 the second.
+    slot0, slot1 = in_l | in_r, in_l & in_r
+    s0_mu1 = np.clip(np.where(in_l, root_l, root_r), 0.0, 1.0)
+    s0_mu2 = np.clip(np.where(in_l, mu2_l, mu2_r), 0.0, 1.0)
+    s1_mu1, s1_mu2 = np.clip(root_r, 0.0, 1.0), np.clip(mu2_r, 0.0, 1.0)
+    rate0 = np.where(slot0, _rate_many(p, h, tau, s0_mu1, s0_mu2), 0.0)
+    rate1 = np.where(slot1, _rate_many(p, h, tau, s1_mu1, s1_mu2), 0.0)
+
+    solo1 = _solo_duty_many(p[2], p[3], h[2], h[3])
+    solo2 = _solo_duty_many(p[1], p[3], h[1], h[3])
+    rate_e1 = _rate_many(p, h, tau, solo1, zeros)
+    rate_e2 = _rate_many(p, h, tau, zeros, solo2)
+
+    # Tie rule of solve: the first both-active slot within TIE_TOL of the
+    # best rate, else user 2 alone, else user 1 alone.
+    best = np.maximum(np.maximum(rate0, rate1), np.maximum(rate_e1, rate_e2))
+    near = [
+        slot0 & (best - rate0 <= TIE_TOL),
+        slot1 & (best - rate1 <= TIE_TOL),
+        best - rate_e2 <= TIE_TOL,
+        best - rate_e1 <= TIE_TOL,
+    ]
+    capacity = np.select(near, [rate0, rate1, rate_e2, rate_e1], np.nan)
+    mu1 = np.select(near, [s0_mu1, s1_mu1, zeros, solo1], np.nan)
+    mu2 = np.select(near, [s0_mu2, s1_mu2, solo2, zeros], np.nan)
+    winners = (Strategy.BOTH_ACTIVE, Strategy.BOTH_ACTIVE, Strategy.ONLY_USER2, Strategy.ONLY_USER1)
+    code = np.select(near, [_TIE_RANK[s] for s in winners], -1)
+    finite = np.isfinite(d_m) & np.isfinite(d_0) & np.isfinite(d_1) & np.isfinite(capacity)
+    finite &= np.isfinite(rate0) & np.isfinite(rate1) & np.isfinite(rate_e1) & np.isfinite(rate_e2)
+    finite &= (0.0 <= solo1) & (solo1 <= 1.0) & (0.0 <= solo2) & (solo2 <= 1.0)
+    return capacity, mu1, mu2, code, finite
+
+
+def solve_many(
+    a1: np.typing.ArrayLike, a2: np.typing.ArrayLike, lambda0: np.typing.ArrayLike, tau: np.typing.ArrayLike
+) -> SolveBatch:
+    """solve over arrays of channels, with the same results lane by lane.
+
+    Inputs broadcast against each other.  In-regime lanes run the enumeration
+    as array operations: one golden-section pass and one masked bisection
+    pass for the whole batch.  Lanes out of regime, or whose curve algebra is
+    not finite, go through solve() one at a time, which keeps the grid
+    cross-check and the saturated-channel guard in one place.  An invalid
+    input raises the ValueError of ChannelParams for the first such lane.
+    """
+    lanes = tuple(np.ravel(x).astype(float) for x in np.broadcast_arrays(a1, a2, lambda0, tau))
+    a1, a2, lambda0, tau = lanes
+    valid = np.logical_and.reduce([np.isfinite(x) & (x > 0.0) for x in lanes])
+    if not valid.all():
+        ChannelParams(*(float(x[np.argmin(valid)]) for x in lanes))  # raises
+
+    regime = tau <= math.log(2.0) / (a1 + a2 + lambda0)
+    capacity, mu1, mu2 = (np.full(tau.size, np.nan) for _ in range(3))
+    code = np.full(tau.size, -1)
+    fast = np.flatnonzero(regime)
+    with np.errstate(all="ignore"):
+        cap, m1, m2, cd, finite = _enumerate_many(a1[fast], a2[fast], lambda0[fast], tau[fast])
+    fast = fast[finite]
+    capacity[fast], mu1[fast], mu2[fast], code[fast] = cap[finite], m1[finite], m2[finite], cd[finite]
+    for i in np.flatnonzero(code < 0).tolist():
+        report = solve(ChannelParams(*(float(x[i]) for x in lanes)))
+        capacity[i], mu1[i], mu2[i] = report.capacity, report.optimum.mu1, report.optimum.mu2
+        code[i] = _TIE_RANK[report.strategy]
+    return SolveBatch(capacity, mu1, mu2, code, regime)
 
 
 def regime_fraction_rule(fraction: float, lambda0: float) -> Callable[[float, float], float]:
@@ -415,27 +693,17 @@ def sweep_strategy_region(
     a2_grid: Sequence[float],
     lambda0: float,
     tau_rule: float | Callable[[float, float], float],
-    max_workers: int | None = None,
 ) -> list[list[Strategy]]:
-    """Optimal-strategy label for every (a1, a2) cell.
+    """Optimal-strategy label for every (a1, a2) cell, solved as one batch.
 
-    tau_rule is either a fixed dead time or a callable (a1, a2) -> tau.
-    Cells are independent; with max_workers > 1 rows are dispatched to a
-    thread pool.
+    tau_rule is either a fixed dead time or a callable (a1, a2) -> tau,
+    evaluated per cell.
     """
-    if callable(tau_rule):
-        rule = tau_rule
-    else:
-        fixed = float(tau_rule)
-        rule = lambda a1, a2: fixed
-
-    def solve_row(a1: float) -> list[Strategy]:
-        return [
-            solve(ChannelParams(a1, a2, lambda0, rule(a1, a2))).strategy
-            for a2 in a2_grid
-        ]
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(solve_row, a1_grid))
-    return [solve_row(a1) for a1 in a1_grid]
+    n2 = len(a2_grid)
+    tau = (
+        [tau_rule(a1, a2) for a1 in a1_grid for a2 in a2_grid]
+        if callable(tau_rule)
+        else float(tau_rule)
+    )
+    labels = solve_many(np.repeat(a1_grid, n2), np.tile(a2_grid, len(a1_grid)), lambda0, tau).strategies()
+    return [labels[i * n2 : (i + 1) * n2] for i in range(len(a1_grid))]

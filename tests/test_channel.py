@@ -119,6 +119,14 @@ class TestParamsAndProbs:
             with pytest.raises(ValueError):
                 ChannelParams(**kwargs)
 
+    def test_rejects_non_finite(self):
+        for name in ("a1", "a2", "lambda0", "tau"):
+            for bad in (math.inf, math.nan):
+                kwargs = dict(a1=10.0, a2=12.0, lambda0=0.001, tau=0.02)
+                kwargs[name] = bad
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    ChannelParams(**kwargs)
+
     def test_in_regime_flag(self):
         assert ChannelParams(10.0, 12.0, 0.001, 0.02).in_regime
         assert not ChannelParams(10.0, 30.0, 0.001, 0.02).in_regime

@@ -166,6 +166,40 @@ class TestSweeps:
         assert len(rows) == 9
 
 
+class TestExitCodes:
+    def test_saturated_solve_succeeds_out_of_regime(self, tmp_path):
+        code, text = run(tmp_path, "solve", "--a1", "1000", "--a2", "1000", "--tau", "1")
+        assert code == 0
+        assert "intersections=0" in text.splitlines()[0]
+        _, rows = rows_of(text)
+        assert rows[0]["regime_ok"] == "false"
+
+    def test_saturated_intersections_is_numerical_error(self, tmp_path, capsys):
+        code, text = run(
+            tmp_path, "intersections", "--a1", "1000", "--a2", "1000", "--tau", "1"
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("solve", "--a1", "inf", "--a2", "12", "--tau", "0.02"), "a1"),
+            (("solve", "--a1", "10", "--a2", "12", "--tau", "inf"), "tau"),
+            (("intersections", "--a1", "10", "--a2", "nan", "--tau", "0.02"), "a2"),
+            (("solve-miso", "--peaks1", "5,inf", "--peaks2", "6", "--tau", "0.02"), "peaks_user1"),
+            (("sweep-peak", "--a1", "10", "--a2", "5:15:5", "--tau", "0.02,inf"), "tau"),
+            (("sweep-peak", "--a1", "inf", "--a2", "5:15:5", "--tau", "0"), "a1"),
+            (("sweep-region", "--a1", "1:21:10", "--a2", "1:21:10", "--tau", "inf"), "tau"),
+        ],
+    )
+    def test_non_finite_input_is_validation_error(self, tmp_path, capsys, argv, field):
+        code, _ = run(tmp_path, *argv)
+        assert code == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+
+
 class TestSymmetricAndConverge:
     def test_symmetric_row(self, tmp_path):
         code, text = run(tmp_path, "symmetric", "--a", "10", "--tau", "0.02")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from poisson_mac import siso
 from poisson_mac.channel import ChannelParams, DutyPair, grad_mutual_info
 from poisson_mac.gridsearch import GridSpec, grid_capacity
 from poisson_mac.siso import (
@@ -16,6 +17,7 @@ from poisson_mac.siso import (
     regime_fraction_rule,
     single_user_duty,
     solve,
+    solve_many,
     sufficiency_tests,
     sweep_strategy_region,
     uvw,
@@ -173,6 +175,11 @@ class TestSolve:
         report = solve(FIG2)
         assert report.strategy is Strategy.BOTH_ACTIVE
 
+    def test_report_carries_its_intersection_search(self):
+        assert solve(FIG2).search == find_intersections(FIG2)
+        saturated = solve(ChannelParams(1000.0, 1000.0, 0.001, 1.0))
+        assert saturated.search.points == () and not saturated.search.reliable
+
     def test_capacity_dominates_single_user_candidates(self):
         rng = random.Random(25)
         for _ in range(30):
@@ -286,6 +293,70 @@ class TestSweep:
             for j in range(len(a2_grid)):
                 assert fwd[i][j] is swap[rev[j][i]]
 
-    def test_fixed_tau_rule_and_threads(self):
-        labels = sweep_strategy_region([1.0], [20.0], 0.001, 0.02, max_workers=2)
+    def test_fixed_tau_rule(self):
+        labels = sweep_strategy_region([1.0], [20.0], 0.001, 0.02)
         assert labels[0][0] is Strategy.ONLY_USER2
+
+    def test_empty_axes(self):
+        assert sweep_strategy_region([], [1.0], 0.001, 0.02) == []
+        assert sweep_strategy_region([1.0, 2.0], [], 0.001, 0.02) == [[], []]
+
+
+def assert_batch_matches_scalar(a1, a2, lambda0, tau):
+    """solve_many against solve lane by lane: same strategy, same printed
+    digits, and in fact the same doubles."""
+    batch = solve_many(a1, a2, lambda0, tau)
+    strategies = batch.strategies()
+    for i, (x1, x2, t) in enumerate(zip(a1, a2, tau)):
+        report = solve(ChannelParams(x1, x2, lambda0, t))
+        assert strategies[i] is report.strategy, (x1, x2, t)
+        got = (batch.capacity[i], batch.mu1[i], batch.mu2[i])
+        want = (report.capacity, report.optimum.mu1, report.optimum.mu2)
+        assert "%.12g %.12g %.12g" % got == "%.12g %.12g %.12g" % want, (x1, x2, t)
+        assert got == want, (x1, x2, t)
+        assert bool(batch.regime_ok[i]) is report.regime_ok
+    return batch
+
+
+class TestSolveMany:
+    def test_random_in_regime_matches_scalar(self, monkeypatch):
+        rng = random.Random(2019)
+        a1 = [math.exp(rng.uniform(0.0, math.log(50.0))) for _ in range(400)]
+        a2 = [math.exp(rng.uniform(0.0, math.log(50.0))) for _ in range(400)]
+        tau = [(1.0 - 0.8 * rng.random()) * math.log(2) / (x1 + x2 + 0.001) for x1, x2 in zip(a1, a2)]
+        # In regime the batch never falls back on the scalar solver.
+        fallbacks = []
+        monkeypatch.setattr(siso, "solve", lambda params: fallbacks.append(params) or solve(params))
+        batch = assert_batch_matches_scalar(a1, a2, 0.001, tau)
+        assert fallbacks == []
+        assert set(batch.strategies()) == set(Strategy)
+
+    def test_diagonal_is_both_active(self):
+        a = [0.5 + 2.5 * k for k in range(20)]
+        tau = [0.8 * math.log(2) / (2 * x + 0.001) for x in a]
+        batch = assert_batch_matches_scalar(a, a, 0.001, tau)
+        assert batch.strategies() == [Strategy.BOTH_ACTIVE] * len(a)
+
+    def test_fixed_tau_grid_across_regime_bound(self):
+        grid = [2.0, 7.0, 12.0, 17.0, 22.0]
+        a1 = [x for x in grid for _ in grid]
+        a2 = [y for _ in grid for y in grid]
+        batch = assert_batch_matches_scalar(a1, a2, 0.001, [0.02] * len(a1))
+        assert 0 < int((~batch.regime_ok).sum()) < len(a1)
+
+    def test_saturated_lanes_take_the_scalar_guard(self):
+        batch = assert_batch_matches_scalar([1000.0, 10.0], [1000.0, 12.0], 0.001, [1.0, 0.02])
+        assert list(batch.regime_ok) == [False, True]
+
+    def test_broadcast_and_empty(self):
+        batch = solve_many(10.0, [12.0, 1.0], 0.001, 0.02)
+        assert batch.strategies() == [Strategy.BOTH_ACTIVE, Strategy.ONLY_USER1]
+        assert solve_many([], [], 0.001, []).capacity.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "a1, tau, message",
+        [(-2.0, 0.02, "a1 must be positive"), (10.0, math.inf, "tau must be finite")],
+    )
+    def test_invalid_lane_raises_the_field_error(self, a1, tau, message):
+        with pytest.raises(ValueError, match=message):
+            solve_many([10.0, a1], [12.0, 12.0], 0.001, [0.02, tau])
