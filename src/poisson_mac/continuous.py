@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelParams, DutyPair, _require_finite, phi
+from .gridsearch import GridSpec
 from .siso import SolveReport, solve
 
 __all__ = [
@@ -114,8 +115,10 @@ def cont_capacity(
     """Continuous optimum by full grid search plus tenfold local refinements.
 
     Defaults refine the duty resolution from 1e-3 down to 1e-6; the reference
-    is an oracle, not a solver, so plain search is deliberate.
+    is an oracle, not a solver, so plain search is deliberate.  step and
+    refine_rounds must satisfy GridSpec's bounds.
     """
+    GridSpec(step, refine_rounds)
     g = _axis(0.0, 1.0, step)
     m1, m2 = np.meshgrid(g, g, indexing="ij")
     values = _rate_grid(cp, m1, m2)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from poisson_mac import cli
 from poisson_mac.cli import main
 
 
@@ -66,6 +67,46 @@ class TestSolve:
             tmp_path, "solve", "--a1", "10", "--a2", "30", "--tau", "0.02", "--strict"
         )
         assert code == 3
+
+
+class TestStrict:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "solve --a1 10 --a2 30 --tau 0.02",
+            "solve-miso --peaks1 10,10 --peaks2 10 --tau 0.03",
+            "intersections --a1 10 --a2 30 --tau 0.02",
+            "sweep-peak --a1 20 --a2 20:30:5 --tau 0.05",
+            "sweep-peak --a1 20 --a2 20:30:5 --tau 0,0.01,0.05",
+            "sweep-region --a1 20:30:10 --a2 20:30:10 --tau 0.05",
+            "sweep-region --a1 1:30 --a2 1:30 --cells 4 --tau-scale 1.5",
+            "symmetric --a 20 --tau 0.02",
+            "converge --a1 10 --a2 12 --taus 0.02,0.05",
+        ],
+    )
+    def test_out_of_regime_exits_before_solving(self, tmp_path, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved under --strict")
+
+        for name in (
+            "solve", "solve_many", "find_intersections", "sweep_strategy_region",
+            "cont_capacity", "convergence_report", "solve_miso", "solve_symmetric",
+        ):
+            monkeypatch.setattr(cli, name, refuse)
+        code, text = run(tmp_path, *argv.split(), "--strict")
+        assert code == 3
+        assert text == ""
+
+    def test_in_regime_region_passes(self, tmp_path):
+        argv = ("sweep-region", "--a1", "1:30", "--a2", "1:30", "--cells", "4")
+        code, strict_text = run(tmp_path, *argv, "--tau-scale", "1", "--strict")
+        assert code == 0
+        assert strict_text == run(tmp_path, *argv, "--tau-scale", "1")[1]
+
+    def test_grid_flags_only_where_read(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "solve", "--a1", "10", "--a2", "12", "--tau", "0.02", "--grid-step", "1e-2")
+        assert exc.value.code == 2
 
 
 class TestConfigFile:
@@ -192,12 +233,31 @@ class TestExitCodes:
             (("sweep-peak", "--a1", "10", "--a2", "5:15:5", "--tau", "0.02,inf"), "tau"),
             (("sweep-peak", "--a1", "inf", "--a2", "5:15:5", "--tau", "0"), "a1"),
             (("sweep-region", "--a1", "1:21:10", "--a2", "1:21:10", "--tau", "inf"), "tau"),
+            (("sweep-region", "--a1", "1:inf", "--a2", "1:3", "--cells", "3"), "a1"),
         ],
     )
     def test_non_finite_input_is_validation_error(self, tmp_path, capsys, argv, field):
         code, _ = run(tmp_path, *argv)
         assert code == 2
-        assert f"{field} must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{field} must be finite" in err
+        # The message reports what was typed, not a value derived from it.
+        assert "nan" not in err or any("nan" in arg for arg in argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("converge", "--a1", "10", "--a2", "12", "--taus", "1e-3", "--grid-step", "0"),
+            ("sweep-peak", "--a1", "10", "--a2", "5:10:5", "--tau", "0", "--grid-step", "5"),
+            ("sweep-peak", "--a1", "10", "--a2", "5:10:5", "--tau", "0", "--grid-step", "-1"),
+            ("converge", "--a1", "10", "--a2", "12", "--taus", "1e-3", "--grid-refine", "-1"),
+        ],
+    )
+    def test_bad_reference_grid_is_validation_error(self, tmp_path, capsys, argv):
+        code, text = run(tmp_path, *argv)
+        assert code == 2
+        assert text == ""
+        assert "must lie in" in capsys.readouterr().err
 
 
 class TestSymmetricAndConverge:

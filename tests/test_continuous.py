@@ -86,6 +86,14 @@ class TestContCapacity:
         fine, _ = cont_capacity(CP, step=1e-2, refine_rounds=3)
         assert fine >= coarse
 
+    @pytest.mark.parametrize(
+        "step, rounds",
+        [(0.0, 3), (-1.0, 3), (5.0, 3), (math.nan, 3), (1e-3, -1), (1e-3, 7)],
+    )
+    def test_rejects_grid_outside_gridspec_bounds(self, step, rounds):
+        with pytest.raises(ValueError, match="must lie in"):
+            cont_capacity(CP, step=step, refine_rounds=rounds)
+
 
 class TestConvergence:
     def test_gaps_shrink_with_tau(self):
