@@ -213,7 +213,12 @@ def grad_mutual_info(params: ChannelParams, duty: DutyPair) -> tuple[float, floa
     return _grad(hp, duty.mu1, duty.mu2)
 
 
-def _grad(hp: HitProbs, mu1: float, mu2: float) -> tuple[float, float]:
+def _grad_terms(hp: HitProbs, mu1, mu2) -> tuple:
+    """(c1, c2, e1, e2, ph) with dI/dmu_k = c_k * ln((1-ph)/ph) - e_k.
+
+    c_k and e_k are the hit-probability and entropy chords along mu_k and ph
+    is the slot hit probability; mu1, mu2 are floats or broadcastable arrays.
+    """
     h1, h2, h3, h4 = hp.entropies()
     c1 = mu2 * (hp.p1 - hp.p2) + (1.0 - mu2) * (hp.p3 - hp.p4)
     c2 = mu1 * (hp.p1 - hp.p3) + (1.0 - mu1) * (hp.p2 - hp.p4)
@@ -221,6 +226,11 @@ def _grad(hp: HitProbs, mu1: float, mu2: float) -> tuple[float, float]:
     e2 = mu1 * (h1 - h3) + (1.0 - mu1) * (h2 - h4)
     w = _weights(mu1, mu2)
     ph = w[0] * hp.p1 + w[1] * hp.p2 + w[2] * hp.p3 + w[3] * hp.p4
+    return c1, c2, e1, e2, ph
+
+
+def _grad(hp: HitProbs, mu1: float, mu2: float) -> tuple[float, float]:
+    c1, c2, e1, e2, ph = _grad_terms(hp, mu1, mu2)
     lo = entropy_slope(ph)
     return (c1 * lo - e1, c2 * lo - e2)
 
@@ -235,11 +245,7 @@ def hessian_mutual_info(
     """
     hp = hit_probs(params)
     h1, h2, h3, h4 = hp.entropies()
-    mu1, mu2 = duty.mu1, duty.mu2
-    c1 = mu2 * (hp.p1 - hp.p2) + (1.0 - mu2) * (hp.p3 - hp.p4)
-    c2 = mu1 * (hp.p1 - hp.p3) + (1.0 - mu1) * (hp.p2 - hp.p4)
-    w = _weights(mu1, mu2)
-    ph = w[0] * hp.p1 + w[1] * hp.p2 + w[2] * hp.p3 + w[3] * hp.p4
+    c1, c2, _, _, ph = _grad_terms(hp, duty.mu1, duty.mu2)
     var = ph * (1.0 - ph)
     dcross_p = hp.p1 - hp.p2 - hp.p3 + hp.p4
     dcross_h = h1 - h2 - h3 + h4

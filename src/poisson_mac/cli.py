@@ -23,15 +23,18 @@ table, applies --strict and writes the CSV.
 Exit status: 0 on success, 2 on a validation error (the message names the
 offending field), 3 when --strict is set and an instance is out of regime
 (checked before anything is solved), 4 when the arithmetic breaks down (hit
-probabilities that round to 1 far out of regime).
+probabilities that round to 1 far out of regime), 141 (128 + SIGPIPE) when
+the reader of the output goes away first, as in `... | head`; that case
+prints nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import asdict
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -48,6 +51,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_OUT_OF_REGIME = 3
 EXIT_NUMERICAL = 4
+EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, in shell terms
 
 
 def _fmt(x: object) -> str:
@@ -58,20 +62,28 @@ def _fmt(x: object) -> str:
     return str(x)
 
 
+def _number(text: object, name: str, kind: Callable[[Any], Any] = float) -> Any:
+    """kind(text), or a ValueError that names the field."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got '{text}'") from None
+
+
 def _parse_range(args: argparse.Namespace, name: str) -> list[float]:
     """A bare number, lo:hi (needs --cells), or lo:hi:step, all finite."""
     text = _require(args, name)
     parts = text.split(":")
     if len(parts) > 3:
-        raise ValueError(f"cannot parse range '{text}'")
-    values = [float(p) for p in parts]
+        raise ValueError(f"cannot parse {name} range '{text}'")
+    values = [_number(p, name) for p in parts]
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"{name} must be finite, got '{text}'")
     if len(values) == 1:
         return values
     if len(values) == 2:
         lo, hi = values
-        cells = int(_merged(args, "cells", 0))
+        cells = _flag(args, "cells", 0, int)
         if cells < 2:
             raise ValueError("range lo:hi needs --cells to fix the grid size")
         return [lo + (hi - lo) * i / (cells - 1) for i in range(cells)]
@@ -82,8 +94,9 @@ def _parse_range(args: argparse.Namespace, name: str) -> list[float]:
     return [lo + i * step for i in range(n + 1)]
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p != ""]
+def _parse_floats(args: argparse.Namespace, name: str) -> list[float]:
+    """A required comma-separated list of numbers."""
+    return [_number(p, name) for p in _require(args, name).split(",") if p != ""]
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -117,22 +130,22 @@ def _require(args: argparse.Namespace, key: str) -> str:
     return str(value)
 
 
+def _flag(args: argparse.Namespace, key: str, default: object = None, kind: Callable[[Any], Any] = float) -> Any:
+    """A numeric parameter, required when it has no default."""
+    return _number(_require(args, key) if default is None else _merged(args, key, default), key, kind)
+
+
 def _lambda0(args: argparse.Namespace) -> float:
-    return float(_merged(args, "lambda0", DEFAULT_LAMBDA0))
+    return _flag(args, "lambda0", DEFAULT_LAMBDA0)
 
 
 def _grid(args: argparse.Namespace) -> tuple[float, int]:
     """Continuous-reference grid step and number of tenfold refinements."""
-    return float(_merged(args, "grid-step", 1e-3)), int(_merged(args, "grid-refine", 3))
+    return _flag(args, "grid-step", 1e-3), _flag(args, "grid-refine", 3, int)
 
 
 def _channel(args: argparse.Namespace) -> ChannelParams:
-    return ChannelParams(
-        a1=float(_require(args, "a1")),
-        a2=float(_require(args, "a2")),
-        lambda0=_lambda0(args),
-        tau=float(_require(args, "tau")),
-    )
+    return ChannelParams(_flag(args, "a1"), _flag(args, "a2"), _lambda0(args), _flag(args, "tau"))
 
 
 # A handler is a generator of two steps.  It reads and validates its inputs,
@@ -159,10 +172,10 @@ def _cmd_solve(args: argparse.Namespace) -> Steps:
 
 def _cmd_solve_miso(args: argparse.Namespace) -> Steps:
     config = MisoConfig(
-        peaks_user1=tuple(_parse_floats(_require(args, "peaks1"))),
-        peaks_user2=tuple(_parse_floats(_require(args, "peaks2"))),
+        peaks_user1=tuple(_parse_floats(args, "peaks1")),
+        peaks_user2=tuple(_parse_floats(args, "peaks2")),
         lambda0=_lambda0(args),
-        tau=float(_require(args, "tau")),
+        tau=_flag(args, "tau"),
     )
     yield lambda: config.in_regime
     report = solve_miso(config)
@@ -186,10 +199,10 @@ def _cmd_intersections(args: argparse.Namespace) -> Steps:
 
 
 def _cmd_sweep_peak(args: argparse.Namespace) -> Steps:
-    a1 = float(_require(args, "a1"))
+    a1 = _flag(args, "a1")
     lambda0 = _lambda0(args)
     a2_values = _parse_range(args, "a2")
-    taus = _parse_floats(_require(args, "tau"))
+    taus = _parse_floats(args, "tau")
     grid_step, grid_refine = _grid(args)
     # The finite-tau (a2, tau) lanes in row order; tau = 0 rows are continuous.
     lanes = [(a2, tau) for tau in taus if tau != 0.0 for a2 in a2_values]
@@ -215,8 +228,8 @@ def _cmd_sweep_region(args: argparse.Namespace) -> Steps:
     a1_values = _parse_range(args, "a1")
     a2_values = _parse_range(args, "a2")
     tau_flag = _merged(args, "tau")
-    tau_scale = float(_merged(args, "tau-scale", 0.8))
-    rule = regime_fraction_rule(tau_scale, lambda0) if tau_flag is None else float(tau_flag)
+    tau_scale = _flag(args, "tau-scale", 0.8)
+    rule = regime_fraction_rule(tau_scale, lambda0) if tau_flag is None else _number(tau_flag, "tau")
     tau_of = rule if callable(rule) else lambda a1, a2: rule
     yield lambda: all(
         ChannelParams(a1, a2, lambda0, tau_of(a1, a2)).in_regime for a1 in a1_values for a2 in a2_values
@@ -229,9 +242,9 @@ def _cmd_sweep_region(args: argparse.Namespace) -> Steps:
 
 
 def _cmd_symmetric(args: argparse.Namespace) -> Steps:
-    a = float(_require(args, "a"))
+    a = _flag(args, "a")
     lambda0 = _lambda0(args)
-    tau = float(_require(args, "tau"))
+    tau = _flag(args, "tau")
     params = ChannelParams(a, a, lambda0, tau)
     yield lambda: params.in_regime
     report = solve_symmetric(a, lambda0, tau)
@@ -243,10 +256,10 @@ def _cmd_symmetric(args: argparse.Namespace) -> Steps:
 
 
 def _cmd_converge(args: argparse.Namespace) -> Steps:
-    a1 = float(_require(args, "a1"))
-    a2 = float(_require(args, "a2"))
+    a1 = _flag(args, "a1")
+    a2 = _flag(args, "a2")
     lambda0 = _lambda0(args)
-    taus = _parse_floats(_require(args, "taus"))
+    taus = _parse_floats(args, "taus")
     if any(t <= 0 for t in taus):
         raise ValueError("taus must all be positive for converge")
     grid_step, grid_refine = _grid(args)
@@ -319,6 +332,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point stdout at the null device, so that the interpreter's last flush
+    of the output still buffered cannot fail again.  A stdout without a
+    descriptor is left alone: the interpreter does not flush it at exit."""
+    with suppress(AttributeError, OSError, ValueError):
+        fd = sys.stdout.fileno()
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -336,7 +360,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             out.write(",".join(header) + "\n")
             for row in rows:
                 out.write(",".join(_fmt(v) for v in row) + "\n")
+            out.flush()  # a closed pipe shows up here, not at interpreter exit
         return EXIT_OK
+    except BrokenPipeError:
+        _drop_stdout()
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -12,8 +12,9 @@ expression built from phi(x) = x ln x:
 and the stationarity curves of the finite-tau solver converge to closed
 forms: the affine curve tends to slope a1/a2 with a phi-expression intercept,
 and the convex curve to an exponential form.  The continuous optimum is
-located by grid search with local refinement; it serves as the reference
-against which finite-tau capacities are gapped.
+located by grid search with local refinement, by the same maximiser as the
+grid oracle of gridsearch.py; it serves as the reference against which
+finite-tau capacities are gapped.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelParams, DutyPair, _require_finite, phi
-from .gridsearch import GridSpec
+from .gridsearch import GridSpec, _grid_max
 from .siso import SolveReport, solve
 
 __all__ = [
@@ -103,38 +104,17 @@ def _rate_grid(cp: ContinuousParams, m1: np.ndarray, m2: np.ndarray) -> np.ndarr
     )
 
 
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    lo, hi = max(lo, 0.0), min(hi, 1.0)
-    n = max(1, int(round((hi - lo) / step)))
-    return np.linspace(lo, hi, n + 1)
-
-
 def cont_capacity(
     cp: ContinuousParams, step: float = 1e-3, refine_rounds: int = 3
 ) -> tuple[float, DutyPair]:
-    """Continuous optimum by full grid search plus tenfold local refinements.
+    """Continuous optimum by full grid search plus tenfold local refinements
+    (gridsearch._grid_max, the search behind grid_capacity).
 
     Defaults refine the duty resolution from 1e-3 down to 1e-6; the reference
     is an oracle, not a solver, so plain search is deliberate.  step and
     refine_rounds must satisfy GridSpec's bounds.
     """
-    GridSpec(step, refine_rounds)
-    g = _axis(0.0, 1.0, step)
-    m1, m2 = np.meshgrid(g, g, indexing="ij")
-    values = _rate_grid(cp, m1, m2)
-    i, j = np.unravel_index(np.argmax(values), values.shape)
-    best, mu1, mu2 = float(values[i, j]), float(g[i]), float(g[j])
-    for _ in range(refine_rounds):
-        new_step = step / 10.0
-        a1 = _axis(mu1 - 1.5 * step, mu1 + 1.5 * step, new_step)
-        a2 = _axis(mu2 - 1.5 * step, mu2 + 1.5 * step, new_step)
-        w1, w2 = np.meshgrid(a1, a2, indexing="ij")
-        local = _rate_grid(cp, w1, w2)
-        i, j = np.unravel_index(np.argmax(local), local.shape)
-        if float(local[i, j]) > best:
-            best, mu1, mu2 = float(local[i, j]), float(w1[i, j]), float(w2[i, j])
-        step = new_step
-    return best, DutyPair(mu1, mu2)
+    return _grid_max(lambda m1, m2: _rate_grid(cp, m1, m2), GridSpec(step, refine_rounds))
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,20 @@ with an error bound derived from an empirical gradient bound, and the
 derivative oracles are central finite differences.  The multi-antenna oracle
 exhaustively scans the one-parameter family of joint PMFs that share given
 marginals (two antennas per user), which brackets the staircase construction.
+
+The grid maximiser, _grid_max, takes any vectorized objective: the
+continuous-time reference of continuous.py runs on it too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelParams, DutyPair, hit_probs, mutual_info
+from .channel import ChannelParams, DutyPair, _grad_terms, _weights, hit_probs, mutual_info
 from .miso import MisoConfig, _entropy_arr, subset_rates
 
 __all__ = [
@@ -70,29 +74,15 @@ def _rate_grid(params: ChannelParams, m1: np.ndarray, m2: np.ndarray) -> np.ndar
     """Vectorized I/tau over broadcastable duty arrays."""
     hp = hit_probs(params)
     h1, h2, h3, h4 = hp.entropies()
-    w11 = m1 * m2
-    w01 = (1.0 - m1) * m2
-    w10 = m1 * (1.0 - m2)
-    w00 = (1.0 - m1) * (1.0 - m2)
-    ph = w11 * hp.p1 + w01 * hp.p2 + w10 * hp.p3 + w00 * hp.p4
-    mix = w11 * h1 + w01 * h2 + w10 * h3 + w00 * h4
+    w = _weights(m1, m2)
+    ph = w[0] * hp.p1 + w[1] * hp.p2 + w[2] * hp.p3 + w[3] * hp.p4
+    mix = w[0] * h1 + w[1] * h2 + w[2] * h3 + w[3] * h4
     return (_entropy_arr(ph) - mix) / params.tau
 
 
 def _grad_norm_grid(params: ChannelParams, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Vectorized gradient norm of I/tau; boundary-safe log-odds."""
-    hp = hit_probs(params)
-    h1, h2, h3, h4 = hp.entropies()
-    c1 = m2 * (hp.p1 - hp.p2) + (1.0 - m2) * (hp.p3 - hp.p4)
-    c2 = m1 * (hp.p1 - hp.p3) + (1.0 - m1) * (hp.p2 - hp.p4)
-    e1 = m2 * (h1 - h2) + (1.0 - m2) * (h3 - h4)
-    e2 = m1 * (h1 - h3) + (1.0 - m1) * (h2 - h4)
-    ph = (
-        m1 * m2 * hp.p1
-        + (1.0 - m1) * m2 * hp.p2
-        + m1 * (1.0 - m2) * hp.p3
-        + (1.0 - m1) * (1.0 - m2) * hp.p4
-    )
+    c1, c2, e1, e2, ph = _grad_terms(hit_probs(params), m1, m2)
     # Clamped: saturated cells would send the log-odds to -inf; the estimate
     # only has to stay an upper bound on the slopes actually seen.
     ph = np.clip(ph, 1e-15, 1.0 - 1e-15)
@@ -106,61 +96,59 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, n + 1)
 
 
-def _local_peaks(values: np.ndarray, g1: np.ndarray, g2: np.ndarray, sep: float) -> list[tuple[float, float, float]]:
-    """Up to TOP_CELLS well-separated high cells as (value, mu1, mu2)."""
-    flat = np.argsort(values, axis=None)[::-1]
+def _local_peaks(values: np.ndarray, g: np.ndarray, sep: float, count: int) -> list[tuple[float, float, float]]:
+    """count high cells of values on the grid g x g, as (value, mu1, mu2).
+
+    Each pick is the first highest cell at least sep away (in the larger of
+    the two coordinate distances) from every earlier pick; sep must leave
+    room for count picks.  values is overwritten: the cells too close to a
+    pick are set to -inf.
+    """
     picked: list[tuple[float, float, float]] = []
-    for k in flat:
-        i, j = np.unravel_index(k, values.shape)
-        mu1, mu2 = float(g1[i]), float(g2[j])
-        if all(max(abs(mu1 - p1), abs(mu2 - p2)) >= sep for _, p1, p2 in picked):
-            picked.append((float(values[i, j]), mu1, mu2))
-        if len(picked) == TOP_CELLS:
-            break
+    while len(picked) < count:
+        i, j = np.unravel_index(np.argmax(values), values.shape)
+        picked.append((float(values[i, j]), float(g[i]), float(g[j])))
+        values[np.ix_(np.abs(g - g[i]) < sep, np.abs(g - g[j]) < sep)] = -np.inf
     return picked
 
 
-def grid_capacity(params: ChannelParams, spec: GridSpec = GridSpec()) -> GridResult:
-    """Best I/tau over a refined grid on the duty square.
+def _grid_max(
+    rate: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: GridSpec
+) -> tuple[float, DutyPair]:
+    """Largest rate(mu1, mu2) on the duty square, by grid search with refinement.
 
-    One full pass at spec.step, then refine_rounds local passes shrinking the
-    step tenfold around the best cells; several separated incumbents are
-    carried so close rival maxima cannot shake the search off the global one.
-    The incumbent never decreases across rounds.
+    rate is vectorized and gets broadcast axes, a column of mu1 against a row
+    of mu2.  One full pass at spec.step keeps TOP_CELLS separated incumbents
+    (only the best cell when there is nothing to refine), so close rival
+    maxima cannot shake the search off the global one.  Each of the
+    spec.refine_rounds rounds scans 1.5 old steps around every incumbent at a
+    tenth of the step, and an incumbent moves only to a strictly better cell.
+    Of equal final values the earliest incumbent wins.
     """
     g = _axis(0.0, 1.0, spec.step)
-    m1, m2 = np.meshgrid(g, g, indexing="ij")
-    values = _rate_grid(params, m1, m2)
-    gradient_bound = SAFETY_FACTOR * float(np.max(_grad_norm_grid(params, m1, m2)))
-
-    if spec.refine_rounds == 0:
-        i, j = np.unravel_index(np.argmax(values), values.shape)
-        incumbents = [(float(values[i, j]), float(g[i]), float(g[j]))]
-    else:
-        incumbents = _local_peaks(values, g, g, 3.0 * spec.step)
+    count = TOP_CELLS if spec.refine_rounds else 1
+    incumbents = _local_peaks(rate(g[:, None], g[None, :]), g, 3.0 * spec.step, count)
     step = spec.step
     for _ in range(spec.refine_rounds):
-        new_step = step / 10.0
-        refined: list[tuple[float, float, float]] = []
-        for val, mu1, mu2 in incumbents:
-            a1 = _axis(mu1 - 1.5 * step, mu1 + 1.5 * step, new_step)
-            a2 = _axis(mu2 - 1.5 * step, mu2 + 1.5 * step, new_step)
-            w1, w2 = np.meshgrid(a1, a2, indexing="ij")
-            local = _rate_grid(params, w1, w2)
+        for k, (best, mu1, mu2) in enumerate(incumbents):
+            a1 = _axis(mu1 - 1.5 * step, mu1 + 1.5 * step, step / 10.0)
+            a2 = _axis(mu2 - 1.5 * step, mu2 + 1.5 * step, step / 10.0)
+            local = rate(a1[:, None], a2[None, :])
             i, j = np.unravel_index(np.argmax(local), local.shape)
-            best = max(val, float(local[i, j]))
-            refined.append((best, float(w1[i, j]), float(w2[i, j])))
-        incumbents = refined
-        step = new_step
+            if local[i, j] > best:
+                incumbents[k] = (float(local[i, j]), float(a1[i]), float(a2[j]))
+        step /= 10.0
+    best, mu1, mu2 = max(incumbents, key=lambda c: c[0])
+    return best, DutyPair(mu1, mu2)
 
-    capacity, mu1, mu2 = max(incumbents)
-    return GridResult(
-        capacity=capacity,
-        duty=DutyPair(mu1, mu2),
-        final_step=spec.final_step,
-        gradient_bound=gradient_bound,
-        error_bound=gradient_bound * spec.final_step,
-    )
+
+def grid_capacity(params: ChannelParams, spec: GridSpec = GridSpec()) -> GridResult:
+    """Best I/tau over a refined grid on the duty square (see _grid_max), with
+    its error bound from the largest gradient norm on the coarse grid."""
+    capacity, duty = _grid_max(lambda m1, m2: _rate_grid(params, m1, m2), spec)
+    g = _axis(0.0, 1.0, spec.step)
+    gradient_bound = SAFETY_FACTOR * float(np.max(_grad_norm_grid(params, g[:, None], g[None, :])))
+    return GridResult(capacity, duty, spec.final_step, gradient_bound, gradient_bound * spec.final_step)
 
 
 def fd_gradient(

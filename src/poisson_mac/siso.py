@@ -188,11 +188,19 @@ def uvw(params: ChannelParams) -> LineCoefficients:
 
 
 def _uvw(hp: HitProbs) -> LineCoefficients:
-    h1, h2, h3, h4 = hp.entropies()
-    u = (hp.p1 - hp.p2) * (h3 - h4) - (hp.p3 - hp.p4) * (h1 - h2)
-    v = (hp.p1 - hp.p3) * (h2 - h4) - (hp.p2 - hp.p4) * (h1 - h3)
-    w = (hp.p2 - hp.p4) * (h3 - h4) - (hp.p3 - hp.p4) * (h2 - h4)
-    return LineCoefficients(u=u, v=v, w=w)
+    return LineCoefficients(*_line((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies()))
+
+
+def _line(p: tuple, h: tuple) -> tuple:
+    """u, v, w from the four hit probabilities and their entropies, as
+    floats or as arrays of channels."""
+    p1, p2, p3, p4 = p
+    h1, h2, h3, h4 = h
+    return (
+        (p1 - p2) * (h3 - h4) - (p3 - p4) * (h1 - h2),
+        (p1 - p3) * (h2 - h4) - (p2 - p4) * (h1 - h3),
+        (p2 - p4) * (h3 - h4) - (p3 - p4) * (h2 - h4),
+    )
 
 
 def f_mac(params: ChannelParams, mu1: float) -> float:
@@ -258,6 +266,8 @@ def _bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
     sign_lo = flo > 0.0
     for _ in range(120):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # no step can shrink the bracket or move mid again
+            return mid
         fm = fn(mid)
         if fm == 0.0:
             return mid
@@ -491,9 +501,7 @@ class _CurvesMany(NamedTuple):
 def _curves_many(p: tuple[np.ndarray, ...], h: tuple[np.ndarray, ...]) -> _CurvesMany:
     p1, p2, p3, p4 = p
     h1, h2, h3, h4 = h
-    u = (p1 - p2) * (h3 - h4) - (p3 - p4) * (h1 - h2)
-    v = (p1 - p3) * (h2 - h4) - (p2 - p4) * (h1 - h3)
-    w = (p2 - p4) * (h3 - h4) - (p3 - p4) * (h2 - h4)
+    u, v, w = _line(p, h)
     slope, intercept = u / v, w / v
     den_min = np.minimum(p1 - p3, p2 - p4)
     # A lane whose den can vanish on [0, 1] gets no estimates at all.

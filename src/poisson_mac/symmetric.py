@@ -47,7 +47,7 @@ from .channel import (
     hit_probs,
     _mutual_info,
 )
-from .siso import _g_of
+from .siso import _bisect_root, _g_of
 
 __all__ = [
     "SchurRegion",
@@ -168,15 +168,7 @@ def peak_threshold(
             break
     if delta(hi) >= 0.0:
         return ThresholdSearch(value=math.inf, found=False, search_cap=cap, residual=math.nan)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if delta(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    value = 0.5 * (lo + hi)
+    value = _bisect_root(delta, lo, hi)
     return ThresholdSearch(
         value=value, found=True, search_cap=cap, residual=abs(delta(value))
     )
@@ -245,16 +237,7 @@ def symmetric_fixed_point(a: float, lambda0: float, tau: float) -> float:
     def resid(mu: float) -> float:
         return mu - g(mu)
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if resid(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17:
-            break
-    mu = 0.5 * (lo + hi)
+    mu = _bisect_root(resid, 0.0, 1.0)
     if abs(resid(mu)) > FIXED_POINT_TOL:
         raise ArithmeticError(
             f"fixed-point residual {resid(mu):.3e} above {FIXED_POINT_TOL}"

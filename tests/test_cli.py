@@ -1,5 +1,11 @@
 """Command-line front end: schemas, determinism, config handling, exit codes."""
 
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from poisson_mac import cli
@@ -243,6 +249,71 @@ class TestExitCodes:
         assert f"{field} must be finite" in err
         # The message reports what was typed, not a value derived from it.
         assert "nan" not in err or any("nan" in arg for arg in argv)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("solve", "--a1", "abc", "--a2", "12", "--tau", "0.02"), "a1 must be a number, got 'abc'"),
+            (("solve", "--a1", "10", "--a2", "12", "--tau", "0.02", "--lambda0", "z"), "lambda0 must be a number"),
+            (("solve-miso", "--peaks1", "5,q", "--peaks2", "6", "--tau", "0.02"), "peaks1 must be a number"),
+            (("intersections", "--a1", "10", "--a2", "12", "--tau", "1/50"), "tau must be a number"),
+            (("sweep-peak", "--a1", "10", "--a2", "5:15:5", "--tau", "0.02,x"), "tau must be a number, got 'x'"),
+            (("sweep-peak", "--a1", "10", "--a2", "5:x:5", "--tau", "0.02"), "a2 must be a number"),
+            (("sweep-region", "--a1", "1:30", "--a2", "1:30", "--cells", "x"), "cells must be an integer"),
+            (("sweep-region", "--a1", "1:30:10", "--a2", "1:30:10", "--tau-scale", "x"), "tau-scale must be a number"),
+            (("sweep-region", "--a1", "1:30:10", "--a2", "1:30:10", "--tau", "x"), "tau must be a number"),
+            (("sweep-region", "--a1", "1:2:3:4", "--a2", "1:30:10"), "cannot parse a1 range '1:2:3:4'"),
+            (("symmetric", "--a", "ten", "--tau", "0.02"), "a must be a number"),
+            (("converge", "--a1", "10", "--a2", "12", "--taus", "1e-3", "--grid-refine", "1.5"), "grid-refine must be an integer"),
+            (("converge", "--a1", "10", "--a2", "12", "--taus", "1e-3", "--grid-step", "fine"), "grid-step must be a number"),
+        ],
+    )
+    def test_non_numeric_input_names_the_field(self, tmp_path, capsys, argv, message):
+        code, text = run(tmp_path, *argv)
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_closed_pipe_exits_141_in_process(self, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["solve", "--a1", "10", "--a2", "12", "--tau", "0.02"]) == 141
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "argv, lines_read",
+        [
+            # Like `poisson-mac sweep-region ... | head -1`: 10,000 rows
+            # overflow the pipe, so the program is still writing when the
+            # reader leaves.
+            (("sweep-region", "--a1", "1:30", "--a2", "1:30", "--cells", "100"), 1),
+            # A reader gone before the first byte: the whole CSV sits in
+            # stdout's buffer until main flushes it.
+            (("solve", "--a1", "10", "--a2", "12", "--tau", "0.02"), 0),
+        ],
+    )
+    def test_closed_pipe_exits_141_quietly(self, argv, lines_read):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        code = "import sys; from poisson_mac.cli import main; sys.exit(main())"
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with subprocess.Popen([sys.executable, "-c", code, *argv], env=env, **pipes) as proc:
+            for _ in range(lines_read):
+                assert proc.stdout.readline().startswith(b"# command=")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        assert err == b""
+
+    def test_unwritable_out_path_is_validation_error(self, tmp_path, capsys):
+        code = main(["solve", "--a1", "10", "--a2", "12", "--tau", "0.02", "--out", str(tmp_path / "no" / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2]")
 
     @pytest.mark.parametrize(
         "argv",

@@ -470,6 +470,30 @@ CASES = [
         4,
         "",
     ),
+    # Kernel cases: equal peaks on the default reference grid, where rival
+    # grid incumbents tie; a converge row on the same diagonal; and a
+    # threshold search that runs out to a ~ 128.6.
+    (
+        "sweep-peak --a1 10 --a2 10 --tau 0",
+        0,
+        "# command=sweep-peak a1=10 lambda0=0.001 a2=10 tau=0\n"
+        "a2,tau,mu1,mu2,capacity\n"
+        "10,0,0.266188,0.266188,4.33358119883\n",
+    ),
+    (
+        "converge --a1 12.5 --a2 12.5 --taus 1e-3",
+        0,
+        "# command=converge a1=12.5 a2=12.5 lambda0=0.001 taus=1e-3\n"
+        "tau,capacity,cont_capacity,gap,mu1,mu2\n"
+        "0.001,5.40006144217,5.41806106499,0.0179996228198,0.266222849193,0.266222849193\n",
+    ),
+    (
+        "symmetric --a 2 --tau 0.001",
+        0,
+        "# command=symmetric a=2 lambda0=0.001 tau=0.001\n"
+        "a,lambda0,tau,flip_level,peak_threshold,axis_half_sum,diagonal_half_sum,fixed_point,capacity,schur_mode\n"
+        "2,0.001,0.001,698.380529117,128.578379433,nan,nan,0.266931787676,0.863268822479,GloballySchurConcave\n",
+    ),
 ]
 
 

@@ -3,11 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from poisson_mac.channel import ChannelParams, DutyPair, grad_mutual_info, mutual_info
 from poisson_mac.gridsearch import (
     GridSpec,
+    _grid_max,
     fd_gradient,
     grid_capacity,
     miso_pmf_enumeration,
@@ -69,6 +71,43 @@ class TestGridCapacity:
             result.gradient_bound * result.final_step
         )
         assert result.error_bound > 0
+
+
+class TestGridMax:
+    """The maximiser behind grid_capacity and cont_capacity, on objectives
+    whose answer is known exactly."""
+
+    def test_rival_peak_is_refined(self):
+        # A narrow spike of 1.2 between coarse cells samples at ~0.78 there,
+        # below the broad peak's 1.0; only carrying it as a second incumbent
+        # finds it.
+        def rate(m1, m2):
+            return np.maximum(1.0 - 10.0 * np.hypot(m1 - 0.3, m2 - 0.3), 1.2 - 60.0 * np.hypot(m1 - 0.705, m2 - 0.705))
+
+        value, duty = _grid_max(rate, GridSpec(step=1e-2, refine_rounds=3))
+        assert value == pytest.approx(1.2, abs=1e-3)
+        assert duty.mu1 == pytest.approx(0.705, abs=1e-4) and duty.mu2 == pytest.approx(0.705, abs=1e-4)
+        assert _grid_max(rate, GridSpec(step=1e-2, refine_rounds=0))[0] == 1.0
+
+    def test_incumbent_moves_only_to_a_strictly_better_cell(self):
+        # Every refinement window of the flat top holds cells as good as the
+        # incumbent, none better: the first coarse cell of the top stays.
+        def rate(m1, m2):
+            return np.minimum(0.3 - np.maximum(np.abs(m1 - 0.5), np.abs(m2 - 0.5)), 0.247)
+
+        value, duty = _grid_max(rate, GridSpec(step=1e-2, refine_rounds=2))
+        assert value == 0.247
+        assert duty == _grid_max(rate, GridSpec(step=1e-2, refine_rounds=0))[1]
+        assert duty.mu1 == duty.mu2 == pytest.approx(0.45, abs=1e-12)
+
+    def test_equal_final_values_go_to_the_first_incumbent(self):
+        # Exactly symmetric under the label swap (sums and products of the
+        # same terms commute), with maxima at (0.2, 0.7) and (0.7, 0.2).
+        def rate(m1, m2):
+            return -((m1 - 0.2) ** 2 + (m2 - 0.7) ** 2) * ((m1 - 0.7) ** 2 + (m2 - 0.2) ** 2)
+
+        _, duty = _grid_max(rate, GridSpec(step=1e-2, refine_rounds=2))
+        assert duty.mu1 == pytest.approx(0.2, abs=1e-3) and duty.mu2 == pytest.approx(0.7, abs=1e-3)
 
 
 class TestFiniteDifferences:

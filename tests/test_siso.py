@@ -138,6 +138,42 @@ class TestIntersections:
         params = ChannelParams(10.0, 30.0, 0.001, 0.02)
         assert not find_intersections(params).reliable
 
+    @pytest.mark.parametrize(
+        "fn, lo, hi",
+        [
+            (lambda x: x * x - 2.0, 1.0, 2.0),
+            (lambda x: 2.0 - x * x, 1.0, 2.0),
+            (lambda x: x**3 - 0.2, 0.0, 1.0),
+            (lambda x: x**3 - 0.7, 0.0, 1.0),
+            (lambda x: x**3 - 0.01, 0.0, 1.0),
+            (lambda x: math.exp(-x) - x, 0.0, 1.0),
+            (lambda x: 3.0 - x, 1.0, 5.0),
+        ],
+    )
+    def test_bisect_root_matches_the_plain_loop(self, fn, lo, hi):
+        # _bisect_root stops once the midpoint rounds onto an end of the
+        # bracket (the first two cases end on lo, the next two on hi, the
+        # fifth on the width rule and the last two on an exact zero); the
+        # full 120-step loop must end on the same double.
+        def plain(lo, hi):
+            flo = fn(lo)
+            if flo == 0.0:
+                return lo
+            for _ in range(120):
+                mid = 0.5 * (lo + hi)
+                fm = fn(mid)
+                if fm == 0.0:
+                    return mid
+                if (fm > 0.0) == (flo > 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo <= 1e-16:
+                    break
+            return 0.5 * (lo + hi)
+
+        assert siso._bisect_root(fn, lo, hi) == plain(lo, hi)
+
 
 class TestSingleUserDuty:
     def test_within_unit_interval(self):
