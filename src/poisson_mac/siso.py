@@ -350,7 +350,9 @@ def solve(params: ChannelParams) -> SolveReport:
 
     In regime the enumeration is exact.  Out of regime the report carries
     regime_ok=False and the result of a step-1e-3 grid cross-check, keeping
-    whichever value is larger.
+    whichever value is larger.  The cross-check is one unrefined pass of
+    gridsearch.grid_capacity, in row blocks; only its capacity and duty are
+    read, so its gradient bound is never computed.
     """
     hp = hit_probs(params)
     try:

@@ -6,8 +6,11 @@ import random
 import numpy as np
 import pytest
 
+from poisson_mac import gridsearch
 from poisson_mac.channel import ChannelParams, DutyPair, grad_mutual_info, mutual_info
+from poisson_mac.continuous import ContinuousParams, cont_capacity
 from poisson_mac.gridsearch import (
+    BLOCK_CELLS,
     GridSpec,
     _grid_max,
     fd_gradient,
@@ -73,6 +76,12 @@ class TestGridCapacity:
         assert result.error_bound > 0
 
 
+def _mirrored_tie(m1, m2):
+    # Exactly symmetric under the label swap (sums and products of the same
+    # terms commute), with maxima at (0.2, 0.7) and (0.7, 0.2).
+    return -((m1 - 0.2) ** 2 + (m2 - 0.7) ** 2) * ((m1 - 0.7) ** 2 + (m2 - 0.2) ** 2)
+
+
 class TestGridMax:
     """The maximiser behind grid_capacity and cont_capacity, on objectives
     whose answer is known exactly."""
@@ -101,13 +110,80 @@ class TestGridMax:
         assert duty.mu1 == duty.mu2 == pytest.approx(0.45, abs=1e-12)
 
     def test_equal_final_values_go_to_the_first_incumbent(self):
-        # Exactly symmetric under the label swap (sums and products of the
-        # same terms commute), with maxima at (0.2, 0.7) and (0.7, 0.2).
-        def rate(m1, m2):
-            return -((m1 - 0.2) ** 2 + (m2 - 0.7) ** 2) * ((m1 - 0.7) ** 2 + (m2 - 0.2) ** 2)
-
-        _, duty = _grid_max(rate, GridSpec(step=1e-2, refine_rounds=2))
+        _, duty = _grid_max(_mirrored_tie, GridSpec(step=1e-2, refine_rounds=2))
         assert duty.mu1 == pytest.approx(0.2, abs=1e-3) and duty.mu2 == pytest.approx(0.7, abs=1e-3)
+
+
+def _bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _grid_bits(result):
+    return _bits(
+        result.capacity, result.duty.mu1, result.duty.mu2, result.final_step, result.gradient_bound, result.error_bound
+    )
+
+
+def _blocking_cases():
+    """Seeded channels from 0.05x to 30x the regime bound, equal peaks in and
+    out of regime, and a saturated channel."""
+    rng = random.Random(83)
+    cases = []
+    for fraction in (0.05, 0.4, 0.95, 1.5, 4.0, 12.0, 30.0):
+        a1, a2, lam0 = rng.uniform(0.5, 50), rng.uniform(0.5, 50), rng.uniform(1e-3, 1.0)
+        cases.append(ChannelParams(a1, a2, lam0, fraction * math.log(2) / (a1 + a2 + lam0)))
+    for fraction in (0.6, 3.0):
+        cases.append(ChannelParams(10.0, 10.0, 0.001, fraction * math.log(2) / 20.001))
+    cases.append(ChannelParams(1000.0, 1000.0, 0.1, 0.5))
+    return cases
+
+
+CASES = _blocking_cases()
+# More cells than any grid here: one block, the whole coarse grid in one call.
+ONE_BLOCK = 1 << 30
+# Axis lengths 101, 301 and 1001.  The default block holds all 101 rows, 217
+# rows (301 = 217 + 84) or 65 rows (1001 = 15 x 65 + 26); 4000 cells hold 39,
+# 13 or 3 rows, none of which divides its axis either.
+BLOCK_SIZES = (BLOCK_CELLS, 4000)
+SPECS = (GridSpec(1e-2, 3), GridSpec(1.0 / 300.0, 1))
+FULL = GridSpec(1e-3, 0)
+
+
+class TestRowBlocks:
+    """Row blocks change no bit: every result equals the one-block pass, which
+    evaluates the whole coarse grid in one call as the code before them did."""
+
+    @staticmethod
+    def _same_at_every_block_size(monkeypatch, run, label):
+        monkeypatch.setattr(gridsearch, "BLOCK_CELLS", ONE_BLOCK)
+        expected = run()
+        for cells in BLOCK_SIZES:
+            monkeypatch.setattr(gridsearch, "BLOCK_CELLS", cells)
+            assert run() == expected, (label, cells)
+
+    def test_grid_capacity(self, monkeypatch):
+        runs = [(p, s) for p in CASES for s in SPECS] + [(p, FULL) for p in CASES[1::4]]
+        for params, spec in runs:
+            # Every field is read inside run, so the lazy gradient bound is
+            # computed at the block size under test.
+            self._same_at_every_block_size(
+                monkeypatch, lambda: _grid_bits(grid_capacity(params, spec)), (params, spec)
+            )
+
+    def test_grid_max(self, monkeypatch):
+        def cont(params, spec):
+            cp = ContinuousParams(params.a1, params.a2, params.lambda0)
+            return lambda: cont_capacity(cp, spec.step, spec.refine_rounds)
+
+        runs = [cont(p, s) for p in CASES for s in SPECS] + [cont(CASES[3], GridSpec(1e-3, 3))]
+        runs += [lambda spec=spec: _grid_max(_mirrored_tie, spec) for spec in SPECS + (FULL,)]
+        for k, run in enumerate(runs):
+
+            def bits():
+                value, duty = run()
+                return _bits(value, duty.mu1, duty.mu2)
+
+            self._same_at_every_block_size(monkeypatch, bits, k)
 
 
 class TestFiniteDifferences:
