@@ -139,11 +139,6 @@ def _lambda0(args: argparse.Namespace) -> float:
     return _flag(args, "lambda0", DEFAULT_LAMBDA0)
 
 
-def _grid(args: argparse.Namespace) -> tuple[float, int]:
-    """Continuous-reference grid step and number of tenfold refinements."""
-    return _flag(args, "grid-step", 1e-3), _flag(args, "grid-refine", 3, int)
-
-
 def _channel(args: argparse.Namespace) -> ChannelParams:
     return ChannelParams(_flag(args, "a1"), _flag(args, "a2"), _lambda0(args), _flag(args, "tau"))
 
@@ -203,7 +198,6 @@ def _cmd_sweep_peak(args: argparse.Namespace) -> Steps:
     lambda0 = _lambda0(args)
     a2_values = _parse_range(args, "a2")
     taus = _parse_floats(args, "tau")
-    grid_step, grid_refine = _grid(args)
     # The finite-tau (a2, tau) lanes in row order; tau = 0 rows are continuous.
     lanes = [(a2, tau) for tau in taus if tau != 0.0 for a2 in a2_values]
     yield lambda: all(ChannelParams(a1, a2, lambda0, tau).in_regime for a2, tau in lanes)
@@ -213,8 +207,7 @@ def _cmd_sweep_peak(args: argparse.Namespace) -> Steps:
     for tau in taus:
         for a2 in a2_values:
             if tau == 0.0:
-                cp = ContinuousParams(a1, a2, lambda0)
-                rate, duty = cont_capacity(cp, step=grid_step, refine_rounds=grid_refine)
+                rate, duty = cont_capacity(ContinuousParams(a1, a2, lambda0))
                 rows.append([a2, 0.0, duty.mu1, duty.mu2, rate])
             else:
                 mu1, mu2, capacity = next(solved)
@@ -262,9 +255,8 @@ def _cmd_converge(args: argparse.Namespace) -> Steps:
     taus = _parse_floats(args, "taus")
     if any(t <= 0 for t in taus):
         raise ValueError("taus must all be positive for converge")
-    grid_step, grid_refine = _grid(args)
     yield lambda: all(ChannelParams(a1, a2, lambda0, tau).in_regime for tau in taus)
-    report = convergence_report(a1, a2, lambda0, taus, grid_step=grid_step, grid_refine=grid_refine)
+    report = convergence_report(a1, a2, lambda0, taus)
     meta = {"a1": a1, "a2": a2, "lambda0": lambda0, "taus": _require(args, "taus")}
     rows = [[r.tau, r.capacity, r.cont_capacity, r.gap, r.duty.mu1, r.duty.mu2] for r in report]
     yield meta, ("tau", "capacity", "cont_capacity", "gap", "mu1", "mu2"), rows
@@ -287,10 +279,6 @@ PEAKS = {"--a1": "peak rate of user 1", "--a2": "peak rate of user 2"}
 TAU = {"--tau": "dead time"}
 TAUS = {"--taus": "comma-separated dead times"}
 CELLS = {"--cells": "grid size for lo:hi ranges"}
-GRID = {
-    "--grid-step": "continuous-reference grid step (default 1e-3)",
-    "--grid-refine": "tenfold refinement rounds (default 3)",
-}
 MISO_PEAKS = {
     "--peaks1": "comma-separated peaks of user 1 antennas",
     "--peaks2": "comma-separated peaks of user 2 antennas",
@@ -311,10 +299,10 @@ COMMANDS = {
     "solve": Command(_cmd_solve, "solve one two-user instance", PEAKS | TAU),
     "solve-miso": Command(_cmd_solve_miso, "solve a multi-antenna instance", MISO_PEAKS | TAU),
     "intersections": Command(_cmd_intersections, "stationarity-curve intersections", PEAKS | TAU),
-    "sweep-peak": Command(_cmd_sweep_peak, "sweep a2 for several dead times", SWEEP_PEAK | CELLS | GRID),
+    "sweep-peak": Command(_cmd_sweep_peak, "sweep a2 for several dead times", SWEEP_PEAK | CELLS),
     "sweep-region": Command(_cmd_sweep_region, "strategy label over an (a1, a2) grid", SWEEP_REGION | CELLS),
     "symmetric": Command(_cmd_symmetric, "equal-peak report", {"--a": "shared peak rate"} | TAU),
-    "converge": Command(_cmd_converge, "gap to the continuous reference", PEAKS | TAUS | GRID),
+    "converge": Command(_cmd_converge, "gap to the continuous reference", PEAKS | TAUS),
 }
 
 

@@ -11,23 +11,22 @@ expression built from phi(x) = x ln x:
 
 and the stationarity curves of the finite-tau solver converge to closed
 forms: the affine curve tends to slope a1/a2 with a phi-expression intercept,
-and the convex curve to an exponential form.  The continuous optimum is
-located by grid search with local refinement, by the same maximiser as the
-grid oracle of gridsearch.py; it serves as the reference against which
-finite-tau capacities are gapped.
+and the convex curve to an exponential form.  R is concave in mu2 (affine
+terms minus phi of an affine mean), with that convex curve as its maximiser,
+so the continuous optimum is the maximum of a profile over mu1, found by
+siso._profile_max as in solve's out-of-regime check.  It is the reference
+against which finite-tau capacities are gapped.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .channel import ChannelParams, DutyPair, _require_finite, phi
-from .gridsearch import GridSpec, _grid_max
-from .siso import SolveReport, solve
+from .siso import SolveReport, _profile_max, solve
 
 __all__ = [
     "ContinuousParams",
@@ -57,14 +56,7 @@ class ContinuousParams:
 
 def cont_mutual_info_rate(cp: ContinuousParams, duty: DutyPair) -> float:
     """Continuous-channel information rate in nats per unit time."""
-    m1, m2 = duty.mu1, duty.mu2
-    return (
-        m1 * m2 * phi(cp.a1 + cp.a2 + cp.lambda0)
-        + (1.0 - m1) * m2 * phi(cp.a2 + cp.lambda0)
-        + m1 * (1.0 - m2) * phi(cp.a1 + cp.lambda0)
-        + (1.0 - m1) * (1.0 - m2) * phi(cp.lambda0)
-        - phi(m1 * cp.a1 + m2 * cp.a2 + cp.lambda0)
-    )
+    return float(_rate_grid(cp, duty.mu1, duty.mu2))
 
 
 def cont_f(cp: ContinuousParams, mu1: float) -> float:
@@ -76,45 +68,34 @@ def cont_f(cp: ContinuousParams, mu1: float) -> float:
     return slope * mu1 + num / den
 
 
-def cont_g(cp: ContinuousParams, mu1: float) -> float:
-    """Zero-dead-time limit of the convex stationarity curve."""
+def cont_g(cp: ContinuousParams, mu1: float | np.ndarray) -> float | np.ndarray:
+    """Zero-dead-time limit of the convex stationarity curve, elementwise."""
     a1, a2, l0 = cp.a1, cp.a2, cp.lambda0
-    expo = (
-        -1.0
-        - (
-            mu1 * (phi(a1 + l0) - phi(a1 + a2 + l0))
-            + (1.0 - mu1) * (phi(l0) - phi(a2 + l0))
-        )
-        / a2
-    )
-    return math.exp(expo) / a2 - (mu1 * a1 + l0) / a2
+    mix = mu1 * (phi(a1 + l0) - phi(a1 + a2 + l0)) + (1.0 - mu1) * (phi(l0) - phi(a2 + l0))
+    return np.exp(-1.0 - mix / a2) / a2 - (mu1 * a1 + l0) / a2
 
 
 def _rate_grid(cp: ContinuousParams, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    def phi_arr(x: np.ndarray | float) -> np.ndarray | float:
-        return np.where(x > 0.0, x * np.log(np.maximum(x, 1e-300)), 0.0)
-
-    mean = m1 * cp.a1 + m2 * cp.a2 + cp.lambda0
+    """cont_mutual_info_rate over broadcastable duty arrays."""
+    mean = m1 * cp.a1 + m2 * cp.a2 + cp.lambda0  # at least lambda0 > 0
     return (
         m1 * m2 * phi(cp.a1 + cp.a2 + cp.lambda0)
         + (1.0 - m1) * m2 * phi(cp.a2 + cp.lambda0)
         + m1 * (1.0 - m2) * phi(cp.a1 + cp.lambda0)
         + (1.0 - m1) * (1.0 - m2) * phi(cp.lambda0)
-        - phi_arr(mean)
+        - mean * np.log(mean)
     )
 
 
-def cont_capacity(
-    cp: ContinuousParams, step: float = 1e-3, refine_rounds: int = 3
-) -> tuple[float, DutyPair]:
-    """Continuous optimum by full grid search plus tenfold local refinements
-    (gridsearch._grid_max, the search behind grid_capacity).
+def cont_capacity(cp: ContinuousParams) -> tuple[float, DutyPair]:
+    """Continuous optimum: the largest rate over mu1 of the profile that sets
+    mu2 = clip(cont_g(mu1), 0, 1), by siso._profile_max (mu1 resolution 1e-9)."""
 
-    Defaults refine the duty resolution from 1e-3 down to 1e-6; the reference
-    is an oracle, not a solver, so plain search is deliberate.  step and
-    refine_rounds must satisfy GridSpec's bounds.
-    """
-    return _grid_max(lambda m1, m2: _rate_grid(cp, m1, m2), GridSpec(step, refine_rounds))
+    def profile(mu1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mu2 = np.clip(cont_g(cp, mu1), 0.0, 1.0)
+        return _rate_grid(cp, mu1, mu2), mu2
+
+    return _profile_max(profile)
 
 
 @dataclass(frozen=True)
@@ -136,27 +117,13 @@ def convergence_report(
     a2: float,
     lambda0: float,
     taus: Sequence[float],
-    *,
-    grid_step: float = 1e-3,
-    grid_refine: int = 3,
 ) -> tuple[ConvergenceRow, ...]:
     """Solve at each dead time and gap the capacity against the continuous reference."""
-    cp = ContinuousParams(a1, a2, lambda0)
-    ref_capacity, ref_duty = cont_capacity(cp, step=grid_step, refine_rounds=grid_refine)
+    ref_capacity, ref_duty = cont_capacity(ContinuousParams(a1, a2, lambda0))
     rows = []
     for tau in taus:
         report = solve(ChannelParams(a1, a2, lambda0, tau))
         gap = ref_capacity - report.capacity
-        rows.append(
-            ConvergenceRow(
-                tau=tau,
-                capacity=report.capacity,
-                duty=report.optimum,
-                cont_capacity=ref_capacity,
-                cont_duty=ref_duty,
-                gap=gap,
-                rel_gap=gap / ref_capacity,
-                report=report,
-            )
-        )
+        row = (tau, report.capacity, report.optimum, ref_capacity, ref_duty, gap, gap / ref_capacity, report)
+        rows.append(ConvergenceRow(*row))
     return tuple(rows)

@@ -8,11 +8,10 @@ derivative oracles are central finite differences.  The multi-antenna oracle
 exhaustively scans the one-parameter family of joint PMFs that share given
 marginals (two antennas per user), which brackets the staircase construction.
 
-The grid maximiser, _grid_max, takes any vectorized objective: the
-continuous-time reference of continuous.py runs on it too.  Full grids are
-evaluated in blocks of rows of about BLOCK_CELLS cells, so that the
-temporaries of an objective stay in cache; elementwise arithmetic gives the
-same bits on a block as on the whole grid.
+The grid maximiser, _grid_max, takes any vectorized objective (the tests
+run it on the continuous rate too).  Full grids are evaluated in blocks of
+about BLOCK_CELLS cells, so that an objective's temporaries stay in cache;
+elementwise arithmetic gives the same bits on a block as on the whole grid.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import numpy as np
 
 from .channel import ChannelParams, DutyPair, HitProbs, _grad_terms, _weights, hit_probs, mutual_info
 from .miso import MisoConfig, _entropy_arr, subset_rates
+from .siso import TOP_CELLS
 
 __all__ = [
     "GridSpec",
@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 SAFETY_FACTOR = 1.5
-TOP_CELLS = 5
 # Cells per row block of a full-grid pass: 512 KB per float64 temporary, so
 # an objective's few live temporaries fit a 2 MB L2 cache.  On a 1001 x 1001
 # grid, blocks of 16k-64k cells ran fastest of 8k to 1M (see CHANGES.md).

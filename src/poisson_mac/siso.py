@@ -17,7 +17,10 @@ problem:
 
 The best of the at-most-four candidates is the capacity.  Out of the stated
 regime the convexity guarantee lapses; the solver still runs but flags the
-report and cross-checks against a brute-force grid, keeping the larger value.
+report and checks the candidates against the profile maximum and a coarse
+grid.  At every tau and mu1, the hit probability and the entropy mixture are
+affine in mu2, so I(mu1, .) is concave and peaks at clip(g(mu1), 0, 1): the
+capacity is the maximum over mu1 of that profile, found by _profile_max.
 
 solve_many runs the same enumeration over arrays of channels at once, with
 results identical to solve lane by lane; the sweeps are built on it.
@@ -65,6 +68,7 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-12
+TOP_CELLS = 5  # incumbents refined by _profile_max and gridsearch._grid_max
 
 
 class Strategy(Enum):
@@ -320,6 +324,8 @@ def single_user_duty(a: float, lambda0: float, tau: float) -> float:
     """Closed-form optimal duty cycle when one user at peak rate a transmits alone."""
     p_on = hit_prob(a + lambda0, tau)
     p_off = hit_prob(lambda0, tau)
+    if p_on == p_off:
+        return 0.0  # the hit levels saturate alike: every duty has rate 0
     chord = (binary_entropy(p_on) - binary_entropy(p_off)) / (p_on - p_off)
     return (1.0 / (1.0 + math.exp(min(chord, 700.0))) - p_off) / (p_on - p_off)
 
@@ -337,29 +343,59 @@ def sufficiency_tests(params: ChannelParams) -> SufficiencyRecord:
     )
 
 
-def _classify_grid_point(duty: DutyPair, step: float) -> Strategy:
-    if duty.mu1 <= 0.5 * step:
+def _strategy_at(duty: DutyPair) -> Strategy:
+    """Who transmits at a duty pair; the profile and the grid reach 0 exactly."""
+    if duty.mu1 == 0.0:
         return Strategy.ONLY_USER2
-    if duty.mu2 <= 0.5 * step:
-        return Strategy.ONLY_USER1
-    return Strategy.BOTH_ACTIVE
+    return Strategy.ONLY_USER1 if duty.mu2 == 0.0 else Strategy.BOTH_ACTIVE
+
+
+def _profile_max(profile: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> tuple[float, DutyPair]:
+    """Largest rate over mu1 in [0, 1] of profile(mu1) -> (rate, mu2), where
+    mu2 is the inner maximiser at each mu1.
+
+    One pass at step 1e-3 keeps TOP_CELLS incumbents at least three steps
+    apart, so close rival maxima cannot shake the search off the global one.
+    Six rounds each scan 1.5 old steps around every incumbent (in one call)
+    at a tenth of the step, down to 1e-9; an incumbent moves only to a
+    strictly better point, a NaN rate never wins, and of equal final values
+    the earliest incumbent wins."""
+    step, x = 1e-3, np.linspace(0.0, 1.0, 1001)
+    rate, mu2 = profile(x)
+    rate = np.where(np.isnan(rate), -np.inf, rate)
+    masked, picks = rate.copy(), []
+    for _ in range(TOP_CELLS):
+        picks.append(int(np.argmax(masked)))
+        masked[np.abs(x - x[picks[-1]]) < 3.0 * step] = -np.inf
+    best, mu1, mu2 = rate[picks], x[picks], mu2[picks]
+    rows, offsets = np.arange(TOP_CELLS), np.arange(-15, 16) / 10.0
+    for _ in range(6):
+        window = np.clip(mu1[:, None] + offsets * step, 0.0, 1.0)
+        rate, inner = (v.reshape(window.shape) for v in profile(window.ravel()))
+        k = np.argmax(np.where(np.isnan(rate), -np.inf, rate), axis=1)
+        better = rate[rows, k] > best
+        best = np.where(better, rate[rows, k], best)
+        mu1 = np.where(better, window[rows, k], mu1)
+        mu2 = np.where(better, inner[rows, k], mu2)
+        step /= 10.0
+    k = int(np.argmax(best))
+    return float(best[k]), DutyPair(float(mu1[k]), float(mu2[k]))
 
 
 def solve(params: ChannelParams) -> SolveReport:
     """Sum-rate capacity with the optimal duty pair and strategy.
 
     In regime the enumeration is exact.  Out of regime the report carries
-    regime_ok=False and the result of a step-1e-3 grid cross-check, keeping
-    whichever value is larger.  The cross-check is one unrefined pass of
-    gridsearch.grid_capacity, in row blocks; only its capacity and duty are
-    read, so its gradient bound is never computed.
+    regime_ok=False, and the enumerated result gives way to the profile
+    maximum (see _profile_max) and then to one unrefined step-1e-2 pass of
+    gridsearch.grid_capacity, each only when higher by more than TIE_TOL.
     """
     hp = hit_probs(params)
     try:
         inter = find_intersections(params)
     except (ArithmeticError, ValueError):
         # Saturated hit levels break the curve algebra; that only happens far
-        # out of regime, where the grid cross-check below carries the result.
+        # out of regime, where the profile below carries the result.
         if params.in_regime:
             raise
         inter = IntersectionSearch(points=(), rejected=(), reliable=False)
@@ -405,15 +441,25 @@ def solve(params: ChannelParams) -> SolveReport:
 
     if not params.in_regime:
         # Convexity of g may fail here, so the enumeration can miss the
-        # optimum; fall back on a brute-force pass and keep the larger value.
+        # optimum.  The profile cannot; the grid is a brute-force witness.
         from .gridsearch import GridSpec, grid_capacity
 
-        grid = grid_capacity(params, GridSpec(step=1e-3, refine_rounds=0))
+        p = tuple(np.array([x]) for x in (hp.p1, hp.p2, hp.p3, hp.p4))
+        h = tuple(np.array([x]) for x in hp.entropies())
+        with np.errstate(all="ignore"):
+            curves = _curves_many(p, h)
+
+            def profile(mu1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                # g is NaN where I does not depend on mu2 (den = 0).
+                mu2 = np.clip(np.nan_to_num(curves.g(mu1, _NO_LANES), nan=0.0), 0.0, 1.0)
+                return _rate_many(p, h, params.tau, mu1, mu2), mu2
+
+            peak = _profile_max(profile)
+        grid = grid_capacity(params, GridSpec(step=1e-2, refine_rounds=0))
         grid_checked = True
-        if grid.capacity > capacity:
-            capacity = grid.capacity
-            optimum = grid.duty
-            strategy = _classify_grid_point(grid.duty, 1e-3)
+        for rate, duty in (peak, (grid.capacity, grid.duty)):
+            if rate > capacity + TIE_TOL:
+                capacity, optimum, strategy = rate, duty, _strategy_at(duty)
 
     try:
         sufficiency = sufficiency_tests(params)
@@ -663,8 +709,8 @@ def solve_many(
     Inputs broadcast against each other.  In-regime lanes run the enumeration
     as array operations: one golden-section pass and one masked bisection
     pass for the whole batch.  Lanes out of regime, or whose curve algebra is
-    not finite, go through solve() one at a time, which keeps the grid
-    cross-check and the saturated-channel guard in one place.  An invalid
+    not finite, go through solve() one at a time, which keeps the profile,
+    the grid cross-check and the saturated-channel guard in one place.  An invalid
     input raises the ValueError of ChannelParams for the first such lane.
     """
     lanes = tuple(np.ravel(x).astype(float) for x in np.broadcast_arrays(a1, a2, lambda0, tau))

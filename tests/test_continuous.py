@@ -13,7 +13,9 @@ from poisson_mac.continuous import (
     cont_g,
     cont_mutual_info_rate,
     convergence_report,
+    _rate_grid,
 )
+from poisson_mac.gridsearch import GridSpec, _grid_max
 from poisson_mac.siso import f_mac, g_mac, single_user_duty
 
 CP = ContinuousParams(10.0, 12.0, 0.001)
@@ -82,17 +84,41 @@ class TestContCapacity:
         assert duty.mu2 == pytest.approx(0.303, abs=2e-3)
 
     def test_refinement_monotone(self):
-        coarse, _ = cont_capacity(CP, step=1e-2, refine_rounds=0)
-        fine, _ = cont_capacity(CP, step=1e-2, refine_rounds=3)
-        assert fine >= coarse
+        # Refining the 2-D grid oracle only raises its value, and the exact
+        # profile maximum is at or above every refinement level.
+        def rate(m1, m2):
+            return _rate_grid(CP, m1, m2)
+
+        levels = [_grid_max(rate, GridSpec(1e-2, rounds))[0] for rounds in range(4)]
+        assert levels == sorted(levels)
+        assert cont_capacity(CP)[0] >= levels[-1]
 
     @pytest.mark.parametrize(
         "step, rounds",
         [(0.0, 3), (-1.0, 3), (5.0, 3), (math.nan, 3), (1e-3, -1), (1e-3, 7)],
     )
     def test_rejects_grid_outside_gridspec_bounds(self, step, rounds):
-        with pytest.raises(ValueError, match="must lie in"):
+        # The reference runs no grid, so it takes no grid arguments at all.
+        with pytest.raises(TypeError):
             cont_capacity(CP, step=step, refine_rounds=rounds)
+
+    def test_matches_the_grid_oracle(self):
+        # The refined 2-D grid (final step 1e-6) over seeded channels, equal
+        # peaks and a user too weak to transmit: the profile is never below
+        # it beyond rounding, and its duty lies within the grid's resolution.
+        rng = random.Random(61)
+        cases = [ContinuousParams(12.5, 12.5, 0.001), ContinuousParams(10.0, 0.05, 0.001)]
+        cases += [
+            ContinuousParams(rng.uniform(0.5, 50), rng.uniform(0.5, 50), rng.uniform(1e-3, 20)) for _ in range(8)
+        ]
+        for cp in cases:
+            rate, duty = cont_capacity(cp)
+            grid, grid_duty = _grid_max(lambda m1, m2: _rate_grid(cp, m1, m2), GridSpec(1e-3, 3))
+            assert rate >= grid * (1.0 - 1e-15), cp
+            assert rate == pytest.approx(cont_mutual_info_rate(cp, duty), rel=1e-14)
+            assert 0.0 <= duty.mu1 <= 1.0 and 0.0 <= duty.mu2 <= 1.0
+            assert abs(duty.mu1 - grid_duty.mu1) <= 1e-6, cp
+            assert abs(duty.mu2 - grid_duty.mu2) <= 1e-6, cp
 
 
 class TestConvergence:

@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from poisson_mac import gridsearch
+from poisson_mac import continuous, gridsearch
 from poisson_mac.channel import ChannelParams, DutyPair, grad_mutual_info, mutual_info
-from poisson_mac.continuous import ContinuousParams, cont_capacity
+from poisson_mac.continuous import ContinuousParams
 from poisson_mac.gridsearch import (
     BLOCK_CELLS,
     GridSpec,
@@ -83,7 +83,7 @@ def _mirrored_tie(m1, m2):
 
 
 class TestGridMax:
-    """The maximiser behind grid_capacity and cont_capacity, on objectives
+    """The maximiser behind grid_capacity, on objectives
     whose answer is known exactly."""
 
     def test_rival_peak_is_refined(self):
@@ -173,7 +173,7 @@ class TestRowBlocks:
     def test_grid_max(self, monkeypatch):
         def cont(params, spec):
             cp = ContinuousParams(params.a1, params.a2, params.lambda0)
-            return lambda: cont_capacity(cp, spec.step, spec.refine_rounds)
+            return lambda: _grid_max(lambda m1, m2: continuous._rate_grid(cp, m1, m2), spec)
 
         runs = [cont(p, s) for p in CASES for s in SPECS] + [cont(CASES[3], GridSpec(1e-3, 3))]
         runs += [lambda spec=spec: _grid_max(_mirrored_tie, spec) for spec in SPECS + (FULL,)]

@@ -1,4 +1,4 @@
-"""Property tests of the shared kernels (the grid maximiser, the gradient
+"""Property tests of the shared kernels (the profile maximiser, the gradient
 algebra and the bisection behind the symmetric analysis), and of solve on
 either side of the regime bound.
 
@@ -33,7 +33,7 @@ duties = st.floats(0.01, 0.99)
 # Fraction of the regime bound ln2/(a1+a2+lambda0).
 fractions = st.floats(0.01, 1.0)
 # From 0.01x to 30x the regime bound.  About half of the draws are out of
-# regime, where solve runs its grid cross-check (~30 ms each).
+# regime, where solve runs its profile and grid checks (~3 ms each).
 solve_fractions = st.floats(0.01, 30.0)
 SOLVE_SETTINGS = settings(derandomize=True, deadline=None, max_examples=15, database=None)
 
@@ -45,15 +45,13 @@ def _channel(a1, a2, lambda0, fraction):
 @SETTINGS
 @given(peaks, peaks, backgrounds)
 def test_cont_capacity_label_swap(a1, a2, lambda0):
-    step, rounds = 1e-2, 3
-    rate, duty = cont_capacity(ContinuousParams(a1, a2, lambda0), step, rounds)
-    rate_sw, duty_sw = cont_capacity(ContinuousParams(a2, a1, lambda0), step, rounds)
-    # Equal peaks leave the grid a choice between mirrored cells, one final
-    # step apart (up to the rounding of the grid points).
-    final_step = step / 10.0**rounds * (1.0 + 1e-9)
+    rate, duty = cont_capacity(ContinuousParams(a1, a2, lambda0))
+    rate_sw, duty_sw = cont_capacity(ContinuousParams(a2, a1, lambda0))
+    # The profile runs over mu1 in one channel and over the other user's
+    # duty in the swapped one; both land on the optimum to well within 1e-6.
     assert rate_sw == pytest.approx(rate, rel=0.0, abs=1e-12)
-    assert abs(duty_sw.mu1 - duty.mu2) <= final_step
-    assert abs(duty_sw.mu2 - duty.mu1) <= final_step
+    assert abs(duty_sw.mu1 - duty.mu2) <= 1e-6
+    assert abs(duty_sw.mu2 - duty.mu1) <= 1e-6
 
 
 @SETTINGS

@@ -4,10 +4,11 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from poisson_mac import gridsearch, siso
-from poisson_mac.channel import ChannelParams, DutyPair, grad_mutual_info
+from poisson_mac.channel import ChannelParams, DutyPair, grad_mutual_info, mutual_info_rate
 from poisson_mac.gridsearch import GridSpec, grid_capacity
 from poisson_mac.siso import (
     Scenario,
@@ -195,6 +196,10 @@ class TestSingleUserDuty:
             1 / math.e, abs=1e-4
         )
 
+    def test_saturated_hit_levels_give_duty_zero(self):
+        # On and off hit levels both round to 1: every duty has rate 0.
+        assert single_user_duty(1.0, 10.0, 5.0) == 0.0
+
 
 class TestSolve:
     def test_symmetric_both_active_on_diagonal(self):
@@ -267,22 +272,88 @@ class TestSolve:
         grid = grid_capacity(params, GridSpec(step=1e-3, refine_rounds=0))
         assert report.capacity >= grid.capacity
 
+    @staticmethod
+    def _grid_above_solve(monkeypatch, params, margin):
+        """Patch the cross-check grid to report solve's capacity plus margin
+        at its own cell; returns the unpatched report and the specs asked for."""
+        expected, real, specs = solve(params), gridsearch.grid_capacity, []
+
+        def above(params, spec):
+            specs.append(spec)
+            return dataclasses.replace(real(params, spec), capacity=expected.capacity + margin)
+
+        monkeypatch.setattr(gridsearch, "grid_capacity", above)
+        return expected, specs
+
     def test_higher_grid_cell_replaces_the_enumeration(self, monkeypatch):
         # No channel searched so far has the grid beat the enumeration by
         # more than rounding noise, so the grid's value is raised by hand.
-        real = gridsearch.grid_capacity
-
-        def higher(params, spec):
-            grid = real(params, spec)
-            return dataclasses.replace(grid, capacity=grid.capacity + 1e-6)
-
-        monkeypatch.setattr(gridsearch, "grid_capacity", higher)
         params = ChannelParams(10.0, 30.0, 0.001, 0.02)
+        expected, specs = self._grid_above_solve(monkeypatch, params, 1e-6)
         report = solve(params)
-        grid = higher(params, GridSpec(step=1e-3, refine_rounds=0))
-        assert report.capacity > max(c.rate for c in report.candidates)
-        assert report.capacity == grid.capacity
-        assert report.optimum == grid.duty
+        assert specs == [GridSpec(step=1e-2, refine_rounds=0)]
+        assert report.capacity == expected.capacity + 1e-6
+        assert report.optimum == grid_capacity(params, specs[0]).duty
+
+    def test_grid_within_tie_tol_keeps_the_enumeration(self, monkeypatch):
+        params = ChannelParams(10.0, 30.0, 0.001, 0.02)
+        expected, _ = self._grid_above_solve(monkeypatch, params, 0.5 * siso.TIE_TOL)
+        report = solve(params)
+        assert (report.capacity, report.optimum, report.strategy) == (
+            expected.capacity, expected.optimum, expected.strategy
+        )
+
+    def test_profile_carries_a_missed_optimum(self, monkeypatch):
+        # Out of regime and both active; with the interior candidates hidden
+        # only the edges are enumerated, and the profile finds the optimum.
+        params = ChannelParams(10.0, 12.0, 0.001, 0.05)
+        expected = solve(params)
+        assert expected.strategy is Strategy.BOTH_ACTIVE and not expected.regime_ok
+        monkeypatch.setattr(
+            siso, "find_intersections", lambda p: siso.IntersectionSearch(points=(), rejected=(), reliable=False)
+        )
+        report = solve(params)
+        assert report.capacity > max(c.rate for c in report.candidates) + siso.TIE_TOL
+        assert report.strategy is Strategy.BOTH_ACTIVE
+        assert report.capacity == pytest.approx(expected.capacity, rel=1e-14)
+        assert report.optimum.mu1 == pytest.approx(expected.optimum.mu1, abs=1e-7)
+        assert report.optimum.mu2 == pytest.approx(expected.optimum.mu2, abs=1e-7)
+
+    def test_noise_level_rates_keep_the_label_swap(self):
+        # I/tau ~ 2e-11 at 29x the regime bound: the candidates' rates are
+        # mostly rounding noise, and no check may pick a point by that noise.
+        params = ChannelParams(0.05, 0.3, 20.0, 1.0)
+        a, b = solve(params), solve(params.swapped())
+        assert a.strategy == b.strategy
+        assert abs(a.capacity - b.capacity) <= siso.TIE_TOL
+        assert abs(a.optimum.mu1 - b.optimum.mu2) <= 1e-6
+        assert abs(a.optimum.mu2 - b.optimum.mu1) <= 1e-6
+
+    def test_saturated_background_has_capacity_zero(self):
+        # All four hit probabilities round to 1.0, so every duty pair has
+        # rate 0; the edge duties and the curve algebra must not divide by 0.
+        report = solve(ChannelParams(1.0, 0.1, 10.0, 5.0))
+        assert report.capacity == 0.0
+        assert report.grid_checked
+
+    def test_out_of_regime_never_below_the_fine_grid(self):
+        # Seeded channels from 0.01x to 100x the regime bound, with
+        # backgrounds up to 20, equal peaks and saturated channels, against
+        # the step-1e-3 grid the out-of-regime check used to run.
+        rng = random.Random(97)
+        cases = [ChannelParams(1000.0, 1000.0, 0.1, 0.5), ChannelParams(1.0, 0.1, 10.0, 5.0)]
+        for fraction in (0.01, 0.3, 1.2, 3.0, 10.0, 30.0, 100.0):
+            for lam0 in (rng.uniform(1e-3, 1.0), rng.uniform(1.0, 20.0)):
+                a1, a2 = rng.uniform(0.05, 50.0), rng.uniform(0.05, 50.0)
+                cases.append(ChannelParams(a1, a2, lam0, fraction * math.log(2) / (a1 + a2 + lam0)))
+            a = rng.uniform(0.5, 50.0)
+            cases.append(ChannelParams(a, a, 0.001, fraction * math.log(2) / (2.0 * a + 0.001)))
+        for params in cases:
+            report = solve(params)
+            grid = grid_capacity(params, GridSpec(step=1e-3, refine_rounds=0))
+            assert report.capacity >= grid.capacity - siso.TIE_TOL, params
+            assert 0.0 <= report.optimum.mu1 <= 1.0 and 0.0 <= report.optimum.mu2 <= 1.0
+            assert report.capacity == pytest.approx(mutual_info_rate(params, report.optimum), rel=1e-12, abs=0.0)
 
     def test_out_of_regime_check_computes_no_gradient_bound(self, monkeypatch):
         def unread(*args):
@@ -308,6 +379,37 @@ class TestSolve:
             grid = grid_capacity(params, GridSpec(step=1e-2, refine_rounds=4))
             assert report.capacity >= grid.capacity - grid.error_bound
             assert report.capacity <= grid.capacity + 1e-9
+
+
+class TestProfileMax:
+    """The 1-D maximiser behind the out-of-regime check and the continuous
+    reference, on profiles whose answer is known exactly."""
+
+    @staticmethod
+    def _flat(rate):
+        return lambda x: (rate(x), np.zeros_like(x))
+
+    def test_rival_peak_is_refined(self):
+        # A narrow peak of 1 + 1e-6 between coarse points samples at ~0.99984
+        # there, below the broad peak's 1.0; only carrying it as a second
+        # incumbent finds it.
+        def rate(x):
+            return np.maximum(1.0 - 1e3 * (x - 0.3) ** 2, 1.0 + 1e-6 - 1e3 * (x - 0.6004) ** 2)
+
+        value, duty = siso._profile_max(self._flat(rate))
+        assert value == pytest.approx(1.0 + 1e-6, abs=1e-12)
+        assert duty.mu1 == pytest.approx(0.6004, abs=1e-9) and duty.mu2 == 0.0
+
+    def test_incumbent_moves_only_to_a_strictly_better_point(self):
+        # The plateau starts half a coarse step before its first coarse
+        # point; every zoom window reaches points as good, none better.
+        value, duty = siso._profile_max(self._flat(lambda x: np.where(x >= 0.2995, 1.0, 0.0)))
+        assert value == 1.0
+        assert duty.mu1 == np.linspace(0.0, 1.0, 1001)[300]
+
+    def test_nan_never_wins(self):
+        value, duty = siso._profile_max(self._flat(lambda x: np.where(x > 0.5, np.nan, x)))
+        assert value == 0.5 and duty.mu1 == 0.5
 
 
 class TestSufficiency:
