@@ -115,9 +115,9 @@ CASES = [
         "5,0.01,0.374147318756,0,4.48748174676\n"
         "17.5,0.01,0.161261573663,0.334859996313,6.44779326387\n"
         "30,0.01,0,0.38231586475,10.4256089238\n"
-        "5,0,0.368107,0,4.5928985773\n"
-        "17.5,0,0.169271,0.32729,6.70621095962\n"
-        "30,0,0,0.367985,11.0302350271\n",
+        "5,0,0.36810663,0,4.5928985773\n"
+        "17.5,0,0.16927092,0.327290131628,6.70621095962\n"
+        "30,0,0,0.36798481189,11.0302350271\n",
     ),
     (
         "sweep-peak --a1 12.5 --a2 1:20 --cells 4 --tau 0.02 --out {out}",
@@ -130,12 +130,12 @@ CASES = [
         "20,0.02,0.0894173711627,0.36613641172,6.87100082075\n",
     ),
     (
-        "sweep-peak --a1 10 --a2 5:10:5 --tau 0 --grid-step 1e-2 --grid-refine 1",
+        "sweep-peak --a1 10 --a2 5:10:5 --tau 0",
         0,
         "# command=sweep-peak a1=10 lambda0=0.001 a2=5:10:5 tau=0\n"
         "a2,tau,mu1,mu2,capacity\n"
-        "5,0,0.367,0.008,3.67354630682\n"
-        "10,0,0.266,0.266,4.33358036033\n",
+        "5,0,0.366953345,0.00815586094554,3.67354638935\n"
+        "10,0,0.266188022,0.266188035236,4.33358119883\n",
     ),
     (
         "sweep-peak --a1 10 --a2 5:15:5 --tau 0.02 --strict",
@@ -352,23 +352,23 @@ CASES = [
         0,
         "# command=converge a1=10 a2=12 lambda0=0.001 taus=1e-3,1e-4,1e-5\n"
         "tau,capacity,cont_capacity,gap,mu1,mu2\n"
-        "0.001,4.79737692555,4.81137429765,0.0139973721014,0.218857455666,0.303189096204\n"
-        "0.0001,4.80997287026,4.81137429765,0.00140142738769,0.219085696801,0.302879894498\n"
-        "1e-05,4.81123413801,4.81137429765,0.000140159634582,0.219108466122,0.302849012375\n",
+        "0.001,4.79737692555,4.81137429765,0.0139973721036,0.218857455666,0.303189096204\n"
+        "0.0001,4.80997287026,4.81137429765,0.00140142738987,0.219085696801,0.302879894498\n"
+        "1e-05,4.81123413801,4.81137429765,0.00014015963676,0.219108466122,0.302849012375\n",
     ),
     (
-        "converge --a1 10 --a2 12 --taus 1e-3 --grid-step 1e-2 --grid-refine 2 --strict",
+        "converge --a1 10 --a2 12 --taus 1e-3 --strict",
         0,
         "# command=converge a1=10 a2=12 lambda0=0.001 taus=1e-3\n"
         "tau,capacity,cont_capacity,gap,mu1,mu2\n"
-        "0.001,4.79737692555,4.8113742682,0.0139973426588,0.218857455666,0.303189096204\n",
+        "0.001,4.79737692555,4.81137429765,0.0139973721036,0.218857455666,0.303189096204\n",
     ),
     (
         "converge --config {cfg} --taus 1e-3",
         0,
         "# command=converge a1=10 a2=12 lambda0=0.001 taus=1e-3\n"
         "tau,capacity,cont_capacity,gap,mu1,mu2\n"
-        "0.001,4.79737692555,4.81137429765,0.0139973721014,0.218857455666,0.303189096204\n",
+        "0.001,4.79737692555,4.81137429765,0.0139973721036,0.218857455666,0.303189096204\n",
     ),
     (
         "solve --a1 10 --tau 0.02",
@@ -470,22 +470,22 @@ CASES = [
         4,
         "",
     ),
-    # Kernel cases: equal peaks on the default reference grid, where rival
-    # grid incumbents tie; a converge row on the same diagonal; and a
+    # Kernel cases: equal peaks in the continuous reference, whose optimum
+    # lies on the diagonal; a converge row on the same diagonal; and a
     # threshold search that runs out to a ~ 128.6.
     (
         "sweep-peak --a1 10 --a2 10 --tau 0",
         0,
         "# command=sweep-peak a1=10 lambda0=0.001 a2=10 tau=0\n"
         "a2,tau,mu1,mu2,capacity\n"
-        "10,0,0.266188,0.266188,4.33358119883\n",
+        "10,0,0.266188022,0.266188035236,4.33358119883\n",
     ),
     (
         "converge --a1 12.5 --a2 12.5 --taus 1e-3",
         0,
         "# command=converge a1=12.5 a2=12.5 lambda0=0.001 taus=1e-3\n"
         "tau,capacity,cont_capacity,gap,mu1,mu2\n"
-        "0.001,5.40006144217,5.41806106499,0.0179996228198,0.266222849193,0.266222849193\n",
+        "0.001,5.40006144217,5.418061065,0.0179996228236,0.266222849193,0.266222849193\n",
     ),
     (
         "symmetric --a 2 --tau 0.001",
