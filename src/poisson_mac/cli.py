@@ -83,20 +83,27 @@ def _parse_range(args: argparse.Namespace, name: str) -> list[float]:
         return values
     if len(values) == 2:
         lo, hi = values
-        cells = _flag(args, "cells", 0, int)
-        if cells < 2:
+        if _merged(args, "cells") is None:
             raise ValueError("range lo:hi needs --cells to fix the grid size")
+        cells = _flag(args, "cells", kind=int)
+        if cells < 2:
+            raise ValueError(f"cells must be at least 2, got {cells}")
         return [lo + (hi - lo) * i / (cells - 1) for i in range(cells)]
     lo, hi, step = values
     if step <= 0:
         raise ValueError(f"range step must be positive, got {step}")
     n = int(math.floor((hi - lo) / step + 1e-9))
+    if n < 0:
+        raise ValueError(f"{name} has no values, got '{text}'")
     return [lo + i * step for i in range(n + 1)]
 
 
 def _parse_floats(args: argparse.Namespace, name: str) -> list[float]:
-    """A required comma-separated list of numbers."""
-    return [_number(p, name) for p in _require(args, name).split(",") if p != ""]
+    """A required comma-separated list of at least one number."""
+    text = _require(args, name)
+    if not (values := [_number(p, name) for p in text.split(",") if p != ""]):
+        raise ValueError(f"{name} has no values, got '{text}'")
+    return values
 
 
 def _read_config(path: str) -> dict[str, str]:

@@ -451,7 +451,7 @@ def solve(params: ChannelParams) -> SolveReport:
 
             def profile(mu1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 # g is NaN where I does not depend on mu2 (den = 0).
-                mu2 = np.clip(np.nan_to_num(curves.g(mu1, _NO_LANES), nan=0.0), 0.0, 1.0)
+                mu2 = np.clip(np.nan_to_num(curves.g(mu1), nan=0.0), 0.0, 1.0)
                 return _rate_many(p, h, params.tau, mu1, mu2), mu2
 
             peak = _profile_max(profile)
@@ -482,21 +482,11 @@ def solve(params: ChannelParams) -> SolveReport:
 
 
 # Batched enumeration.  Every helper below repeats, lane by lane, the
-# arithmetic of its scalar counterpart above, in the same order, so that each
-# lane's result is bit for bit the scalar one.  Transcendentals are the one
-# catch: numpy's vectorised exp and log differ from the math module's in the
-# last bit for a few percent of arguments, and that would move the
-# golden-section and bisection decisions and with them the printed digits.
-# So exact values call the math module lane by lane, and the searches decide
-# on a numpy estimate of g - f unless the estimate is within slack of the
-# decision, in which case they use the exact value.
-
-# numpy's exp is within an ulp of math.exp, and the rest of g - f is the same
-# IEEE arithmetic, so an estimate differs from the exact value by at most ten
-# units of roundoff (2**-53) times 4/min(den) + |slope| + |intercept|, which
-# bounds the terms of g - f on [0, 1].  The slack is a hundred times that.
-_ESTIMATE_SLACK = 1e-13
-_NO_LANES = np.empty(0, dtype=np.intp)
+# arithmetic of its scalar counterpart above, in the same order, and calls the
+# math module lane by lane for every exp and log (numpy's vectorised ones
+# differ from it in the last bit for a few percent of arguments).  So each
+# lane runs the same IEEE operations as the scalar code, and its result is bit
+# for bit the scalar one.
 
 
 def _lanes(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -512,8 +502,7 @@ def _entropy_many(q: np.ndarray) -> np.ndarray:
 
 
 class _CurvesMany(NamedTuple):
-    """Coefficients of f and g for many channels (see _f_of and _g_of), and
-    the slack of each lane's estimate of g - f."""
+    """Coefficients of f and g for many channels (see _f_of and _g_of)."""
 
     slope: np.ndarray
     intercept: np.ndarray
@@ -523,38 +512,25 @@ class _CurvesMany(NamedTuple):
     dh_24: np.ndarray
     p3: np.ndarray
     p4: np.ndarray
-    slack: np.ndarray
 
     def take(self, lanes: np.ndarray) -> "_CurvesMany":
         return _CurvesMany(*(x[lanes] for x in self))
 
-    def g(self, mu1: np.ndarray, exact: np.ndarray | None = None) -> np.ndarray:
-        """g at mu1: exact on the lanes indexed by exact (all when None), an
-        estimate within slack elsewhere."""
+    def g(self, mu1: np.ndarray) -> np.ndarray:
         den = mu1 * self.dp_13 + (1.0 - mu1) * self.dp_24
-        expo = np.minimum((mu1 * self.dh_13 + (1.0 - mu1) * self.dh_24) / den, 700.0)
-        if exact is None:
-            a_m = _lanes(math.exp, expo)
-        else:
-            a_m = np.exp(expo)
-            if exact.size:
-                a_m[exact] = _lanes(math.exp, expo[exact])
+        a_m = _lanes(math.exp, np.minimum((mu1 * self.dh_13 + (1.0 - mu1) * self.dh_24) / den, 700.0))
         return (1.0 / (a_m + 1.0) - (mu1 * self.p3 + (1.0 - mu1) * self.p4)) / den
 
-    def d(self, mu1: np.ndarray, exact: np.ndarray | None = None) -> np.ndarray:
-        """g - f at mu1, exact on the same lanes as g."""
-        return self.g(mu1, exact) - (self.slope * mu1 + self.intercept)
+    def d(self, mu1: np.ndarray) -> np.ndarray:
+        """g - f at mu1."""
+        return self.g(mu1) - (self.slope * mu1 + self.intercept)
 
 
 def _curves_many(p: tuple[np.ndarray, ...], h: tuple[np.ndarray, ...]) -> _CurvesMany:
     p1, p2, p3, p4 = p
     h1, h2, h3, h4 = h
     u, v, w = _line(p, h)
-    slope, intercept = u / v, w / v
-    den_min = np.minimum(p1 - p3, p2 - p4)
-    # A lane whose den can vanish on [0, 1] gets no estimates at all.
-    scale = np.where(den_min > 0.0, 4.0 / den_min, np.inf) + np.abs(slope) + np.abs(intercept)
-    return _CurvesMany(slope, intercept, p1 - p3, p2 - p4, h1 - h3, h2 - h4, p3, p4, _ESTIMATE_SLACK * scale)
+    return _CurvesMany(u / v, w / v, p1 - p3, p2 - p4, h1 - h3, h2 - h4, p3, p4)
 
 
 def _rate_many(
@@ -573,32 +549,21 @@ def _solo_duty_many(p_on: np.ndarray, p_off: np.ndarray, h_on: np.ndarray, h_off
 
 
 def _golden_min_many(curves: _CurvesMany, tol: float) -> np.ndarray:
-    """_golden_min of g - f on [0, 1] per lane.
-
-    A lane's result is fixed once b - a <= tol; it keeps stepping with the
-    others, unused.  From its first comparison that the estimates cannot
-    settle, a lane evaluates g - f exactly.
-    """
-    n = curves.slack.size
+    """_golden_min of g - f on [0, 1] per lane.  A lane's result is fixed once
+    b - a <= tol; it keeps stepping with the others, unused."""
+    n = curves.slope.size
     a, b = np.zeros(n), np.ones(n)
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc, fd = curves.d(c, _NO_LANES), curves.d(d, _NO_LANES)
+    fc, fd = curves.d(c), curves.d(d)
     m_star = np.full(n, np.nan)
-    exact = np.zeros(n, dtype=bool)
     active = b - a > tol
     while active.any():
-        enter = active & ~exact & (np.abs(fc - fd) <= 2.0 * curves.slack)
-        if enter.any():
-            lanes = np.flatnonzero(enter)
-            sub = curves.take(lanes)
-            fc[lanes], fd[lanes] = sub.d(c[lanes]), sub.d(d[lanes])
-            exact |= enter
         lt = fc < fd
         b = np.where(lt, d, b)
         a = np.where(lt, a, c)
         x = np.where(lt, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
-        fx = curves.d(x, np.flatnonzero(exact & active))
+        fx = curves.d(x)
         c, fc, d, fd = np.where(lt, x, d), np.where(lt, fx, fd), np.where(lt, c, x), np.where(lt, fc, fx)
         done = active & (b - a <= tol)
         m_star = np.where(done, 0.5 * (a + b), m_star)
@@ -607,7 +572,7 @@ def _golden_min_many(curves: _CurvesMany, tol: float) -> np.ndarray:
 
 
 def _bisect_many(curves: _CurvesMany, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.ndarray:
-    """_bisect_root of g - f per lane, given its exact value flo at lo."""
+    """_bisect_root of g - f per lane, given its value flo at lo."""
     root = np.where(flo == 0.0, lo, np.nan)
     active = flo != 0.0
     sign_lo = flo > 0.0
@@ -615,10 +580,7 @@ def _bisect_many(curves: _CurvesMany, lo: np.ndarray, hi: np.ndarray, flo: np.nd
         if not active.any():
             break
         mid = 0.5 * (lo + hi)
-        fm = curves.d(mid, _NO_LANES)
-        close = np.flatnonzero(active & (np.abs(fm) <= curves.slack))
-        if close.size:
-            fm[close] = curves.take(close).d(mid[close])
+        fm = curves.d(mid)
         # Once the midpoint rounds onto an end the bracket can no longer
         # shrink, and the scalar loop ends (now or after its last step) on
         # that same midpoint.

@@ -281,6 +281,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sweep-region", "--a1", "1:3", "--a2", "1:3", "--cells", "1"), "cells must be at least 2, got 1"),
+            (("sweep-region", "--a1", "1:3", "--a2", "1:3", "--cells", "0"), "cells must be at least 2, got 0"),
+            (("sweep-region", "--a1", "1:3", "--a2", "1:3", "--cells", "-4"), "cells must be at least 2, got -4"),
+            (("sweep-region", "--a1", "1:3", "--a2", "1:3"), "range lo:hi needs --cells to fix the grid size"),
+            (("sweep-region", "--a1", "3:1:1", "--a2", "1:3:1"), "a1 has no values, got '3:1:1'"),
+            (("sweep-peak", "--a1", "3", "--a2", "5:1:1", "--tau", "0.01"), "a2 has no values, got '5:1:1'"),
+            (("sweep-peak", "--a1", "3", "--a2", "1:5:1", "--tau", ","), "tau has no values, got ','"),
+            (("converge", "--a1", "10", "--a2", "12", "--taus", ","), "taus has no values, got ','"),
+        ],
+    )
+    def test_grid_without_cells_or_values_names_the_field(self, tmp_path, capsys, argv, message):
+        code, text = run(tmp_path, *argv)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_closed_pipe_exits_141_in_process(self, monkeypatch, capsys):
         class ClosedPipe(io.StringIO):
             def write(self, text):

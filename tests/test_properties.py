@@ -1,6 +1,6 @@
 """Property tests of the shared kernels (the profile maximiser, the gradient
-algebra and the bisection behind the symmetric analysis), and of solve on
-either side of the regime bound.
+algebra and the bisection behind the symmetric analysis), of solve on
+either side of the regime bound, and of solve_many against solve.
 
 Needs hypothesis (the `test` extra); without it the module is skipped.
 Examples are derandomized, so every run checks the same cases.
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from poisson_mac.channel import ChannelParams, DutyPair, entropy_slope, grad_mutual_info, hit_prob, hit_probs  # noqa: E402
 from poisson_mac.continuous import ContinuousParams, cont_capacity  # noqa: E402
 from poisson_mac.gridsearch import _grad_norm_grid, _rate_grid  # noqa: E402
-from poisson_mac.siso import TIE_TOL, g_mac, solve  # noqa: E402
+from poisson_mac.siso import TIE_TOL, g_mac, solve, solve_many  # noqa: E402
 from poisson_mac.symmetric import (  # noqa: E402
     FIXED_POINT_TOL,
     flip_log_odds,
@@ -109,3 +109,23 @@ def test_solve_label_swap(a1, a2, lambda0, fraction):
     capacity = solve(_channel(a1, a2, lambda0, fraction)).capacity
     swapped = solve(_channel(a2, a1, lambda0, fraction)).capacity
     assert swapped == pytest.approx(capacity, rel=1e-12, abs=0.0)
+
+
+# Small batches of in-regime channels, each lane with its own background.
+# Sixty batches give a few hundred lanes, enough that a last-bit difference
+# in one lane's exp (numpy's against the math module's) shows.
+lane_batches = st.lists(
+    st.tuples(st.floats(0.05, 50.0), st.floats(0.05, 50.0), st.floats(1e-4, 10.0), fractions), min_size=1, max_size=8
+)
+BATCH_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+
+
+@BATCH_SETTINGS
+@given(lane_batches)
+def test_solve_many_equals_solve_lane_by_lane(lanes):
+    params = [_channel(*lane) for lane in lanes]
+    batch = solve_many(*zip(*((p.a1, p.a2, p.lambda0, p.tau) for p in params)))
+    for i, (p, strategy) in enumerate(zip(params, batch.strategies())):
+        report = solve(p)
+        assert strategy is report.strategy
+        assert (batch.capacity[i], batch.mu1[i], batch.mu2[i]) == (report.capacity, report.optimum.mu1, report.optimum.mu2)

@@ -507,6 +507,32 @@ class TestSolveMany:
         batch = assert_batch_matches_scalar(a1, a2, 0.001, [0.02] * len(a1))
         assert 0 < int((~batch.regime_ok).sum()) < len(a1)
 
+    def test_knife_edges_where_the_root_leaves_the_box(self):
+        # At 0.8 of the regime bound the one interior root crosses mu1 = 0
+        # where a2 is about 1.9 a1 (between 18.98 and 19.11 at a1 = 10), and
+        # g - f at 0 changes sign.  Lanes a few ulps either side of each such
+        # a2 put the searches' decisions within rounding of their thresholds.
+        def channel(a1, a2):
+            return ChannelParams(a1, a2, 0.001, 0.8 * math.log(2) / (a1 + a2 + 0.001))
+
+        def roots(a1, a2):
+            search = find_intersections(channel(a1, a2))
+            return len(search.points) + len(search.rejected)
+
+        a1, a2 = [], []
+        for peak in (2.5, 5.0, 10.0, 20.0, 40.0):
+            lo, hi = 1.8 * peak, 2.0 * peak
+            assert (roots(peak, lo), roots(peak, hi)) == (1, 0)
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                lo, hi = (mid, hi) if roots(peak, mid) == 1 else (lo, mid)
+            edge = [lo]
+            for _ in range(6):
+                edge = [math.nextafter(edge[0], 0.0), *edge, math.nextafter(edge[-1], math.inf)]
+            a1 += [peak] * len(edge)
+            a2 += edge
+        batch = assert_batch_matches_scalar(a1, a2, 0.001, [channel(x1, x2).tau for x1, x2 in zip(a1, a2)])
+        assert set(batch.strategies()) == {Strategy.BOTH_ACTIVE, Strategy.ONLY_USER2}
+
     def test_saturated_lanes_take_the_scalar_guard(self):
         batch = assert_batch_matches_scalar([1000.0, 10.0], [1000.0, 12.0], 0.001, [1.0, 0.02])
         assert list(batch.regime_ok) == [False, True]
