@@ -18,12 +18,15 @@ significant digits so identical inputs give byte-identical files.  Inputs
 can come from a flat key=value config file; command-line flags win.
 
 Each command is declared once, in COMMANDS.  main builds the parser from that
-table, applies --strict and writes the CSV.
+table once per process, on its first call, then for each call applies
+--strict and writes the CSV.  A sweep grid of more than MAX_GRID values, in
+one range or in all its rows, is refused before it is built.
 
 Exit status: 0 on success, 2 on a validation error (the message names the
 offending field), 3 when --strict is set and an instance is out of regime
 (checked before anything is solved), 4 when the arithmetic breaks down (hit
-probabilities that round to 1 far out of regime), 141 (128 + SIGPIPE) when
+probabilities that round to 1 far out of regime, or rates and dead times so
+small that the arithmetic underflows), 141 (128 + SIGPIPE) when
 the reader of the output goes away first, as in `... | head`; that case
 prints nothing on stderr.
 """
@@ -31,6 +34,7 @@ prints nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -52,6 +56,9 @@ EXIT_VALIDATION = 2
 EXIT_OUT_OF_REGIME = 3
 EXIT_NUMERICAL = 4
 EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, in shell terms
+# Most values a sweep may have, in one range and in all its rows together: a
+# grid's lists are built in memory before anything is solved.
+MAX_GRID = 10**6
 
 
 def _fmt(x: object) -> str:
@@ -88,14 +95,23 @@ def _parse_range(args: argparse.Namespace, name: str) -> list[float]:
         cells = _flag(args, "cells", kind=int)
         if cells < 2:
             raise ValueError(f"cells must be at least 2, got {cells}")
+        _check_size(name, cells)
         return [lo + (hi - lo) * i / (cells - 1) for i in range(cells)]
     lo, hi, step = values
     if step <= 0:
         raise ValueError(f"range step must be positive, got {step}")
-    n = int(math.floor((hi - lo) / step + 1e-9))
-    if n < 0:
+    last = (hi - lo) / step + 1e-9  # +inf when the span or the step overflows
+    if last < 0:
         raise ValueError(f"{name} has no values, got '{text}'")
-    return [lo + i * step for i in range(n + 1)]
+    count = math.floor(last) + 1 if math.isfinite(last) else last
+    _check_size(name, count)
+    return [lo + i * step for i in range(count)]
+
+
+def _check_size(name: str, count: float) -> None:
+    """Refuse a grid of more than MAX_GRID values before it is built."""
+    if count > MAX_GRID:
+        raise ValueError(f"{name} has {count:.12g} values, more than the limit of {MAX_GRID}")
 
 
 def _parse_floats(args: argparse.Namespace, name: str) -> list[float]:
@@ -205,6 +221,7 @@ def _cmd_sweep_peak(args: argparse.Namespace) -> Steps:
     lambda0 = _lambda0(args)
     a2_values = _parse_range(args, "a2")
     taus = _parse_floats(args, "tau")
+    _check_size("a2 x tau", len(a2_values) * len(taus))
     # The finite-tau (a2, tau) lanes in row order; tau = 0 rows are continuous.
     lanes = [(a2, tau) for tau in taus if tau != 0.0 for a2 in a2_values]
     yield lambda: all(ChannelParams(a1, a2, lambda0, tau).in_regime for a2, tau in lanes)
@@ -227,6 +244,7 @@ def _cmd_sweep_region(args: argparse.Namespace) -> Steps:
     lambda0 = _lambda0(args)
     a1_values = _parse_range(args, "a1")
     a2_values = _parse_range(args, "a2")
+    _check_size("a1 x a2", len(a1_values) * len(a2_values))
     tau_flag = _merged(args, "tau")
     tau_scale = _flag(args, "tau-scale", 0.8)
     rule = regime_fraction_rule(tau_scale, lambda0) if tau_flag is None else _number(tau_flag, "tau")
@@ -245,6 +263,15 @@ def _cmd_symmetric(args: argparse.Namespace) -> Steps:
     a = _flag(args, "a")
     lambda0 = _lambda0(args)
     tau = _flag(args, "tau")
+    # ChannelParams would name a1 and a2; this command has the one peak a.
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
+    if a <= 0.0:
+        raise ValueError(f"a must be positive, got {a}")
+    if lambda0 <= 0.0:  # a non-finite lambda0 is left to ChannelParams
+        raise ValueError(
+            f"lambda0 must be positive, got {lambda0}; for a dark-current-free study use lambda0 = 2e-9 * a"
+        )
     params = ChannelParams(a, a, lambda0, tau)
     yield lambda: params.in_regime
     report = solve_symmetric(a, lambda0, tau)
@@ -313,7 +340,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use and kept for the
+    process: building it costs more than an in-regime solve."""
     parser = argparse.ArgumentParser(
         prog="poisson-mac",
         description="Sum-rate capacity of the two-user dead-time-limited photon-counting channel",

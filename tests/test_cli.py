@@ -2,14 +2,19 @@
 
 import io
 import os
+import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from poisson_mac import cli
 from poisson_mac.cli import main
+
+GOLDEN_CASES = runpy.run_path(str(Path(__file__).with_name("test_cli_golden.py")))["CASES"]
+GOLDEN = {argv: (code, expected) for argv, code, expected in GOLDEN_CASES}
 
 
 def run(tmp_path, *argv):
@@ -248,6 +253,7 @@ class TestExitCodes:
             (("sweep-peak", "--a1", "inf", "--a2", "5:15:5", "--tau", "0"), "a1"),
             (("sweep-region", "--a1", "1:21:10", "--a2", "1:21:10", "--tau", "inf"), "tau"),
             (("sweep-region", "--a1", "1:inf", "--a2", "1:3", "--cells", "3"), "a1"),
+            (("symmetric", "--a", "inf", "--tau", "0.02"), "a"),
         ],
     )
     def test_non_finite_input_is_validation_error(self, tmp_path, capsys, argv, field):
@@ -299,6 +305,92 @@ class TestExitCodes:
         assert code == 2
         assert text == ""
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("symmetric", "--a", "0", "--tau", "0.01"), "a must be positive, got 0.0"),
+            (("symmetric", "--a", "-1", "--tau", "0.01"), "a must be positive, got -1.0"),
+            (
+                ("symmetric", "--a", "1", "--lambda0", "0", "--tau", "0.01"),
+                "lambda0 must be positive, got 0.0; for a dark-current-free study use lambda0 = 2e-9 * a",
+            ),
+        ],
+    )
+    def test_symmetric_errors_name_its_one_peak(self, tmp_path, capsys, argv, message):
+        code, text = run(tmp_path, *argv)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Rates and dead times so small that the hit probabilities underflow.
+            ("solve", "--a1", "1e-300", "--a2", "1e-300", "--tau", "1e-300"),
+            ("symmetric", "--a", "1e-300", "--tau", "1e-300"),
+            # The symmetric fixed point cannot meet its residual bound.
+            ("symmetric", "--a", "1e-10", "--tau", "1e-10"),
+        ],
+    )
+    def test_underflow_is_numerical_error(self, tmp_path, capsys, argv):
+        code, text = run(tmp_path, *argv)
+        assert code == 4
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sweep-region", "--a1", "1:3", "--a2", "1:3", "--cells", "100000000"), "a1 has 100000000 values"),
+            (("sweep-region", "--a1", "1:3:1e-9", "--a2", "1:3:1"), "a1 has 2000000000 values"),
+            (("sweep-region", "--a1", "0:1:5e-324", "--a2", "1"), "a1 has inf values"),
+            (("sweep-region", "--a1", "1:3", "--a2", "1:3", "--cells", "1001"), "a1 x a2 has 1002001 values"),
+            (("sweep-peak", "--a1", "1", "--a2", "1:3", "--cells", "100000000", "--tau", "0.01"), "a2 has 100000000 values"),
+            (("sweep-peak", "--a1", "1", "--a2", "1:3:1e-9", "--tau", "0.01"), "a2 has 2000000000 values"),
+            (
+                ("sweep-peak", "--a1", "1", "--a2", "1:3", "--cells", "500001", "--tau", "0.01,0"),
+                "a2 x tau has 1000002 values",
+            ),
+        ],
+    )
+    def test_oversized_grid_is_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch, argv, message):
+        def bounded_range(*bounds):
+            values = range(*bounds)
+            assert len(values) <= cli.MAX_GRID, f"built a grid of {len(values)} values"
+            return values
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved an oversized grid")
+
+        # The grid lists are comprehensions over range: a module global
+        # shadows the builtin, so a list over the cap is never allocated.
+        monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+        for name in ("solve_many", "sweep_strategy_region", "cont_capacity"):
+            monkeypatch.setattr(cli, name, refuse)
+        start = time.perf_counter()
+        code, text = run(tmp_path, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == f"error: {message}, more than the limit of 1000000\n"
+
+    def test_grid_at_the_cap_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID", 9)
+        code, text = run(tmp_path, "sweep-region", "--a1", "1:3:1", "--a2", "1:3:1")
+        assert code == 0
+        assert len(rows_of(text)[1]) == 9
+        code, text = run(tmp_path, "sweep-peak", "--a1", "1", "--a2", "1:3:1", "--tau", "0.01,0.02,0")
+        assert code == 0
+        assert len(rows_of(text)[1]) == 9
+        code, _ = run(tmp_path, "sweep-region", "--a1", "1:3:1", "--a2", "1:4:1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: a1 x a2 has 12 values, more than the limit of 9\n"
+        code, _ = run(tmp_path, "sweep-region", "--a1", "1:10", "--a2", "1", "--cells", "10")
+        assert code == 2
+        assert capsys.readouterr().err == "error: a1 has 10 values, more than the limit of 9\n"
 
     def test_closed_pipe_exits_141_in_process(self, monkeypatch, capsys):
         class ClosedPipe(io.StringIO):
@@ -384,3 +476,50 @@ class TestSymmetricAndConverge:
         )
         assert code == 2
         assert "taus" in capsys.readouterr().err
+
+
+class TestParserCache:
+    def test_main_builds_the_parser_once(self, tmp_path):
+        cli._build_parser.cache_clear()
+        for _ in range(5):
+            assert run(tmp_path, "solve", "--a1", "10", "--a2", "12", "--tau", "0.02")[0] == 0
+            assert run(tmp_path, "symmetric", "--a", "10", "--tau", "0.02")[0] == 0
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import poisson_mac.cli as cli; print(cli._build_parser.cache_info().currsize)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout == "0\n"
+
+    def test_errors_and_help_leave_the_parser_as_built(self, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--a1", "10", "--no-such-flag", "1"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-region", "--help"])
+        assert exc.value.code == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a1 = 1\na2 = 20\ntau = 0.5\n", encoding="utf-8")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "cfg.csv")]) == 0
+        assert main(["solve", "--a1", "10", "--a2", "30", "--tau", "0.02", "--strict"]) == 3
+        assert main(["solve", "--a1", "-3", "--a2", "12", "--tau", "0.02"]) == 2
+        capsys.readouterr()
+        for argv in ("solve --a1 10 --a2 12 --lambda0 0.001 --tau 0.02", "sweep-region --a1 1:30 --a2 1:30 --cells 12"):
+            assert main(argv.split()) == GOLDEN[argv][0]
+            assert capsys.readouterr().out == GOLDEN[argv][1]
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_help_is_the_same_on_every_call(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert "--strict" in texts[0]
