@@ -22,11 +22,17 @@ table once per process, on its first call, then for each call applies
 --strict and writes the CSV.  A sweep grid of more than MAX_GRID values, in
 one range or in all its rows, is refused before it is built.
 
+Importing this module does not import numpy (see _numpy.py): in regime,
+solve, intersections, symmetric and solve-miso run on the math module alone,
+so a process that runs only those never loads it.  The sweeps, the
+out-of-regime checks and the continuous reference load it on first use.
+
 Exit status: 0 on success, 2 on a validation error (the message names the
 offending field), 3 when --strict is set and an instance is out of regime
 (checked before anything is solved), 4 when the arithmetic breaks down (hit
-probabilities that round to 1 far out of regime, or rates and dead times so
-small that the arithmetic underflows), 141 (128 + SIGPIPE) when
+probabilities that round to 1 far out of regime, rates and dead times so
+small that the arithmetic underflows, or a continuous reference whose rates
+all overflow), 141 (128 + SIGPIPE) when
 the reader of the output goes away first, as in `... | head`; that case
 prints nothing on stderr.
 """
@@ -44,7 +50,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .channel import ChannelParams
 from .continuous import ContinuousParams, cont_capacity, convergence_report
-from .miso import MisoConfig, solve_miso
+from .miso import MAX_ANTENNAS, MisoConfig, solve_miso
 from .siso import find_intersections, regime_fraction_rule, solve, solve_many, sweep_strategy_region
 from .symmetric import solve_symmetric
 
@@ -122,6 +128,21 @@ def _parse_floats(args: argparse.Namespace, name: str) -> list[float]:
     return values
 
 
+def _parse_peaks(args: argparse.Namespace, name: str) -> tuple[float, ...]:
+    """A list of antenna peaks, each finite and positive, with a finite sum."""
+    peaks = _parse_floats(args, name)
+    text = _require(args, name)
+    if len(peaks) > MAX_ANTENNAS:
+        raise ValueError(f"{name} supports at most {MAX_ANTENNAS} antennas, got '{text}'")
+    if not all(math.isfinite(p) for p in peaks):
+        raise ValueError(f"{name} must be finite, got '{text}'")
+    if not all(p > 0.0 for p in peaks):
+        raise ValueError(f"{name} must be positive, got '{text}'")
+    if not math.isfinite(sum(peaks)):  # the summed peak is the user's a1 or a2
+        raise ValueError(f"the sum of {name} must be finite, got '{text}'")
+    return tuple(peaks)
+
+
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -169,8 +190,9 @@ def _channel(args: argparse.Namespace) -> ChannelParams:
 # A handler is a generator of two steps.  It reads and validates its inputs,
 # then yields a regime predicate, which main calls before the next step only
 # under --strict; then it solves and yields (meta, header, rows) for main to
-# write.  It reaches the library through this module's globals at call time,
-# so patching them reaches the handlers.
+# write, where rows may be a generator over values already solved.  It
+# reaches the library through this module's globals at call time, so
+# patching them reaches the handlers.
 Steps = Iterator[Any]
 
 SOLVE_HEADER = ("a1", "a2", "lambda0", "tau", "capacity_nats", "mu1", "mu2", "strategy", "regime_ok")
@@ -189,9 +211,10 @@ def _cmd_solve(args: argparse.Namespace) -> Steps:
 
 
 def _cmd_solve_miso(args: argparse.Namespace) -> Steps:
+    # MisoConfig would name peaks_user1 and peaks_user2, not the flags.
     config = MisoConfig(
-        peaks_user1=tuple(_parse_floats(args, "peaks1")),
-        peaks_user2=tuple(_parse_floats(args, "peaks2")),
+        peaks_user1=_parse_peaks(args, "peaks1"),
+        peaks_user2=_parse_peaks(args, "peaks2"),
         lambda0=_lambda0(args),
         tau=_flag(args, "tau"),
     )
@@ -255,7 +278,7 @@ def _cmd_sweep_region(args: argparse.Namespace) -> Steps:
     labels = sweep_strategy_region(a1_values, a2_values, lambda0, rule)
     tau_meta = tau_flag if tau_flag is not None else f"scale:{_fmt(tau_scale)}"
     meta = {"a1": _require(args, "a1"), "a2": _require(args, "a2"), "lambda0": lambda0, "tau": tau_meta}
-    rows = [[a1, a2, label.value] for a1, line in zip(a1_values, labels) for a2, label in zip(a2_values, line)]
+    rows = ((a1, a2, label.value) for a1, line in zip(a1_values, labels) for a2, label in zip(a2_values, line))
     yield meta, ("a1", "a2", "strategy"), rows
 
 

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .channel import ChannelParams, DutyPair, _require_finite, phi
 from .siso import SolveReport, _profile_max, solve
 

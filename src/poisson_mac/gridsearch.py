@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
-import numpy as np
-
+from ._numpy import np
 from .channel import ChannelParams, DutyPair, HitProbs, _grad_terms, _weights, hit_probs, mutual_info
 from .miso import MisoConfig, _entropy_arr, subset_rates
 from .siso import TOP_CELLS

@@ -27,8 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .channel import ChannelParams, _require_finite, binary_entropy
 from .siso import SolveReport, solve
 

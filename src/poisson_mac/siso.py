@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .channel import (
     ChannelParams,
     DutyPair,
@@ -359,9 +358,12 @@ def _profile_max(profile: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]])
     Six rounds each scan 1.5 old steps around every incumbent (in one call)
     at a tenth of the step, down to 1e-9; an incumbent moves only to a
     strictly better point, a NaN rate never wins, and of equal final values
-    the earliest incumbent wins."""
+    the earliest incumbent wins.  ArithmeticError if no sample has a finite
+    rate: the rates overflowed, and there is nothing to maximise."""
     step, x = 1e-3, np.linspace(0.0, 1.0, 1001)
     rate, mu2 = profile(x)
+    if not np.isfinite(rate).any():
+        raise ArithmeticError("the profile has no finite rate")
     rate = np.where(np.isnan(rate), -np.inf, rate)
     masked, picks = rate.copy(), []
     for _ in range(TOP_CELLS):

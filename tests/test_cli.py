@@ -1,6 +1,7 @@
 """Command-line front end: schemas, determinism, config handling, exit codes."""
 
 import io
+import json
 import os
 import runpy
 import subprocess
@@ -22,6 +23,15 @@ def run(tmp_path, *argv):
     code = main([*argv, "--out", str(out)])
     text = out.read_text(encoding="utf-8") if out.exists() else ""
     return code, text
+
+
+def fresh_python(code, *args, check=True):
+    """A fresh interpreter running code, with this checkout's package on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=check,
+    )
 
 
 def rows_of(text):
@@ -248,12 +258,14 @@ class TestExitCodes:
             (("solve", "--a1", "inf", "--a2", "12", "--tau", "0.02"), "a1"),
             (("solve", "--a1", "10", "--a2", "12", "--tau", "inf"), "tau"),
             (("intersections", "--a1", "10", "--a2", "nan", "--tau", "0.02"), "a2"),
-            (("solve-miso", "--peaks1", "5,inf", "--peaks2", "6", "--tau", "0.02"), "peaks_user1"),
+            (("solve-miso", "--peaks1", "5,inf", "--peaks2", "6", "--tau", "0.02"), "peaks1"),
             (("sweep-peak", "--a1", "10", "--a2", "5:15:5", "--tau", "0.02,inf"), "tau"),
             (("sweep-peak", "--a1", "inf", "--a2", "5:15:5", "--tau", "0"), "a1"),
             (("sweep-region", "--a1", "1:21:10", "--a2", "1:21:10", "--tau", "inf"), "tau"),
             (("sweep-region", "--a1", "1:inf", "--a2", "1:3", "--cells", "3"), "a1"),
             (("symmetric", "--a", "inf", "--tau", "0.02"), "a"),
+            # Each peak is finite, but the summed peak a1 overflows.
+            (("solve-miso", "--peaks1", "1e308,1e308", "--peaks2", "6", "--tau", "0.02"), "peaks1"),
         ],
     )
     def test_non_finite_input_is_validation_error(self, tmp_path, capsys, argv, field):
@@ -324,6 +336,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("solve-miso", "--peaks1", "5,inf", "--peaks2", "6", "--tau", "0.02"), "peaks1 must be finite, got '5,inf'"),
+            (("solve-miso", "--peaks1", "5", "--peaks2", "nan", "--tau", "0.02"), "peaks2 must be finite, got 'nan'"),
+            (("solve-miso", "--peaks1", "5,-1", "--peaks2", "6", "--tau", "0.02"), "peaks1 must be positive, got '5,-1'"),
+            (("solve-miso", "--peaks1", "5", "--peaks2", "0", "--tau", "0.02"), "peaks2 must be positive, got '0'"),
+            (
+                ("solve-miso", "--peaks1", "1e308,1e308", "--peaks2", "6", "--tau", "0.02"),
+                "the sum of peaks1 must be finite, got '1e308,1e308'",
+            ),
+            (
+                ("solve-miso", "--peaks1", ",".join(["1"] * 17), "--peaks2", "6", "--tau", "0.02"),
+                f"peaks1 supports at most 16 antennas, got '{','.join(['1'] * 17)}'",
+            ),
+        ],
+    )
+    def test_solve_miso_errors_name_its_flags(self, tmp_path, capsys, argv, message):
+        code, text = run(tmp_path, *argv)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             # Rates and dead times so small that the hit probabilities underflow.
@@ -331,6 +366,9 @@ class TestExitCodes:
             ("symmetric", "--a", "1e-300", "--tau", "1e-300"),
             # The symmetric fixed point cannot meet its residual bound.
             ("symmetric", "--a", "1e-10", "--tau", "1e-10"),
+            # The continuous reference overflows: no profile sample has a finite rate.
+            ("sweep-peak", "--a1", "1e308", "--a2", "1:2", "--cells", "2", "--tau", "0"),
+            ("converge", "--a1", "1e308", "--a2", "1", "--taus", "1"),
         ],
     )
     def test_underflow_is_numerical_error(self, tmp_path, capsys, argv):
@@ -487,13 +525,8 @@ class TestParserCache:
         assert cli._build_parser.cache_info().misses == 1
 
     def test_import_builds_no_parser(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
         code = "import poisson_mac.cli as cli; print(cli._build_parser.cache_info().currsize)"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True, timeout=120, check=True,
-        )
-        assert out.stdout == "0\n"
+        assert fresh_python(code).stdout == "0\n"
 
     def test_errors_and_help_leave_the_parser_as_built(self, tmp_path, capsys):
         cli._build_parser.cache_clear()
@@ -523,3 +556,64 @@ class TestParserCache:
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
         assert "--strict" in texts[0]
+
+
+# Runs each argv through main in one fresh interpreter; prints a JSON object
+# with each run's exit code and stdout, and the numpy modules loaded before
+# and after the runs.
+FRESH_CLI = """
+import contextlib, io, json, sys
+from poisson_mac.cli import main
+
+def numpy_modules():
+    return sorted(m for m in sys.modules if m.startswith("numpy."))
+
+before, runs = numpy_modules(), []
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runs.append((main(argv.split()), out.getvalue()))
+print(json.dumps({"before": before, "runs": runs, "after": numpy_modules()}))
+"""
+
+
+def fresh_cli(*argvs):
+    return json.loads(fresh_python(FRESH_CLI, *argvs).stdout)
+
+
+class TestLazyNumpy:
+    IN_REGIME = (
+        "solve --a1 10 --a2 12 --lambda0 0.001 --tau 0.02",
+        "intersections --a1 10 --a2 12 --tau 0.02",
+        "symmetric --a 10 --tau 0.02",
+        "solve-miso --peaks1 5,5 --peaks2 6,6 --tau 0.02",
+    )
+
+    def test_in_regime_commands_load_no_numpy(self):
+        out = fresh_cli(*self.IN_REGIME)
+        assert [tuple(run) for run in out["runs"]] == [GOLDEN[argv] for argv in self.IN_REGIME]
+        assert out["before"] == out["after"] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "solve --a1 10 --a2 30 --tau 0.02",
+            "sweep-region --a1 1:30 --a2 1:30 --cells 12",
+            "converge --a1 10 --a2 12 --taus 1e-3,1e-4,1e-5",
+            "sweep-peak --a1 10 --a2 5:10:5 --tau 0",
+        ],
+    )
+    def test_first_array_use_loads_numpy(self, argv):
+        out = fresh_cli(argv)
+        assert out["before"] == []
+        assert [tuple(run) for run in out["runs"]] == [GOLDEN[argv]]
+        assert "numpy.linalg" in out["after"]
+
+    def test_numpy_already_loaded_is_used_as_is(self):
+        code = "import numpy, types, poisson_mac.siso as s; print(s.np is numpy, type(numpy) is types.ModuleType)"
+        assert fresh_python(code).stdout == "True True\n"
+
+    def test_blocked_numpy_fails_at_import(self):
+        code = "import sys; sys.modules['numpy'] = None; import poisson_mac"
+        out = fresh_python(code, check=False)
+        assert out.returncode == 1
+        assert out.stderr.splitlines()[-1].startswith("ModuleNotFoundError: ")

@@ -411,6 +411,12 @@ class TestProfileMax:
         value, duty = siso._profile_max(self._flat(lambda x: np.where(x > 0.5, np.nan, x)))
         assert value == 0.5 and duty.mu1 == 0.5
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+    def test_no_finite_rate_is_arithmetic_error(self, level):
+        # Overflowed rates: there is nothing to maximise, and no duty to report.
+        with pytest.raises(ArithmeticError, match="no finite rate"):
+            siso._profile_max(lambda x: (np.full_like(x, level), np.full_like(x, np.nan)))
+
 
 class TestSufficiency:
     def test_symmetric_both_single_user_screens_reject(self):
