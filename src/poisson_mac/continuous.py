@@ -20,6 +20,7 @@ against which finite-tau capacities are gapped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,15 +87,36 @@ def _rate_grid(cp: ContinuousParams, m1: np.ndarray, m2: np.ndarray) -> np.ndarr
     )
 
 
+def _rounding_floor(cp: ContinuousParams, duty: DutyPair) -> float:
+    """Bound on the rounding error of _rate_grid at duty.  Its phi terms
+    cancel to the rate, and each is off by a few ulps of w (|phi(x)| + x),
+    x ln x rounded and x itself rounded; the floor is 16 ulps of their sum."""
+    m1, m2, a1, a2, l0 = duty.mu1, duty.mu2, cp.a1, cp.a2, cp.lambda0
+    terms = (
+        (m1 * m2, a1 + a2 + l0),
+        ((1.0 - m1) * m2, a2 + l0),
+        (m1 * (1.0 - m2), a1 + l0),
+        ((1.0 - m1) * (1.0 - m2), l0),
+        (1.0, m1 * a1 + m2 * a2 + l0),
+    )
+    return 16.0 * math.ulp(1.0) * sum(w * (abs(phi(x)) + x) for w, x in terms)
+
+
 def cont_capacity(cp: ContinuousParams) -> tuple[float, DutyPair]:
     """Continuous optimum: the largest rate over mu1 of the profile that sets
-    mu2 = clip(cont_g(mu1), 0, 1), by siso._profile_max (mu1 resolution 1e-9)."""
+    mu2 = clip(cont_g(mu1), 0, 1), by siso._profile_max (mu1 resolution 1e-9).
+    ArithmeticError if that rate is not above the rounding floor of its
+    terms: for peaks far below the background it is cancellation noise."""
 
     def profile(mu1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mu2 = np.clip(cont_g(cp, mu1), 0.0, 1.0)
         return _rate_grid(cp, mu1, mu2), mu2
 
-    return _profile_max(profile)
+    rate, duty = _profile_max(profile)
+    floor = _rounding_floor(cp, duty)
+    if not rate > floor:
+        raise ArithmeticError(f"the continuous rate {rate:.3g} is not above its rounding floor {floor:.3g}")
+    return rate, duty
 
 
 @dataclass(frozen=True)

@@ -488,7 +488,9 @@ def solve(params: ChannelParams) -> SolveReport:
 # math module lane by lane for every exp and log (numpy's vectorised ones
 # differ from it in the last bit for a few percent of arguments).  So each
 # lane runs the same IEEE operations as the scalar code, and its result is bit
-# for bit the scalar one.
+# for bit the scalar one.  A lane skips only work whose result solve never
+# reads: the golden-section pass where g - f < 0 at both ends of [0, 1], and
+# any step after the one that fixes a pass's result, where the lane leaves it.
 
 
 def _lanes(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -519,9 +521,10 @@ class _CurvesMany(NamedTuple):
         return _CurvesMany(*(x[lanes] for x in self))
 
     def g(self, mu1: np.ndarray) -> np.ndarray:
-        den = mu1 * self.dp_13 + (1.0 - mu1) * self.dp_24
-        a_m = _lanes(math.exp, np.minimum((mu1 * self.dh_13 + (1.0 - mu1) * self.dh_24) / den, 700.0))
-        return (1.0 / (a_m + 1.0) - (mu1 * self.p3 + (1.0 - mu1) * self.p4)) / den
+        nu1 = 1.0 - mu1  # the scalar g rounds 1 - mu1 alike at each of its three uses
+        den = mu1 * self.dp_13 + nu1 * self.dp_24
+        a_m = _lanes(math.exp, np.minimum((mu1 * self.dh_13 + nu1 * self.dh_24) / den, 700.0))
+        return (1.0 / (a_m + 1.0) - (mu1 * self.p3 + nu1 * self.p4)) / den
 
     def d(self, mu1: np.ndarray) -> np.ndarray:
         """g - f at mu1."""
@@ -551,51 +554,63 @@ def _solo_duty_many(p_on: np.ndarray, p_off: np.ndarray, h_on: np.ndarray, h_off
 
 
 def _golden_min_many(curves: _CurvesMany, tol: float) -> np.ndarray:
-    """_golden_min of g - f on [0, 1] per lane.  A lane's result is fixed once
-    b - a <= tol; it keeps stepping with the others, unused."""
+    """_golden_min of g - f on [0, 1] per lane.  Each step starts with the
+    scalar loop's width test: a lane whose b - a is not above tol (a NaN
+    width too) leaves with its result, without the scalar loop's last
+    evaluation, which that result never reads.  The other lanes evaluate
+    their pending point and step on."""
     n = curves.slope.size
+    m_star, lane = np.empty(n), np.arange(n)
     a, b = np.zeros(n), np.ones(n)
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = curves.d(c), curves.d(d)
-    m_star = np.full(n, np.nan)
-    active = b - a > tol
-    while active.any():
+    # s is the interior point the bracket keeps, x the one still to be
+    # evaluated; x is c (and s is d) where lt, else x is d (and s is c).
+    s = b - _INV_GOLDEN * (b - a)
+    fs, x, lt = curves.d(s), a + _INV_GOLDEN * (b - a), np.zeros(n, bool)
+    while True:
+        wide = b - a > tol
+        if not wide.all():
+            m_star[lane[~wide]] = 0.5 * (a[~wide] + b[~wide])
+            lane, a, b, s, fs, x, lt = (v[wide] for v in (lane, a, b, s, fs, x, lt))
+            curves = curves.take(wide)
+        if not lane.size:
+            return m_star
+        fx = curves.d(x)
+        c, fc, d, fd = np.where(lt, x, s), np.where(lt, fx, fs), np.where(lt, s, x), np.where(lt, fs, fx)
         lt = fc < fd
         b = np.where(lt, d, b)
         a = np.where(lt, a, c)
+        s, fs = np.where(lt, c, d), np.where(lt, fc, fd)
         x = np.where(lt, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
-        fx = curves.d(x)
-        c, fc, d, fd = np.where(lt, x, d), np.where(lt, fx, fd), np.where(lt, c, x), np.where(lt, fc, fx)
-        done = active & (b - a <= tol)
-        m_star = np.where(done, 0.5 * (a + b), m_star)
-        active &= ~done
-    return m_star
 
 
 def _bisect_many(curves: _CurvesMany, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.ndarray:
-    """_bisect_root of g - f per lane, given its value flo at lo."""
-    root = np.where(flo == 0.0, lo, np.nan)
-    active = flo != 0.0
-    sign_lo = flo > 0.0
+    """_bisect_root of g - f per lane, given its value flo at lo.  A lane
+    leaves at the step where the scalar loop returns or breaks, so g - f is
+    evaluated only at the midpoints that loop evaluates."""
+    root = lo.copy()  # where flo == 0
+    lane = np.flatnonzero(flo != 0.0)
+    curves, lo, hi, sign_lo = curves.take(lane), lo[lane], hi[lane], flo[lane] > 0.0
+    mid = 0.5 * (lo + hi)
+    # A midpoint that rounds onto an end cannot shrink the bracket: the
+    # scalar loop returns it unevaluated.
+    done = (mid == lo) | (mid == hi)
     for _ in range(120):
-        if not active.any():
+        if done.any():
+            root[lane[done]] = mid[done]
+            lane, lo, hi, mid, sign_lo = (v[~done] for v in (lane, lo, hi, mid, sign_lo))
+            curves = curves.take(~done)
+        if not lane.size:
             break
-        mid = 0.5 * (lo + hi)
         fm = curves.d(mid)
-        # Once the midpoint rounds onto an end the bracket can no longer
-        # shrink, and the scalar loop ends (now or after its last step) on
-        # that same midpoint.
-        stop = active & ((fm == 0.0) | (mid == lo) | (mid == hi))
-        root = np.where(stop, mid, root)
-        active &= ~stop
         up = (fm > 0.0) == sign_lo
-        lo = np.where(active & up, mid, lo)
-        hi = np.where(active & ~up, mid, hi)
-        narrow = active & (hi - lo <= 1e-16)
-        root = np.where(narrow, 0.5 * (lo + hi), root)
-        active &= ~narrow
-    return np.where(active, 0.5 * (lo + hi), root)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        # The scalar loop returns mid at a zero of g - f; otherwise its result
+        # is the next midpoint once the bracket is within 1e-16 or stuck.
+        zero = fm == 0.0
+        mid = np.where(zero, mid, 0.5 * (lo + hi))
+        done = zero | (hi - lo <= 1e-16) | (mid == lo) | (mid == hi)
+    root[lane] = mid
+    return root
 
 
 def _enumerate_many(
@@ -612,8 +627,13 @@ def _enumerate_many(
     h = tuple(_entropy_many(q) for q in p)
     curves = _curves_many(p, h)
 
-    m_star = _golden_min_many(curves, 1e-14)
-    d_m, d_0, d_1 = curves.d(m_star), curves.d(zeros), curves.d(ones)
+    # find_intersections keeps a root only where g - f >= 0 at mu1 = 0 or at
+    # mu1 = 1, so only those lanes need the minimum m* and its value d_m.
+    d_0, d_1 = curves.d(zeros), curves.d(ones)
+    ends = np.flatnonzero((d_0 >= 0.0) | (d_1 >= 0.0))
+    m_star, d_m = np.full(n, np.nan), np.full(n, np.nan)
+    m_star[ends] = _golden_min_many(curves.take(ends), 1e-14)
+    d_m[ends] = curves.take(ends).d(m_star[ends])
     crosses = d_m <= 0.0
     left = np.flatnonzero(crosses & (d_0 >= 0.0))
     right = np.flatnonzero(crosses & (d_1 >= 0.0))
@@ -659,7 +679,8 @@ def _enumerate_many(
     mu2 = np.select(near, [s0_mu2, s1_mu2, solo2, zeros], np.nan)
     winners = (Strategy.BOTH_ACTIVE, Strategy.BOTH_ACTIVE, Strategy.ONLY_USER2, Strategy.ONLY_USER1)
     code = np.select(near, [_TIE_RANK[s] for s in winners], -1)
-    finite = np.isfinite(d_m) & np.isfinite(d_0) & np.isfinite(d_1) & np.isfinite(capacity)
+    finite = np.isfinite(d_0) & np.isfinite(d_1) & np.isfinite(capacity)
+    finite[ends] &= np.isfinite(d_m[ends])
     finite &= np.isfinite(rate0) & np.isfinite(rate1) & np.isfinite(rate_e1) & np.isfinite(rate_e2)
     finite &= (0.0 <= solo1) & (solo1 <= 1.0) & (0.0 <= solo2) & (solo2 <= 1.0)
     return capacity, mu1, mu2, code, finite
@@ -671,10 +692,11 @@ def solve_many(
     """solve over arrays of channels, with the same results lane by lane.
 
     Inputs broadcast against each other.  In-regime lanes run the enumeration
-    as array operations: one golden-section pass and one masked bisection
-    pass for the whole batch.  Lanes out of regime, or whose curve algebra is
-    not finite, go through solve() one at a time, which keeps the profile,
-    the grid cross-check and the saturated-channel guard in one place.  An invalid
+    as array operations: one golden-section pass over the lanes where g - f
+    >= 0 at an end of [0, 1], and one bisection pass over the lanes with a
+    root.  Lanes out of regime, or whose curve algebra is not finite, go
+    through solve() one at a time, which keeps the profile, the grid
+    cross-check and the saturated-channel guard in one place.  An invalid
     input raises the ValueError of ChannelParams for the first such lane.
     """
     lanes = tuple(np.ravel(x).astype(float) for x in np.broadcast_arrays(a1, a2, lambda0, tau))

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -369,6 +370,9 @@ class TestExitCodes:
             # The continuous reference overflows: no profile sample has a finite rate.
             ("sweep-peak", "--a1", "1e308", "--a2", "1:2", "--cells", "2", "--tau", "0"),
             ("converge", "--a1", "1e308", "--a2", "1", "--taus", "1"),
+            # Peaks far below the background: the continuous rate is rounding noise.
+            ("sweep-peak", "--a1", "1e-20", "--a2", "1e-20", "--tau", "0"),
+            ("converge", "--a1", "1e-10", "--a2", "1e-10", "--taus", "1e-3"),
         ],
     )
     def test_underflow_is_numerical_error(self, tmp_path, capsys, argv):
@@ -378,6 +382,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical failure") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_continuous_rounding_noise_names_its_floor(self, tmp_path, capsys):
+        code, text = run(tmp_path, "sweep-peak", "--a1", "1e-20", "--a2", "1e-20", "--tau", "0")
+        assert (code, text) == (4, "")
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: numerical failure \(ArithmeticError: the continuous rate \S+ is not above"
+            r" its rounding floor \S+\)\n",
+            err,
+        ), err
+        code, text = run(tmp_path, "sweep-peak", "--a1", "1e-6", "--a2", "1e-6", "--tau", "0")
+        assert code == 0
+        _, rows = rows_of(text)
+        assert float(rows[0]["capacity"]) > 0.0
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -120,6 +120,21 @@ class TestContCapacity:
             assert abs(duty.mu1 - grid_duty.mu1) <= 1e-6, cp
             assert abs(duty.mu2 - grid_duty.mu2) <= 1e-6, cp
 
+    @pytest.mark.parametrize("peak, lambda0", [(1e-20, 0.001), (1e-10, 0.001), (1e-10, 1.0), (1e-150, 1e-100)])
+    def test_rounding_noise_is_arithmetic_error(self, peak, lambda0):
+        # The true rates are of order peak^2/lambda0, below what the phi
+        # terms, each of order lambda0 ln lambda0 and cancelling to it,
+        # resolve; the profile would otherwise report their rounding noise.
+        with pytest.raises(ArithmeticError, match="not above its rounding floor"):
+            cont_capacity(ContinuousParams(peak, peak, lambda0))
+
+    @pytest.mark.parametrize("peak", [1e-9, 1e-6])
+    def test_small_peaks_keep_their_rate(self, peak):
+        rate, duty = cont_capacity(ContinuousParams(peak, peak, 0.001))
+        # ~ peak^2 / (4 lambda0) at duties ~ 1/2.
+        assert rate == pytest.approx(peak * peak / 0.004, rel=1e-2)
+        assert duty.mu1 == pytest.approx(0.5, abs=0.02) and duty.mu2 == pytest.approx(0.5, abs=0.02)
+
 
 class TestConvergence:
     def test_gaps_shrink_with_tau(self):

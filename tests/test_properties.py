@@ -1,6 +1,7 @@
 """Property tests of the shared kernels (the profile maximiser, the gradient
 algebra and the bisection behind the symmetric analysis), of solve on
-either side of the regime bound, and of solve_many against solve.
+either side of the regime bound, of solve_many against solve, and of
+solve_miso under regroupings of the same antenna peaks.
 
 Needs hypothesis (the `test` extra); without it the module is skipped.
 Examples are derandomized, so every run checks the same cases.
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from poisson_mac.channel import ChannelParams, DutyPair, entropy_slope, grad_mutual_info, hit_prob, hit_probs  # noqa: E402
 from poisson_mac.continuous import ContinuousParams, cont_capacity  # noqa: E402
 from poisson_mac.gridsearch import _grad_norm_grid, _rate_grid  # noqa: E402
+from poisson_mac.miso import MisoConfig, solve_miso  # noqa: E402
 from poisson_mac.siso import TIE_TOL, g_mac, solve, solve_many  # noqa: E402
 from poisson_mac.symmetric import (  # noqa: E402
     FIXED_POINT_TOL,
@@ -129,3 +131,29 @@ def test_solve_many_equals_solve_lane_by_lane(lanes):
         report = solve(p)
         assert strategy is report.strategy
         assert (batch.capacity[i], batch.mu1[i], batch.mu2[i]) == (report.capacity, report.optimum.mu1, report.optimum.mu2)
+
+
+@st.composite
+def antenna_partitions(draw):
+    """Two groupings of one user's peak atoms into antennas, in drawn orders."""
+    atoms = draw(st.lists(st.floats(0.05, 20.0), min_size=1, max_size=6))
+
+    def grouping():
+        order = draw(st.permutations(atoms))
+        cuts = sorted(draw(st.sets(st.integers(1, len(atoms) - 1)))) if len(atoms) > 1 else []
+        ends = [0, *cuts, len(atoms)]
+        return tuple(sum(order[i:j]) for i, j in zip(ends, ends[1:]))
+
+    return grouping(), grouping()
+
+
+@BATCH_SETTINGS
+@given(antenna_partitions(), antenna_partitions(), backgrounds, fractions)
+def test_solve_miso_antenna_partition_invariance(user1, user2, lambda0, fraction):
+    tau = fraction * math.log(2.0) / (sum(user1[0]) + sum(user2[0]) + lambda0)
+    configs = [MisoConfig(peaks1, peaks2, lambda0, tau) for peaks1, peaks2 in zip(user1, user2)]
+    capacities = [solve_miso(config).capacity for config in configs]
+    # The summed peaks of two groupings differ only by the rounding of the sum.
+    assert capacities[1] == pytest.approx(capacities[0], rel=1e-12, abs=0.0)
+    for config, capacity in zip(configs, capacities):
+        assert capacity == solve(config.as_siso()).capacity

@@ -1,14 +1,16 @@
 """Two-user solver: curve geometry, candidate enumeration, strategy selection."""
 
+import contextlib
 import dataclasses
 import math
 import random
+import signal
 
 import numpy as np
 import pytest
 
 from poisson_mac import gridsearch, siso
-from poisson_mac.channel import ChannelParams, DutyPair, grad_mutual_info, mutual_info_rate
+from poisson_mac.channel import ChannelParams, DutyPair, grad_mutual_info, hit_probs, mutual_info_rate
 from poisson_mac.gridsearch import GridSpec, grid_capacity
 from poisson_mac.siso import (
     Scenario,
@@ -471,6 +473,42 @@ class TestSweep:
         assert sweep_strategy_region([1.0, 2.0], [], 0.001, 0.02) == [[], []]
 
 
+@contextlib.contextmanager
+def wall_bound(seconds):
+    """Fail with TimeoutError, instead of hanging, after seconds of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def curves_of(channels):
+    """The batch's curves for a list of channels, with each one's scalar g - f."""
+    hps = [hit_probs(c) for c in channels]
+    p = tuple(np.array([getattr(hp, k) for hp in hps]) for k in ("p1", "p2", "p3", "p4"))
+    curves = siso._curves_many(p, tuple(siso._entropy_many(q) for q in p))
+    return curves, [lambda x, f=siso._f_of(hp), g=siso._g_of(hp): g(x) - f(x) for hp in hps]
+
+
+def in_regime_row(a1, a2_values, fraction=0.8):
+    rule = regime_fraction_rule(fraction, 0.001)
+    return [a1] * len(a2_values), list(a2_values), [rule(a1, x) for x in a2_values]
+
+
+def golden_lane_counts(monkeypatch):
+    """A list that each call of siso._golden_min_many appends its lane count to."""
+    sizes, golden = [], siso._golden_min_many
+    monkeypatch.setattr(siso, "_golden_min_many", lambda c, tol: sizes.append(c.slope.size) or golden(c, tol))
+    return sizes
+
+
 def assert_batch_matches_scalar(a1, a2, lambda0, tau):
     """solve_many against solve lane by lane: same strategy, same printed
     digits, and in fact the same doubles."""
@@ -555,3 +593,81 @@ class TestSolveMany:
     def test_invalid_lane_raises_the_field_error(self, a1, tau, message):
         with pytest.raises(ValueError, match=message):
             solve_many([10.0, a1], [12.0, 12.0], 0.001, [0.02, tau])
+
+    def test_no_lane_brackets_a_root(self, monkeypatch):
+        # At a1 = 1 and a2 from 10 to 40, g - f < 0 at both ends of every
+        # lane, so the golden-section pass gets no lane at all.
+        a1, a2, tau = in_regime_row(1.0, [10.0 + k for k in range(31)])
+        sizes = golden_lane_counts(monkeypatch)
+        with wall_bound(30.0):
+            batch = assert_batch_matches_scalar(a1, a2, 0.001, tau)
+        assert sizes == [0]
+        assert batch.strategies() == [Strategy.ONLY_USER2] * len(a2)
+
+    def test_mixed_grid_searches_only_the_lanes_that_can_cross(self, monkeypatch):
+        # Rows a1 = 1 (g - f < 0 at both ends from a2 ~ 1.9) and a1 = 10
+        # (roots up to a2 ~ 19) over a2 from 1 to 40.
+        rows = [in_regime_row(x, [1.0 + 1.5 * k for k in range(27)]) for x in (1.0, 10.0)]
+        a1, a2, tau = ([v for row in rows for v in row[i]] for i in range(3))
+        sizes = golden_lane_counts(monkeypatch)
+        with wall_bound(30.0):
+            batch = assert_batch_matches_scalar(a1, a2, 0.001, tau)
+        assert len(sizes) == 1 and 0 < sizes[0] < len(a1)
+        assert set(batch.strategies()) == set(Strategy)
+
+    def test_passes_on_zero_lanes(self):
+        curves, _ = curves_of([])
+        with wall_bound(30.0):
+            assert siso._golden_min_many(curves, 1e-14).shape == (0,)
+            empty = np.empty(0)
+            assert siso._bisect_many(curves, empty, empty, empty).shape == (0,)
+            assert solve_many([], [], 0.001, []).capacity.shape == (0,)
+            # sweep-peak with only the continuous reference solves no finite-tau lane.
+            assert solve_many([10.0], [], 0.001, 0.02).capacity.shape == (0,)
+
+    def test_passes_match_their_scalar_loops(self):
+        peaks = [(10.0, 12.0, 0.001), (5.0, 5.0, 0.1), (2.5, 4.75, 0.001)]
+        curves, fns = curves_of([ChannelParams(*c, 0.8 * math.log(2) / sum(c)) for c in peaks])
+        m_star = siso._golden_min_many(curves, 1e-14)
+        assert m_star.tolist() == [siso._golden_min(fn, 0.0, 1.0, 1e-14) for fn in fns]
+        for lo, hi in ((np.zeros(3), m_star), (m_star, np.ones(3))):
+            flo = np.array([fn(x) for fn, x in zip(fns, lo.tolist())])
+            roots = siso._bisect_many(curves, lo, hi, flo)
+            assert roots.tolist() == [siso._bisect_root(fn, *b) for fn, b in zip(fns, zip(lo.tolist(), hi.tolist()))]
+
+    def test_nan_width_counts_as_finished(self):
+        # With a NaN tolerance every width test fails, as for a NaN width:
+        # the scalar loop returns the midpoint of [0, 1] without a step.
+        curves, fns = curves_of([FIG1, FIG2, SYM])
+        with wall_bound(30.0):
+            m_star = siso._golden_min_many(curves, math.nan)
+        assert m_star.tolist() == [siso._golden_min(fn, 0.0, 1.0, math.nan) for fn in fns] == [0.5] * 3
+
+    def test_lane_evaluations_on_the_readme_grid(self, monkeypatch):
+        # The cells of sweep-region --a1 1:30 --a2 1:30 --cells 30 at the
+        # default rule.  Evaluating only what solve reads takes 83,667
+        # evaluations of g - f over the 900 lanes; one more golden-section
+        # step per searched lane adds 669, and running that pass on every
+        # lane to its last step makes 100,926.
+        axis = [1.0 + 29.0 * i / 29 for i in range(30)]
+        rows = [in_regime_row(x, axis) for x in axis]
+        a1, a2, tau = ([v for row in rows for v in row[i]] for i in range(3))
+        d, golden = siso._CurvesMany.d, siso._golden_min_many
+        lanes, searched = [], []
+
+        def counted(curves, mu1):
+            lanes.append(mu1.size)
+            return d(curves, mu1)
+
+        def recorded(curves, tol):
+            n = curves.slope.size
+            searched.append(np.maximum(d(curves, np.zeros(n)), d(curves, np.ones(n))))
+            return golden(curves, tol)
+
+        monkeypatch.setattr(siso._CurvesMany, "d", counted)
+        monkeypatch.setattr(siso, "_golden_min_many", recorded)
+        assert_batch_matches_scalar(a1, a2, 0.001, tau)
+        assert sum(lanes) <= 84_000
+        [ends] = searched
+        assert 0 < ends.size < len(a1)
+        assert (ends >= 0.0).all()
