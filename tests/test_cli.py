@@ -373,6 +373,10 @@ class TestExitCodes:
             # Peaks far below the background: the continuous rate is rounding noise.
             ("sweep-peak", "--a1", "1e-20", "--a2", "1e-20", "--tau", "0"),
             ("converge", "--a1", "1e-10", "--a2", "1e-10", "--taus", "1e-3"),
+            # Valid weak signals: the single-user duty's entropy chord cancels
+            # to a duty outside [0, 1] (-2.12 here), in one solve and in a batch.
+            ("solve", "--a1", "1e-8", "--a2", "1e-8", "--lambda0", "1", "--tau", "0.1"),
+            ("sweep-peak", "--a1", "1e-8", "--a2", "1e-8:2e-8", "--cells", "2", "--lambda0", "1", "--tau", "0.1"),
         ],
     )
     def test_underflow_is_numerical_error(self, tmp_path, capsys, argv):

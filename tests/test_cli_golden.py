@@ -50,6 +50,38 @@ CASES = [
         "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
         "1000,1000,0.001,1,0.689199149677,0,0.501479646135,OnlyUser2,false\n",
     ),
+    # Out of regime, where the profile kernel runs: a capacity in the
+    # thousands, where the profile beats the enumeration (by rounding noise,
+    # as TIE_TOL is a few ulps there) and reports its own duty; ~25x the
+    # bound; user 1 alone; a background far above both peaks.
+    (
+        "solve --a1 8850 --a2 4010 --tau 7.92e-05",
+        0,
+        "# command=solve a1=8850 a2=4010 lambda0=0.001 tau=7.92e-05 intersections=0\n"
+        "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
+        "8850,4010,0.001,7.92e-05,2844.62304245,0.400339442,0,OnlyUser1,false\n",
+    ),
+    (
+        "solve --a1 3 --a2 4 --tau 2.5",
+        0,
+        "# command=solve a1=3 a2=4 lambda0=0.001 tau=2.5 intersections=0\n"
+        "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
+        "3,4,0.001,2.5,0.273673969531,0,0.503032257785,OnlyUser2,false\n",
+    ),
+    (
+        "solve --a1 20 --a2 5 --tau 0.05",
+        0,
+        "# command=solve a1=20 a2=5 lambda0=0.001 tau=0.05 intersections=0\n"
+        "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
+        "20,5,0.001,0.05,6.04425417978,0.413127985386,0,OnlyUser1,false\n",
+    ),
+    (
+        "solve --a1 0.5 --a2 0.3 --lambda0 20 --tau 0.1",
+        0,
+        "# command=solve a1=0.5 a2=0.3 lambda0=20 tau=0.1 intersections=1\n"
+        "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
+        "0.5,0.3,20,0.1,0.000635456524343,0.499187321943,0.489090987405,BothActive,false\n",
+    ),
     (
         "solve --a1 10 --a2 12 --tau 0.02 --out {out}",
         0,

@@ -202,6 +202,14 @@ class TestSingleUserDuty:
         # On and off hit levels both round to 1: every duty has rate 0.
         assert single_user_duty(1.0, 10.0, 5.0) == 0.0
 
+    def test_cancelled_chord_is_arithmetic_error(self):
+        # A peak 1e8 times below the background: the entropy chord and the
+        # hit-level gap both cancel, and the closed form gives -2.12.
+        with pytest.raises(ArithmeticError, match=r"duty -2.12 is outside \[0, 1\]"):
+            single_user_duty(1e-8, 1.0, 0.1)
+        with pytest.raises(ArithmeticError):
+            solve(ChannelParams(1e-8, 1e-8, 1.0, 0.1))
+
 
 class TestSolve:
     def test_symmetric_both_active_on_diagonal(self):
@@ -418,6 +426,73 @@ class TestProfileMax:
         # Overflowed rates: there is nothing to maximise, and no duty to report.
         with pytest.raises(ArithmeticError, match="no finite rate"):
             siso._profile_max(lambda x: (np.full_like(x, level), np.full_like(x, np.nan)))
+
+
+class TestProfileKernel:
+    """solve's out-of-regime profile, one numpy kernel (siso._profile_of),
+    against the scalar g_mac and mutual_info_rate.  The tolerances leave room
+    for numpy's exp and logs to differ from math's in the last bit, as they
+    may on other CPUs."""
+
+    @pytest.mark.parametrize(
+        "params", [ChannelParams(10.0, 30.0, 0.001, 0.02), ChannelParams(8850.0, 4010.0, 0.001, 7.92e-05)]
+    )
+    def test_out_of_regime_solve_needs_no_lane_by_lane_math(self, monkeypatch, params):
+        def unused(fn, x):
+            raise AssertionError("siso._lanes called")
+
+        monkeypatch.setattr(siso, "_lanes", unused)
+        report = solve(params)
+        assert not report.regime_ok and report.grid_checked
+
+    def test_in_regime_batch_stays_lane_exact(self, monkeypatch):
+        calls, lanes = [], siso._lanes
+        monkeypatch.setattr(siso, "_lanes", lambda fn, x: calls.append(fn) or lanes(fn, x))
+        solve_many([10.0, 1.0], [12.0, 20.0], 0.001, 0.02)
+        assert set(calls) == {math.expm1, math.log, math.log1p, math.exp}
+
+    def test_winning_point_agrees_with_the_scalar_rate(self, monkeypatch):
+        # Seeded out-of-regime channels where the profile's point wins:
+        # capacities in the thousands, where the profile can win by rounding
+        # noise as the channels come, and near-equal moderate peaks with the
+        # interior candidates hidden, so that only the edges are enumerated
+        # and the profile wins by a real margin on any host.
+        rng = random.Random(113)
+        plain, hidden = [], []
+        for _ in range(20):
+            a1, a2 = rng.uniform(1e4, 1e5), rng.uniform(1.0, 1e4)
+            plain.append(ChannelParams(a1, a2, 0.001, rng.uniform(1.1, 3.0) * math.log(2) / (a1 + a2 + 0.001)))
+            a1 = rng.uniform(5.0, 50.0)
+            a2 = a1 * rng.uniform(0.8, 1.25)
+            hidden.append(ChannelParams(a1, a2, 0.001, rng.uniform(1.1, 2.0) * math.log(2) / (a1 + a2 + 0.001)))
+        reports = [solve(params) for params in plain]
+        monkeypatch.setattr(
+            siso, "find_intersections", lambda p: siso.IntersectionSearch(points=(), rejected=(), reliable=False)
+        )
+        reports += [solve(params) for params in hidden]
+        won = [r.capacity > max(c.rate for c in r.candidates) + siso.TIE_TOL for r in reports]
+        assert all(won[len(plain) :])
+        for params, report in ((p, r) for p, r, w in zip(plain + hidden, reports, won) if w):
+            mu1, mu2 = report.optimum.mu1, report.optimum.mu2
+            expected = mutual_info_rate(params, report.optimum)
+            assert abs(report.capacity - expected) <= 4.0 * math.ulp(1.0) * abs(expected), params
+            assert abs(mu2 - min(max(g_mac(params, mu1), 0.0), 1.0)) <= 1e-15, params
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ChannelParams(1000.0, 10.0, 0.001, 0.1),  # p1 = p3 = 1: den = 0 at mu1 = 1
+            ChannelParams(1.0, 0.1, 10.0, 5.0),  # every hit level is 1: den = 0 everywhere
+        ],
+    )
+    def test_saturated_samples_keep_mu2_in_the_box(self, params):
+        hp, mu1 = hit_probs(params), np.linspace(0.0, 1.0, 1001)
+        den = mu1 * (hp.p1 - hp.p3) + (1.0 - mu1) * (hp.p2 - hp.p4)
+        with np.errstate(all="ignore"):
+            rate, mu2 = siso._profile_of(hp, params.tau)(mu1)
+        assert (den == 0.0).any()
+        assert np.isfinite(mu2).all() and ((0.0 <= mu2) & (mu2 <= 1.0)).all()
+        assert np.isfinite(rate[den == 0.0]).all()
 
 
 class TestSufficiency:
