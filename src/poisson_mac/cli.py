@@ -46,10 +46,11 @@ import os
 import sys
 from contextlib import nullcontext, suppress
 from dataclasses import asdict
+from itertools import islice
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .channel import ChannelParams
-from .continuous import ContinuousParams, cont_capacity, convergence_report
+from .continuous import cont_capacity_many, convergence_report
 from .miso import MAX_ANTENNAS, MisoConfig, solve_miso
 from .siso import find_intersections, regime_fraction_rule, solve, solve_many, sweep_strategy_region
 from .symmetric import solve_symmetric
@@ -249,16 +250,14 @@ def _cmd_sweep_peak(args: argparse.Namespace) -> Steps:
     lanes = [(a2, tau) for tau in taus if tau != 0.0 for a2 in a2_values]
     yield lambda: all(ChannelParams(a1, a2, lambda0, tau).in_regime for a2, tau in lanes)
     batch = solve_many(a1, [a2 for a2, _ in lanes], lambda0, [tau for _, tau in lanes])
-    solved = zip(batch.mu1.tolist(), batch.mu2.tolist(), batch.capacity.tolist())
+    solved = zip(lanes, batch.mu1.tolist(), batch.mu2.tolist(), batch.capacity.tolist())
+    solved_rows = iter([[a2, tau, mu1, mu2, capacity] for (a2, tau), mu1, mu2, capacity in solved])
+    # The continuous rows in one pass, reused for a repeated 0.
+    cont = cont_capacity_many(a1, a2_values, lambda0) if 0.0 in taus else ((), (), ())
+    cont_rows = [[a2, 0.0, mu1, mu2, rate] for a2, rate, mu1, mu2 in zip(a2_values, *cont)]
     rows: list[list[object]] = []
     for tau in taus:
-        for a2 in a2_values:
-            if tau == 0.0:
-                rate, duty = cont_capacity(ContinuousParams(a1, a2, lambda0))
-                rows.append([a2, 0.0, duty.mu1, duty.mu2, rate])
-            else:
-                mu1, mu2, capacity = next(solved)
-                rows.append([a2, tau, mu1, mu2, capacity])
+        rows += cont_rows if tau == 0.0 else islice(solved_rows, len(a2_values))
     meta = {"a1": a1, "lambda0": lambda0, "a2": _require(args, "a2"), "tau": _require(args, "tau")}
     yield meta, ("a2", "tau", "mu1", "mu2", "capacity"), rows
 

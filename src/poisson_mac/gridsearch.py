@@ -131,13 +131,14 @@ def _local_peaks(values: np.ndarray, g: np.ndarray, sep: float, count: int) -> l
     Each pick is the first highest cell at least sep away (in the larger of
     the two coordinate distances) from every earlier pick; sep must leave
     room for count picks.  values is overwritten: the cells too close to a
-    pick are set to -inf.
+    pick other than the last are set to -inf.
     """
     picked: list[tuple[float, float, float]] = []
-    while len(picked) < count:
+    for k in range(count):
         i, j = np.unravel_index(np.argmax(values), values.shape)
         picked.append((float(values[i, j]), float(g[i]), float(g[j])))
-        values[np.ix_(np.abs(g - g[i]) < sep, np.abs(g - g[j]) < sep)] = -np.inf
+        if k < count - 1:
+            values[np.ix_(np.abs(g - g[i]) < sep, np.abs(g - g[j]) < sep)] = -np.inf
     return picked
 
 

@@ -20,8 +20,10 @@ regime the convexity guarantee lapses; the solver still runs but flags the
 report and checks the candidates against the profile maximum and a coarse
 grid.  At every tau and mu1, the hit probability and the entropy mixture are
 affine in mu2, so I(mu1, .) is concave and peaks at clip(g(mu1), 0, 1): the
-capacity is the maximum over mu1 of that profile, found by _profile_max on
-one numpy kernel (_profile_of) that uses numpy's exp, log and log1p.
+capacity is the maximum over mu1 of that profile (one numpy kernel with
+numpy's exp, log and log1p, _profile_of), found by _profile_max_many, which
+maximises lanes of profiles at once: solve runs one lane, and
+continuous.cont_capacity_many runs a lane per continuous row.
 
 solve_many runs the same enumeration over arrays of channels at once, with
 results identical to solve lane by lane, because its in-regime lanes call the
@@ -377,31 +379,31 @@ def _strategy_at(duty: DutyPair) -> Strategy:
     return Strategy.ONLY_USER1 if duty.mu2 == 0.0 else Strategy.BOTH_ACTIVE
 
 
-def _profile_max(profile: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> tuple[float, DutyPair]:
-    """Largest rate over mu1 in [0, 1] of profile(mu1) -> (rate, mu2), where
-    mu2 is the inner maximiser at each mu1.
-
-    One pass at step 1e-3 keeps TOP_CELLS incumbents at least three steps
-    apart, so close rival maxima cannot shake the search off the global one.
-    Six rounds each scan 1.5 old steps around every incumbent (in one call)
-    at a tenth of the step, down to 1e-9; an incumbent moves only to a
-    strictly better point, a NaN rate never wins, and of equal final values
-    the earliest incumbent wins.  ArithmeticError if no sample has a finite
-    rate: the rates overflowed, and there is nothing to maximise."""
-    step, x = 1e-3, np.linspace(0.0, 1.0, 1001)
-    rate, mu2 = profile(x)
-    if not np.isfinite(rate).any():
-        raise ArithmeticError("the profile has no finite rate")
+def _profile_max_many(profile: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], lanes: int) -> tuple:
+    """Largest rate over mu1 in [0, 1] of each lane (row) of profile(mu1) ->
+    (rate, mu2) on a (lanes, n) mu1 array, where mu2 is the inner maximiser:
+    per-lane arrays of whether any rate was finite (if none was, the rest is
+    meaningless), the rate, mu1 and mu2.  One pass at step 1e-3 keeps
+    TOP_CELLS incumbents per lane at least three steps apart, so close rival
+    maxima cannot shake the search off the global one.  Six rounds each scan
+    1.5 old steps around every incumbent (all in one call) at a tenth of the
+    step, down to 1e-9; an incumbent moves only to a strictly better point,
+    a NaN rate never wins, and of equal final values the earliest wins."""
+    step, x, offsets = 1e-3, np.arange(1001) * 1e-3, np.arange(-15, 16) / 10.0  # x is linspace(0, 1, 1001)
+    rate, mu2 = profile(x[None].repeat(lanes, 0))
+    finite = np.isfinite(rate).any(axis=1)
     rate = np.fmax(rate, -np.inf)  # a NaN rate never wins
-    masked, picks = rate.copy(), []
-    for _ in range(TOP_CELLS):
-        picks.append(int(np.argmax(masked)))
-        masked[np.abs(x - x[picks[-1]]) < 3.0 * step] = -np.inf
-    best, mu1, mu2 = rate[picks], x[picks], mu2[picks]
-    rows, offsets = np.arange(TOP_CELLS), np.arange(-15, 16) / 10.0
+    masked, picks = rate.copy(), np.empty((lanes, TOP_CELLS), dtype=np.intp)
+    for c in range(TOP_CELLS):
+        pick = picks[:, c] = masked.argmax(axis=1)
+        np.putmask(masked, np.abs(x - x[pick, None]) < 3.0 * step, -np.inf)
+    # The incumbents of all lanes as flat rows, lane by lane.
+    lane = np.arange(lanes)[:, None]
+    best, mu1, mu2 = rate[lane, picks].ravel(), x[picks].ravel(), mu2[lane, picks].ravel()
+    rows = np.arange(best.size)
     for _ in range(6):
         window = np.minimum(np.maximum(mu1[:, None] + offsets * step, 0.0), 1.0)
-        rate, inner = (v.reshape(window.shape) for v in profile(window.ravel()))
+        rate, inner = (v.reshape(window.shape) for v in profile(window.reshape(lanes, -1)))
         k = np.argmax(np.fmax(rate, -np.inf), axis=1)
         top = rate[rows, k]
         better = top > best
@@ -409,8 +411,16 @@ def _profile_max(profile: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]])
         mu1 = np.where(better, window[rows, k], mu1)
         mu2 = np.where(better, inner[rows, k], mu2)
         step /= 10.0
-    k = int(np.argmax(best))
-    return float(best[k]), DutyPair(float(mu1[k]), float(mu2[k]))
+    k = np.argmax(best.reshape(lanes, TOP_CELLS), axis=1) + np.arange(0, best.size, TOP_CELLS)
+    return finite, best[k], mu1[k], mu2[k]
+
+
+def _profile_max(profile: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> tuple[float, DutyPair]:
+    """_profile_max_many on one lane; ArithmeticError if no rate is finite."""
+    (finite,), (rate,), (mu1,), (mu2,) = (v.tolist() for v in _profile_max_many(profile, 1))
+    if not finite:
+        raise ArithmeticError("the profile has no finite rate")
+    return rate, DutyPair(mu1, mu2)
 
 
 def solve(params: ChannelParams) -> SolveReport:
@@ -724,10 +734,11 @@ def solve_many(
     capacity, mu1, mu2 = (np.full(tau.size, np.nan) for _ in range(3))
     code = np.full(tau.size, -1)
     fast = np.flatnonzero(regime)
-    with np.errstate(all="ignore"):
-        cap, m1, m2, cd, finite = _enumerate_many(a1[fast], a2[fast], lambda0[fast], tau[fast])
-    fast = fast[finite]
-    capacity[fast], mu1[fast], mu2[fast], code[fast] = cap[finite], m1[finite], m2[finite], cd[finite]
+    if fast.size:  # an empty enumeration still costs ~1 ms of array set-up
+        with np.errstate(all="ignore"):
+            cap, m1, m2, cd, finite = _enumerate_many(a1[fast], a2[fast], lambda0[fast], tau[fast])
+        fast = fast[finite]
+        capacity[fast], mu1[fast], mu2[fast], code[fast] = cap[finite], m1[finite], m2[finite], cd[finite]
     for i in np.flatnonzero(code < 0).tolist():
         report = solve(ChannelParams(*(float(x[i]) for x in lanes)))
         capacity[i], mu1[i], mu2[i] = report.capacity, report.optimum.mu1, report.optimum.mu2

@@ -120,7 +120,7 @@ class TestStrict:
 
         for name in (
             "solve", "solve_many", "find_intersections", "sweep_strategy_region",
-            "cont_capacity", "convergence_report", "solve_miso", "solve_symmetric",
+            "cont_capacity_many", "convergence_report", "solve_miso", "solve_symmetric",
         ):
             monkeypatch.setattr(cli, name, refuse)
         code, text = run(tmp_path, *argv.split(), "--strict")
@@ -428,7 +428,7 @@ class TestExitCodes:
         # The grid lists are comprehensions over range: a module global
         # shadows the builtin, so a list over the cap is never allocated.
         monkeypatch.setattr(cli, "range", bounded_range, raising=False)
-        for name in ("solve_many", "sweep_strategy_region", "cont_capacity"):
+        for name in ("solve_many", "sweep_strategy_region", "cont_capacity_many"):
             monkeypatch.setattr(cli, name, refuse)
         start = time.perf_counter()
         code, text = run(tmp_path, *argv)

@@ -512,6 +512,48 @@ CASES = [
         "a2,tau,mu1,mu2,capacity\n"
         "10,0,0.266188022,0.266188035236,4.33358119883\n",
     ),
+    # Continuous rows solved as one batch of lanes: several rows, a 0 given
+    # twice around a finite tau, a later row below its rounding floor (rate
+    # 3.47e-18, floor 5.62e-17), and a first row's numeric failure, which
+    # comes before the second row's validation error (a2 = -1).
+    (
+        "sweep-peak --a1 20 --a2 5:40 --cells 7 --tau 0",
+        0,
+        "# command=sweep-peak a1=20 lambda0=0.001 a2=5:40 tau=0\n"
+        "a2,tau,mu1,mu2,capacity\n"
+        "5,0,0.36803006,0,7.3516970624\n"
+        "10.8333333333,0,0.359690637,0.050692811297,7.36974309557\n"
+        "16.6666666667,0,0.302775522,0.219015540171,8.02196122805\n"
+        "22.5,0,0.236996164,0.290818516822,9.24940517589\n"
+        "28.3333333333,0,0.164935882,0.328913143989,10.8307352123\n"
+        "34.1666666667,0,0.08817042,0.351834419286,12.6686404941\n"
+        "40,0,0.007728386,0.366821519444,14.7095852548\n",
+    ),
+    (
+        "sweep-peak --a1 20 --a2 5:40 --cells 3 --tau 0,0.01,0",
+        0,
+        "# command=sweep-peak a1=20 lambda0=0.001 a2=5:40 tau=0,0.01,0\n"
+        "a2,tau,mu1,mu2,capacity\n"
+        "5,0,0.36803006,0,7.3516970624\n"
+        "22.5,0,0.236996164,0.290818516822,9.24940517589\n"
+        "40,0,0.007728386,0.366821519444,14.7095852548\n"
+        "5,0.01,0.377647936045,0,7.08227845297\n"
+        "22.5,0.01,0.23428195643,0.295769619955,8.74122213625\n"
+        "40,0.01,0,0.386935456322,13.637106683\n"
+        "5,0,0.36803006,0,7.3516970624\n"
+        "22.5,0,0.236996164,0.290818516822,9.24940517589\n"
+        "40,0,0.007728386,0.366821519444,14.7095852548\n",
+    ),
+    (
+        "sweep-peak --a1 1e-20 --a2 1:1e-10 --cells 2 --tau 0",
+        4,
+        "",
+    ),
+    (
+        "sweep-peak --a1 1e-20 --a2=1e-20:-1 --cells 2 --tau 0",
+        4,
+        "",
+    ),
     (
         "converge --a1 12.5 --a2 12.5 --taus 1e-3",
         0,

@@ -7,8 +7,10 @@ import pytest
 
 from poisson_mac.channel import ChannelParams, DutyPair, mutual_info_rate, phi
 from poisson_mac.continuous import (
+    LANE_BLOCK,
     ContinuousParams,
     cont_capacity,
+    cont_capacity_many,
     cont_f,
     cont_g,
     cont_mutual_info_rate,
@@ -134,6 +136,39 @@ class TestContCapacity:
         # ~ peak^2 / (4 lambda0) at duties ~ 1/2.
         assert rate == pytest.approx(peak * peak / 0.004, rel=1e-2)
         assert duty.mu1 == pytest.approx(0.5, abs=0.02) and duty.mu2 == pytest.approx(0.5, abs=0.02)
+
+
+class TestContCapacityMany:
+    """Rows solved as lanes of one profile pass, against cont_capacity row by row."""
+
+    @pytest.mark.parametrize("rows", [0, 1, LANE_BLOCK - 1, LANE_BLOCK, LANE_BLOCK + 1, 2 * LANE_BLOCK + 3])
+    def test_lanes_equal_rows_bit_for_bit(self, rows):
+        rng = random.Random(rows)
+        a1, lambda0 = rng.uniform(0.5, 50.0), math.exp(rng.uniform(math.log(1e-4), math.log(20.0)))
+        a2_values = [math.exp(rng.uniform(math.log(0.05), math.log(50.0))) for _ in range(rows)]
+        rate, mu1, mu2 = cont_capacity_many(a1, a2_values, lambda0)
+        expected = [cont_capacity(ContinuousParams(a1, a2, lambda0)) for a2 in a2_values]
+        assert rate == [r for r, _ in expected]
+        assert mu1 == [d.mu1 for _, d in expected]
+        assert mu2 == [d.mu2 for _, d in expected]
+
+    def test_first_failing_row_raises(self):
+        # Row LANE_BLOCK + 1, in the second block, is rounding noise; a
+        # later invalid row does not get to raise, an earlier one does.
+        a2_values = [12.0] * (LANE_BLOCK + 3)
+        a2_values[LANE_BLOCK + 1] = 1e-20
+        a2_values[-1] = -1.0
+        assert len(cont_capacity_many(1e-20, a2_values[: LANE_BLOCK + 1], 0.001)[0]) == LANE_BLOCK + 1
+        with pytest.raises(ArithmeticError, match="not above its rounding floor"):
+            cont_capacity_many(1e-20, a2_values[:1] + a2_values, 0.001)
+        with pytest.raises(ValueError, match="a2 must be positive, got -1.0"):
+            cont_capacity_many(1e-20, [12.0, -1.0] + a2_values, 0.001)
+        with pytest.raises(ValueError, match="a2 must be finite, got nan"):
+            cont_capacity_many(10.0, [12.0, math.nan, 1e-20], 0.001)
+        with pytest.raises(ValueError, match="lambda0 must be positive"):
+            cont_capacity_many(10.0, [12.0], 0.0)
+        with pytest.raises(ArithmeticError, match="no finite rate"):
+            cont_capacity_many(1e308, [1.0, 2.0], 0.001)
 
 
 class TestConvergence:

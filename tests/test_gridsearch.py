@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from poisson_mac import continuous, gridsearch
+from poisson_mac import continuous, gridsearch, miso
 from poisson_mac.channel import ChannelParams, DutyPair, grad_mutual_info, mutual_info
 from poisson_mac.continuous import ContinuousParams
 from poisson_mac.gridsearch import (
@@ -184,6 +184,71 @@ class TestRowBlocks:
                 return _bits(value, duty.mu1, duty.mu2)
 
             self._same_at_every_block_size(monkeypatch, bits, k)
+
+
+def _old_entropy_arr(q):
+    """miso._entropy_arr as it was before its unmasked branch."""
+    out = np.zeros_like(q)
+    inside = (q > 0.0) & (q < 1.0)
+    qi = q[inside]
+    out[inside] = -qi * np.log(qi) - (1.0 - qi) * np.log1p(-qi)
+    return out
+
+
+def _old_local_peaks(values, g, sep, count):
+    """gridsearch._local_peaks as it was before it skipped the last mask."""
+    picked = []
+    while len(picked) < count:
+        i, j = np.unravel_index(np.argmax(values), values.shape)
+        picked.append((float(values[i, j]), float(g[i]), float(g[j])))
+        values[np.ix_(np.abs(g - g[i]) < sep, np.abs(g - g[j]) < sep)] = -np.inf
+    return picked
+
+
+class TestWitnessHelpers:
+    """The grid's entropy and peak-picking helpers give the bits of their
+    earlier, always-masking forms."""
+
+    def test_entropy_matches_the_masked_form(self):
+        rng = np.random.default_rng(7)
+        inside = [rng.uniform(0.0, 1.0, 1001), rng.uniform(0.0, 1.0, (37, 41)), np.array([5e-324, 0.5, 1.0 - 2**-53])]
+        inside += [np.exp(-rng.uniform(0.0, 700.0, 500)), -np.expm1(-rng.uniform(0.0, 36.0, 500))]
+        edges = [np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.4]), np.array([0.6, 1.0]), np.array([np.nan, 0.2])]
+        edges += [np.array([-0.1, 0.4]), np.array([1.5, 0.4])]
+        mixed = rng.uniform(-0.5, 1.5, 400)
+        mixed[rng.integers(0, 400, 40)] = rng.choice([0.0, 1.0, np.nan], 40)
+        for q in inside + edges + [mixed, mixed.reshape(20, 20), np.empty(0), np.empty((0, 3))]:
+            new, old = miso._entropy_arr(q), _old_entropy_arr(q)
+            assert new.shape == old.shape and new.dtype == old.dtype
+            assert new.tobytes() == old.tobytes(), q
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_local_peaks_match_the_masking_form(self, count):
+        rng = np.random.default_rng(count)
+        g = np.linspace(0.0, 1.0, 101)
+        smooth = np.sin(7.0 * g)[:, None] * np.cos(5.0 * g)[None, :]
+        for values in (rng.uniform(0.0, 1.0, (101, 101)), smooth, np.round(smooth, 1)):
+            new = gridsearch._local_peaks(values.copy(), g, 0.03, count)
+            assert new == _old_local_peaks(values.copy(), g, 0.03, count)
+
+    @pytest.mark.parametrize("spec", [GridSpec(1e-2, 0), GridSpec()])
+    def test_grid_capacity_is_unchanged(self, monkeypatch, spec):
+        rng = random.Random(31)
+        channels = [
+            ChannelParams(1000.0, 1000.0, 0.001, 1.0),  # every hit level rounds to 1
+            ChannelParams(1.0, 0.1, 10.0, 5.0),
+            ChannelParams(1000.0, 10.0, 0.001, 0.1),
+        ]
+        for _ in range(12):
+            a1, a2 = math.exp(rng.uniform(-3.0, 4.0)), math.exp(rng.uniform(-3.0, 4.0))
+            lambda0 = math.exp(rng.uniform(-7.0, 2.0))
+            channels.append(ChannelParams(a1, a2, lambda0, rng.uniform(0.1, 5.0) * math.log(2) / (a1 + a2 + lambda0)))
+        results = [grid_capacity(params, spec) for params in channels]
+        monkeypatch.setattr(gridsearch, "_entropy_arr", _old_entropy_arr)
+        monkeypatch.setattr(gridsearch, "_local_peaks", _old_local_peaks)
+        for params, new in zip(channels, results):
+            old = grid_capacity(params, spec)
+            assert (new.capacity, new.duty) == (old.capacity, old.duty), params
 
 
 class TestFiniteDifferences:

@@ -428,6 +428,48 @@ class TestProfileMax:
             siso._profile_max(lambda x: (np.full_like(x, level), np.full_like(x, np.nan)))
 
 
+    def test_incumbent_exactly_three_steps_away_is_kept(self):
+        # Coarse samples 2 and 5 are 3 steps apart to the last bit, so 5 is a
+        # second incumbent; only its window reaches the narrow peak at 0.0042.
+        def rate(x):
+            return np.maximum(1.0 - 10.0 * (x - 0.002) ** 2, 1.0 + 1e-6 - 1e7 * (x - 0.0042) ** 2)
+
+        value, duty = siso._profile_max(self._flat(rate))
+        assert value == pytest.approx(1.0 + 1e-6, abs=1e-12)
+        assert duty.mu1 == pytest.approx(0.0042, abs=1e-9)
+
+    def test_lanes_match_one_lane_runs(self):
+        # Nine lanes of rival peaks, a narrow rival between coarse points in
+        # some, a plateau (ties), a NaN half and a lane with no finite rate:
+        # each lane of one batch gives what the maximiser gives on it alone.
+        rng = np.random.default_rng(12)
+        c1, c2 = rng.uniform(0.0, 1.0, 9), rng.uniform(0.0, 1.0, 9) + 4e-4
+        h2 = 1.0 + rng.choice([-1e-6, 0.0, 1e-6], 9)
+        kind = np.array([0, 0, 1, 0, 2, 0, 3, 0, 0])  # 1 plateau, 2 NaN above 0.5, 3 all NaN
+
+        def family(c1, c2, h2, kind):
+            def profile(x):
+                rate = np.maximum(1.0 - 1e3 * (x - c1) ** 2, h2 - 1e7 * (x - c2) ** 2)
+                rate = np.where(kind == 1, np.where(x >= c1, 1.0, 0.0), rate)
+                rate = np.where(((kind == 2) & (x > 0.5)) | (kind == 3), np.nan, rate)
+                return rate, x * x
+
+            return profile
+
+        finite, rate, mu1, mu2 = (
+            v.tolist() for v in siso._profile_max_many(family(*(v[:, None] for v in (c1, c2, h2, kind))), 9)
+        )
+        assert finite == (kind != 3).tolist()
+        for i, lane in enumerate(zip(c1.tolist(), c2.tolist(), h2.tolist(), kind.tolist())):
+            if not finite[i]:
+                with pytest.raises(ArithmeticError, match="no finite rate"):
+                    siso._profile_max(family(*lane))
+                continue
+            value, duty = siso._profile_max(family(*lane))
+            assert (rate[i], mu1[i], mu2[i]) == (value, duty.mu1, duty.mu2), lane
+        assert len({mu1[i] for i in range(9) if finite[i]}) == 8
+
+
 class TestProfileKernel:
     """solve's out-of-regime profile, one numpy kernel (siso._profile_of),
     against the scalar g_mac and mutual_info_rate.  The tolerances leave room
@@ -699,6 +741,30 @@ class TestSolveMany:
             assert solve_many([], [], 0.001, []).capacity.shape == (0,)
             # sweep-peak with only the continuous reference solves no finite-tau lane.
             assert solve_many([10.0], [], 0.001, 0.02).capacity.shape == (0,)
+
+    def test_no_lane_in_regime_skips_the_enumeration(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("enumerated a batch with no lane in regime")
+
+        monkeypatch.setattr(siso, "_enumerate_many", refuse)
+        assert solve_many([], [], 0.001, []).capacity.shape == (0,)
+        channels = [ChannelParams(10.0, 30.0, 0.001, 0.02), ChannelParams(3.0, 4.0, 0.001, 2.5)]
+        batch = solve_many(*zip(*((p.a1, p.a2, p.lambda0, p.tau) for p in channels)))
+        reports = [solve(p) for p in channels]
+        assert batch.capacity.tolist() == [r.capacity for r in reports]
+        assert batch.mu1.tolist() == [r.optimum.mu1 for r in reports]
+        assert batch.mu2.tolist() == [r.optimum.mu2 for r in reports]
+        assert batch.strategies() == [r.strategy for r in reports]
+        # sweep-peak with only continuous rows, as in its golden case.
+        from poisson_mac.cli import main
+
+        assert main("sweep-peak --a1 10 --a2 5:10:5 --tau 0".split()) == 0
+        assert capsys.readouterr().out == (
+            "# command=sweep-peak a1=10 lambda0=0.001 a2=5:10:5 tau=0\n"
+            "a2,tau,mu1,mu2,capacity\n"
+            "5,0,0.366953345,0.00815586094554,3.67354638935\n"
+            "10,0,0.266188022,0.266188035236,4.33358119883\n"
+        )
 
     def test_passes_match_their_scalar_loops(self):
         peaks = [(10.0, 12.0, 0.001), (5.0, 5.0, 0.1), (2.5, 4.75, 0.001)]
