@@ -45,7 +45,6 @@ import math
 import os
 import sys
 from contextlib import nullcontext, suppress
-from dataclasses import asdict
 from itertools import islice
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -205,7 +204,7 @@ def _cmd_solve(args: argparse.Namespace) -> Steps:
     params = _channel(args)
     yield lambda: params.in_regime
     report = solve(params)
-    inputs = asdict(params)
+    inputs = vars(params)  # the fields in order, read only: asdict would deep-copy each
     meta = {**inputs, "intersections": len(report.search.points)}
     row = [*inputs.values(), report.capacity, report.optimum.mu1, report.optimum.mu2]
     yield meta, SOLVE_HEADER, [row + [report.strategy.value, report.regime_ok]]
@@ -227,7 +226,7 @@ def _cmd_solve_miso(args: argparse.Namespace) -> Steps:
         "lambda0": config.lambda0,
         "tau": config.tau,
     }
-    row = [*asdict(config.as_siso()).values(), report.capacity, report.duty_user1, report.duty_user2]
+    row = [*vars(config.as_siso()).values(), report.capacity, report.duty_user1, report.duty_user2]
     yield meta, SOLVE_HEADER, [row + [report.siso.strategy.value, report.regime_ok]]
 
 
@@ -237,7 +236,7 @@ def _cmd_intersections(args: argparse.Namespace) -> Steps:
     inter = find_intersections(params)
     rows = [[pt.mu1, pt.mu2, True] for pt in inter.points]
     rows += [[pt.mu1, pt.mu2, False] for pt in inter.rejected]
-    yield {**asdict(params), "reliable": inter.reliable}, ("mu1", "mu2", "valid"), rows
+    yield {**vars(params), "reliable": inter.reliable}, ("mu1", "mu2", "valid"), rows
 
 
 def _cmd_sweep_peak(args: argparse.Namespace) -> Steps:

@@ -137,7 +137,8 @@ def cont_capacity_many(a1: float, a2_values: Sequence[float], lambda0: float) ->
         levels = [_levels(a1, a2, lambda0) for a2 in a2s]
         # One lane keeps floats, which numpy broadcasts faster than (1, 1) columns.
         levels = levels[0] if len(a2s) == 1 else np.array(levels).T[:, :, None]
-        finite, *block = (v.tolist() for v in _profile_max_many(partial(_profile, levels), len(a2s)))
+        with np.errstate(all="ignore"):  # as in solve: a lane's overflow shows as no finite rate
+            finite, *block = (v.tolist() for v in _profile_max_many(partial(_profile, levels), len(a2s)))
         for a2, has_rate, rate, mu1, mu2 in zip(a2s, finite, *block):
             if not has_rate:
                 raise ArithmeticError("the profile has no finite rate")

@@ -11,7 +11,8 @@ problem:
   alone solves to a closed form mu2 = g(mu1) that is strictly convex whenever
   tau <= ln2/(a1+a2+lambda0).  An affine curve meets a strictly convex one at
   most twice, so one golden-section pass locating the minimum of g - f plus a
-  bisection on each side finds every interior candidate.
+  bisection on each side finds every interior candidate.  Both run on one
+  closure d (_curves_of), g - f to the last bit in one Python call a step.
 * the two edge candidates put one user at its closed-form solo duty cycle and
   silence the other.
 
@@ -191,10 +192,6 @@ class SolveBatch:
 def uvw(params: ChannelParams) -> LineCoefficients:
     """Line coefficients of the both-active stationarity locus."""
     hp = hit_probs(params)
-    return _uvw(hp)
-
-
-def _uvw(hp: HitProbs) -> LineCoefficients:
     return LineCoefficients(*_line((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies()))
 
 
@@ -218,21 +215,16 @@ def f_mac(params: ChannelParams, mu1: float) -> float:
 
 def g_mac(params: ChannelParams, mu1: float) -> float:
     """mu2 solving d I/d mu2 = 0 at the given mu1; strictly convex in regime."""
-    return _g_of(hit_probs(params))(mu1)
+    return _curves_of(hit_probs(params))[0](mu1)
 
 
-def _f_of(hp: HitProbs) -> Callable[[float], float]:
-    line = _uvw(hp)
-    slope = line.u / line.v
-    intercept = line.w / line.v
-    return lambda mu1: slope * mu1 + intercept
-
-
-def _g_of(hp: HitProbs) -> Callable[[float], float]:
-    h1, h2, h3, h4 = hp.entropies()
-    dp_13, dp_24 = hp.p1 - hp.p3, hp.p2 - hp.p4
-    dh_13, dh_24 = h1 - h3, h2 - h4
-    p3, p4 = hp.p3, hp.p4
+def _curves_of(hp: HitProbs) -> tuple[Callable[[float], float], Callable[[], Callable[[float], float]]]:
+    """g, and a maker of d = g - f, on one set-up of both curves' coefficients.
+    d repeats g's operations inline, so d(x) is g(x) - f(x) to the last bit,
+    NaN too (700.0 if 700.0 < e else e is min(e, 700.0)).  It is made on
+    demand: f divides by the line's v, which is 0 where g is still defined."""
+    (h1, h2, h3, h4), p1, p2, p3, p4 = hp.entropies(), hp.p1, hp.p2, hp.p3, hp.p4
+    dp_13, dp_24, dh_13, dh_24 = p1 - p3, p2 - p4, h1 - h3, h2 - h4
 
     def g(mu1: float) -> float:
         den = mu1 * dp_13 + (1.0 - mu1) * dp_24
@@ -241,12 +233,25 @@ def _g_of(hp: HitProbs) -> Callable[[float], float]:
         a_m = math.exp(min((mu1 * dh_13 + (1.0 - mu1) * dh_24) / den, 700.0))
         return (1.0 / (a_m + 1.0) - (mu1 * p3 + (1.0 - mu1) * p4)) / den
 
-    return g
+    def make_d() -> Callable[[float], float]:
+        u, v, w = _line((p1, p2, p3, p4), (h1, h2, h3, h4))
+        slope, intercept = u / v, w / v
+
+        def d(mu1: float) -> float:
+            nu1 = 1.0 - mu1
+            den = mu1 * dp_13 + nu1 * dp_24
+            e = (mu1 * dh_13 + nu1 * dh_24) / den
+            mu2 = (1.0 / (math.exp(700.0 if 700.0 < e else e) + 1.0) - (mu1 * p3 + nu1 * p4)) / den
+            return mu2 - (slope * mu1 + intercept)
+
+        return d
+
+    return g, make_d
 
 
 def _profile_of(hp: HitProbs, tau: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """mu1 -> (I/tau at (mu1, mu2), mu2) with mu2 = clip(g(mu1), 0, 1), over an array:
-    the operations of _g_of and _mutual_info in their order, with numpy's exp and logs."""
+    the operations of _curves_of's g and _mutual_info in their order, with numpy's exp and logs."""
     (h1, h2, h3, h4), p1, p2, p3, p4 = hp.entropies(), hp.p1, hp.p2, hp.p3, hp.p4
     dp_13, dp_24, dh_13, dh_24 = p1 - p3, p2 - p4, h1 - h3, h2 - h4
 
@@ -316,12 +321,8 @@ def find_intersections(params: ChannelParams) -> IntersectionSearch:
     then one bisection per side recovers each sign change.  Out of regime the
     search still runs but the result is flagged unreliable.
     """
-    hp = hit_probs(params)
-    f, g = _f_of(hp), _g_of(hp)
-
-    def d(mu1: float) -> float:
-        return g(mu1) - f(mu1)
-
+    g, make_d = _curves_of(hit_probs(params))
+    d = make_d()
     m_star = _golden_min(d, 0.0, 1.0, 1e-14)
     roots: list[float] = []
     if d(m_star) <= 0.0:
@@ -362,11 +363,11 @@ def single_user_duty(a: float, lambda0: float, tau: float) -> float:
 def sufficiency_tests(params: ChannelParams) -> SufficiencyRecord:
     """Screens that settle the transmission strategy without the full solve."""
     hp = hit_probs(params)
-    f, g = _f_of(hp), _g_of(hp)
+    d = _curves_of(hp)[1]()
     mu1_solo = single_user_duty(params.a1, params.lambda0, params.tau)
     mu2_solo = single_user_duty(params.a2, params.lambda0, params.tau)
     return SufficiencyRecord(
-        single_user_sufficient=g(0.0) < f(0.0) and g(1.0) < f(1.0),
+        single_user_sufficient=d(0.0) < 0.0 and d(1.0) < 0.0,  # g < f, as d = g - f exactly
         adding_user2_helps=_grad(hp, mu1_solo, 0.0)[1] > 0.0,
         adding_user1_helps=_grad(hp, 0.0, mu2_solo)[0] > 0.0,
     )
@@ -531,7 +532,7 @@ def _entropy_many(q: np.ndarray) -> np.ndarray:
 
 
 class _CurvesMany(NamedTuple):
-    """Coefficients of f and g for many channels (see _f_of and _g_of)."""
+    """Coefficients of f and g for many channels (see _curves_of)."""
 
     slope: np.ndarray
     intercept: np.ndarray

@@ -13,7 +13,8 @@ exceeds this level the objective is Schur-convex (spreading duty to one user
 helps); below it, Schur-concave (balancing helps).  Because the level falls
 as a grows while the log-odds at the all-off corner is fixed, there is a peak
 threshold below which the whole unit square is on the concave side and the
-balanced pair always wins.
+balanced pair always wins.  The search for it runs on one closure of the
+level over a (_flip_of), which flip_log_odds calls once.
 
 Above the threshold the critical set p̂ = 1/(1+e^flip) is a short curve near
 the origin.  Writing lines of constant duty sum mu1 + mu2 = 2*s, the curve
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .channel import (
     ChannelParams,
@@ -47,7 +49,7 @@ from .channel import (
     hit_probs,
     _mutual_info,
 )
-from .siso import _bisect_root, _g_of
+from .siso import _bisect_root, _curves_of
 
 __all__ = [
     "SchurRegion",
@@ -129,10 +131,24 @@ def _sym_probs(a: float, lambda0: float, tau: float) -> tuple[float, float, floa
 
 
 def flip_log_odds(a: float, lambda0: float, tau: float) -> float:
-    """Log-odds level at which the majorization direction flips."""
-    p1, p2, p4 = _sym_probs(a, lambda0, tau)
-    num = 2.0 * binary_entropy(p2) - binary_entropy(p1) - binary_entropy(p4)
-    return num / (2.0 * p2 - p1 - p4)
+    """Log-odds level at which the majorization direction flips (_flip_of)."""
+    return _flip_of(lambda0, tau)(a)
+
+
+def _flip_of(lambda0: float, tau: float) -> Callable[[float], float]:
+    """a -> flip level for peaks a >= 0: p4 and h(p4) once, then the operations
+    of hit_prob and binary_entropy (h(0) = h(1) = 0) inline, in their order."""
+    p4 = hit_prob(lambda0, tau)
+    h4 = binary_entropy(p4)
+
+    def flip(a: float) -> float:
+        p1 = -math.expm1(-(2.0 * a + lambda0) * tau)
+        p2 = -math.expm1(-(a + lambda0) * tau)
+        h1 = 0.0 if p1 == 0.0 or p1 == 1.0 else -p1 * math.log(p1) - (1.0 - p1) * math.log1p(-p1)
+        h2 = 0.0 if p2 == 0.0 or p2 == 1.0 else -p2 * math.log(p2) - (1.0 - p2) * math.log1p(-p2)
+        return (2.0 * h2 - h1 - h4) / (2.0 * p2 - p1 - p4)
+
+    return flip
 
 
 def peak_threshold(
@@ -149,6 +165,7 @@ def peak_threshold(
     """
     p4 = hit_prob(lambda0, tau)
     target = entropy_slope(p4)
+    flip = _flip_of(lambda0, tau)
     cap = (math.log(2.0) / tau - lambda0) / 2.0
     if search_cap is not None:
         cap = min(cap, search_cap)
@@ -156,7 +173,7 @@ def peak_threshold(
         return ThresholdSearch(value=math.inf, found=False, search_cap=cap, residual=math.nan)
 
     def delta(a: float) -> float:
-        return flip_log_odds(a, lambda0, tau) - target
+        return flip(a) - target
 
     lo = min(lambda0, cap)
     while delta(lo) < 0.0 and lo > 1e-300:
@@ -232,7 +249,7 @@ def symmetric_fixed_point(a: float, lambda0: float, tau: float) -> float:
     solved by bisection to a residual below 1e-12.
     """
     params = ChannelParams(a, a, lambda0, tau)
-    g = _g_of(hit_probs(params))
+    g = _curves_of(hit_probs(params))[0]
 
     def resid(mu: float) -> float:
         return mu - g(mu)

@@ -373,6 +373,10 @@ class TestExitCodes:
             # Peaks far below the background: the continuous rate is rounding noise.
             ("sweep-peak", "--a1", "1e-20", "--a2", "1e-20", "--tau", "0"),
             ("converge", "--a1", "1e-10", "--a2", "1e-10", "--taus", "1e-3"),
+            # A peak that underflows against the background: the continuous
+            # profile overflows, and no numpy warning may precede the error.
+            ("sweep-peak", "--a1", "1e-8", "--a2", "1e-320", "--lambda0", "30", "--tau", "0"),
+            ("converge", "--a1", "1e-8", "--a2", "1e-320", "--lambda0", "30", "--taus", "0.01"),
             # Valid weak signals: the single-user duty's entropy chord cancels
             # to a duty outside [0, 1] (-2.12 here), in one solve and in a batch.
             ("solve", "--a1", "1e-8", "--a2", "1e-8", "--lambda0", "1", "--tau", "0.1"),

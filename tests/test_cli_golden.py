@@ -568,6 +568,31 @@ CASES = [
         "a,lambda0,tau,flip_level,peak_threshold,axis_half_sum,diagonal_half_sum,fixed_point,capacity,schur_mode\n"
         "2,0.001,0.001,698.380529117,128.578379433,nan,nan,0.266931787676,0.863268822479,GloballySchurConcave\n",
     ),
+    # The scalar search kernels: a peak below its threshold (no boundary),
+    # a threshold search that finds no sign change below its cap, and a
+    # root of g - f whose mu2 leaves the unit interval.  A seeded search of
+    # 200,000 channels found none with two in-box roots.
+    (
+        "symmetric --a 1 --tau 0.02",
+        0,
+        "# command=symmetric a=1 lambda0=0.001 tau=0.02\n"
+        "a,lambda0,tau,flip_level,peak_threshold,axis_half_sum,diagonal_half_sum,fixed_point,capacity,schur_mode\n"
+        "1,0.001,0.02,73.8560229443,8.57256676439,nan,nan,0.267813194368,0.427963808019,GloballySchurConcave\n",
+    ),
+    (
+        "symmetric --a 1 --lambda0 0.1 --tau 0.1",
+        0,
+        "# command=symmetric a=1 lambda0=0.1 tau=0.1\n"
+        "a,lambda0,tau,flip_level,peak_threshold,axis_half_sum,diagonal_half_sum,fixed_point,capacity,schur_mode\n"
+        "1,0.1,0.1,14.179983181,inf,nan,nan,0.317074308285,0.309943152432,GloballySchurConcave\n",
+    ),
+    (
+        "intersections --a1 1 --a2 0.5 --lambda0 0.001 --tau 0.23089513009991516",
+        0,
+        "# command=intersections a1=1 a2=0.5 lambda0=0.001 tau=0.2308951301 reliable=true\n"
+        "mu1,mu2,valid\n"
+        "0.383037731088,0,false\n",
+    ),
 ]
 
 

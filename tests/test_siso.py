@@ -5,6 +5,7 @@ import dataclasses
 import math
 import random
 import signal
+import types
 
 import numpy as np
 import pytest
@@ -114,6 +115,74 @@ class TestCurves:
             x, y = rng.random(), rng.random()
             mid = g_mac(params, 0.5 * (x + y))
             assert mid <= 0.5 * (g_mac(params, x) + g_mac(params, y)) + 1e-14
+
+
+def outcome(fn, *args):
+    """repr of fn(*args), or the name of the ArithmeticError it raises: equal
+    outcomes are the same double (NaN and -0.0 included) or the same error."""
+    try:
+        return repr(fn(*args))
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+class TestScalarKernel:
+    """The one-closure d = g - f that find_intersections and sufficiency_tests run."""
+
+    @staticmethod
+    def d_at(params, mu1):
+        return siso._curves_of(hit_probs(params))[1]()(mu1)
+
+    def channels(self):
+        rng = random.Random(1313)
+        for _ in range(150):
+            yield random_in_regime(rng)
+        for _ in range(150):  # out of regime, up to 30x the bound
+            a1, a2, lam0 = 10 ** rng.uniform(-2, 3), 10 ** rng.uniform(-2, 3), 10 ** rng.uniform(-4, 0)
+            yield ChannelParams(a1, a2, lam0, rng.uniform(1.0, 30.0) * math.log(2) / (a1 + a2 + lam0))
+        # Saturated: hit levels round to 1 or to the background's, so den = 0
+        # at an end of [0, 1] and the line's v is 0.
+        yield from (ChannelParams(1000.0, 1000.0, 0.001, 1.0), ChannelParams(50.0, 1e-20, 0.001, 1.0))
+        yield ChannelParams(1e-8, 1e-20, 1.0, 0.1)
+
+    def test_d_is_g_minus_f_to_the_bit(self):
+        rng = random.Random(1314)
+        points = [0.0, 1.0, 0.5, 1e-300, 1.0 - 2**-53, math.nan, math.inf, -math.inf]
+        for params in self.channels():
+            for x in points + [rng.random() for _ in range(8)]:
+                assert outcome(self.d_at, params, x) == outcome(
+                    lambda x: g_mac(params, x) - f_mac(params, x), x
+                ), (params, x)
+
+    def test_g_stays_defined_where_the_line_is_not(self):
+        params = ChannelParams(1000.0, 1000.0, 0.001, 1.0)
+        assert outcome(self.d_at, params, 0.5) == "ZeroDivisionError"
+        assert math.isfinite(g_mac(params, 0.5))
+
+    def test_nan_exponent_stays_nan(self):
+        # min(e, 700.0) keeps a NaN exponent in g; e if e < 700.0 else 700.0
+        # would not.  Only levels that are no channel's give one with finite
+        # den, and there f is NaN as well, so d is NaN either way.
+        hp = hit_probs(FIG2)
+        h1, h2, _, h4 = hp.entropies()
+        fake = types.SimpleNamespace(p1=hp.p1, p2=hp.p2, p3=hp.p3, p4=hp.p4, entropies=lambda: (h1, h2, math.nan, h4))
+        g, make_d = siso._curves_of(fake)
+        u, v, w = siso._line((hp.p1, hp.p2, hp.p3, hp.p4), fake.entropies())
+        for x in (0.0, 0.3, 1.0):
+            assert math.isnan(g(x)) and math.isnan(make_d()(x))
+            assert outcome(make_d(), x) == outcome(lambda x: g(x) - (u / v * x + w / v), x)
+
+    def test_single_user_screen_reads_g_below_f(self):
+        screens = []
+        for params in self.channels():
+            try:
+                record = sufficiency_tests(params)
+            except (ArithmeticError, ValueError):
+                continue
+            g_below_f = g_mac(params, 0.0) < f_mac(params, 0.0) and g_mac(params, 1.0) < f_mac(params, 1.0)
+            screens.append(record.single_user_sufficient)
+            assert record.single_user_sufficient == g_below_f, params
+        assert len(set(screens)) == 2
 
 
 class TestIntersections:
@@ -607,11 +676,12 @@ def wall_bound(seconds):
 
 
 def curves_of(channels):
-    """The batch's curves for a list of channels, with each one's scalar g - f."""
+    """The batch's curves for a list of channels, with each one's scalar g - f:
+    the d that find_intersections runs."""
     hps = [hit_probs(c) for c in channels]
     p = tuple(np.array([getattr(hp, k) for hp in hps]) for k in ("p1", "p2", "p3", "p4"))
     curves = siso._curves_many(p, tuple(siso._entropy_many(q) for q in p))
-    return curves, [lambda x, f=siso._f_of(hp), g=siso._g_of(hp): g(x) - f(x) for hp in hps]
+    return curves, [siso._curves_of(hp)[1]() for hp in hps]
 
 
 def in_regime_row(a1, a2_values, fraction=0.8):

@@ -8,6 +8,7 @@ import pytest
 from poisson_mac.channel import (
     ChannelParams,
     DutyPair,
+    binary_entropy,
     entropy_slope,
     hit_prob,
     mutual_info,
@@ -15,6 +16,7 @@ from poisson_mac.channel import (
 from poisson_mac.continuous import ContinuousParams, cont_capacity
 from poisson_mac.gridsearch import GridSpec, grid_capacity
 from poisson_mac.siso import single_user_duty, solve
+from poisson_mac import symmetric
 from poisson_mac.symmetric import (
     SchurMode,
     SchurRegion,
@@ -33,6 +35,22 @@ TAU = 0.02
 
 def dark_log_odds(lambda0: float, tau: float) -> float:
     return entropy_slope(hit_prob(lambda0, tau))
+
+
+def flip_three_calls(a: float, lambda0: float, tau: float) -> float:
+    """The flip level as three hit_prob and three binary_entropy calls: the
+    reference the one-closure level must match to the last bit."""
+    p1, p2, p4 = hit_prob(2.0 * a + lambda0, tau), hit_prob(a + lambda0, tau), hit_prob(lambda0, tau)
+    num = 2.0 * binary_entropy(p2) - binary_entropy(p1) - binary_entropy(p4)
+    return num / (2.0 * p2 - p1 - p4)
+
+
+def outcome(fn, *args):
+    """repr of fn(*args) (so NaN equals NaN), or the name of the ArithmeticError it raises."""
+    try:
+        return repr(fn(*args))
+    except ArithmeticError as exc:
+        return type(exc).__name__
 
 
 class TestFlipLevel:
@@ -63,6 +81,27 @@ class TestFlipLevel:
         upper = 1.0 / p4 + math.log((1 - p4) / p4)
         for a in (0.01, 1.0, 5.0, 10.0, 17.0):
             assert lower < flip_log_odds(a, LAMBDA0, TAU) < upper
+
+    def test_closure_matches_three_call_formula_to_the_bit(self):
+        rng = random.Random(1315)
+        cases = [(10 ** rng.uniform(-5, 1), 10 ** rng.uniform(-3, 0.5)) for _ in range(60)]
+        # p4 = 0 (lambda0 * tau underflows) and hit levels that round to 1.
+        cases += [(1e-300, 1e-300), (1e-200, 1e-150), (1e-3, 1.0), (1e-3, 1e3)]
+        for lambda0, tau in cases:
+            flip = symmetric._flip_of(lambda0, tau)
+            cap = max((math.log(2.0) / tau - lambda0) / 2.0, 1e-3)
+            peaks = [10 ** rng.uniform(-8, math.log10(40.0 * cap)) for _ in range(40)] + [0.0, 1e6, 1e300]
+            for a in peaks:
+                want = outcome(flip_three_calls, a, lambda0, tau)
+                assert outcome(flip, a) == outcome(flip_log_odds, a, lambda0, tau) == want, (a, lambda0, tau)
+
+    def test_saturated_levels_take_zero_entropy(self):
+        # p1 = p2 = 1: h(1) = 0 by binary_entropy's rule, not log1p(-1).
+        assert hit_prob(1e6, 1.0) == 1.0
+        assert flip_log_odds(1e6, 1e-3, 1.0) == flip_three_calls(1e6, 1e-3, 1.0) < 0.0
+        assert hit_prob(1e-300, 1e-300) == 0.0  # p4 = 0
+        for a in (1e290, 1e298):
+            assert flip_log_odds(a, 1e-300, 1e-300) == flip_three_calls(a, 1e-300, 1e-300) > 0.0
 
     def test_agrees_with_general_cross_ratio_at_equal_peaks(self):
         from poisson_mac.channel import hit_probs
