@@ -128,16 +128,21 @@ def _parse_floats(args: argparse.Namespace, name: str) -> list[float]:
     return values
 
 
+def _check_positive(name: str, values: list[float], text: str) -> None:
+    """Refuse a non-finite value, then a non-positive one, quoting the typed text."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must be finite, got '{text}'")
+    if not all(v > 0.0 for v in values):
+        raise ValueError(f"{name} must be positive, got '{text}'")
+
+
 def _parse_peaks(args: argparse.Namespace, name: str) -> tuple[float, ...]:
     """A list of antenna peaks, each finite and positive, with a finite sum."""
     peaks = _parse_floats(args, name)
     text = _require(args, name)
     if len(peaks) > MAX_ANTENNAS:
         raise ValueError(f"{name} supports at most {MAX_ANTENNAS} antennas, got '{text}'")
-    if not all(math.isfinite(p) for p in peaks):
-        raise ValueError(f"{name} must be finite, got '{text}'")
-    if not all(p > 0.0 for p in peaks):
-        raise ValueError(f"{name} must be positive, got '{text}'")
+    _check_positive(name, peaks, text)
     if not math.isfinite(sum(peaks)):  # the summed peak is the user's a1 or a2
         raise ValueError(f"the sum of {name} must be finite, got '{text}'")
     return tuple(peaks)
@@ -267,14 +272,18 @@ def _cmd_sweep_region(args: argparse.Namespace) -> Steps:
     a2_values = _parse_range(args, "a2")
     _check_size("a1 x a2", len(a1_values) * len(a2_values))
     tau_flag = _merged(args, "tau")
-    tau_scale = _flag(args, "tau-scale", 0.8)
-    rule = regime_fraction_rule(tau_scale, lambda0) if tau_flag is None else _number(tau_flag, "tau")
+    if tau_flag is None:  # the scale rule is in use, so its flag is checked
+        text = str(_merged(args, "tau-scale", 0.8))
+        tau_scale = _number(text, "tau-scale")
+        _check_positive("tau-scale", [tau_scale], text)
+        rule, tau_meta = regime_fraction_rule(tau_scale, lambda0), f"scale:{_fmt(tau_scale)}"
+    else:
+        rule, tau_meta = _number(tau_flag, "tau"), tau_flag
     tau_of = rule if callable(rule) else lambda a1, a2: rule
     yield lambda: all(
         ChannelParams(a1, a2, lambda0, tau_of(a1, a2)).in_regime for a1 in a1_values for a2 in a2_values
     )
     labels = sweep_strategy_region(a1_values, a2_values, lambda0, rule)
-    tau_meta = tau_flag if tau_flag is not None else f"scale:{_fmt(tau_scale)}"
     meta = {"a1": _require(args, "a1"), "a2": _require(args, "a2"), "lambda0": lambda0, "tau": tau_meta}
     rows = ((a1, a2, label.value) for a1, line in zip(a1_values, labels) for a2, label in zip(a2_values, line))
     yield meta, ("a1", "a2", "strategy"), rows
@@ -308,8 +317,7 @@ def _cmd_converge(args: argparse.Namespace) -> Steps:
     a2 = _flag(args, "a2")
     lambda0 = _lambda0(args)
     taus = _parse_floats(args, "taus")
-    if any(t <= 0 for t in taus):
-        raise ValueError("taus must all be positive for converge")
+    _check_positive("taus", taus, _require(args, "taus"))
     yield lambda: all(ChannelParams(a1, a2, lambda0, tau).in_regime for tau in taus)
     report = convergence_report(a1, a2, lambda0, taus)
     meta = {"a1": a1, "a2": a2, "lambda0": lambda0, "taus": _require(args, "taus")}

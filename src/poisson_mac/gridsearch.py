@@ -9,9 +9,7 @@ exhaustively scans the one-parameter family of joint PMFs that share given
 marginals (two antennas per user), which brackets the staircase construction.
 
 The grid maximiser, _grid_max, takes any vectorized objective (the tests
-run it on the continuous rate too).  Full grids are evaluated in blocks of
-about BLOCK_CELLS cells, so that an objective's temporaries stay in cache;
-elementwise arithmetic gives the same bits on a block as on the whole grid.
+run it on the continuous rate too).
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable
 
 from ._numpy import np
 from .channel import ChannelParams, DutyPair, HitProbs, _grad_terms, _weights, hit_probs, mutual_info
@@ -36,10 +34,6 @@ __all__ = [
 ]
 
 SAFETY_FACTOR = 1.5
-# Cells per row block of a full-grid pass: 512 KB per float64 temporary, so
-# an objective's few live temporaries fit a 2 MB L2 cache.  On a 1001 x 1001
-# grid, blocks of 16k-64k cells ran fastest of 8k to 1M (see CHANGES.md).
-BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,12 +76,10 @@ class GridResult:
 
     @cached_property
     def gradient_bound(self) -> float:
-        """SAFETY_FACTOR times the largest gradient norm on the coarse grid,
-        taken block by block like the coarse pass."""
+        """SAFETY_FACTOR times the largest gradient norm on the coarse grid."""
         hp, tau = hit_probs(self.params), self.params.tau
         g = _axis(0.0, 1.0, self.spec.step)
-        peaks = [np.max(_grad_norm_grid(hp, tau, g[rows, None], g[None, :])) for rows in _row_blocks(g.size)]
-        return SAFETY_FACTOR * float(np.max(peaks))
+        return SAFETY_FACTOR * float(np.max(_grad_norm_grid(hp, tau, g[:, None], g[None, :])))
 
     @property
     def error_bound(self) -> float:
@@ -95,7 +87,10 @@ class GridResult:
 
 
 def _rate_grid(hp: HitProbs, tau: float, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Vectorized I/tau over broadcastable duty arrays."""
+    """Vectorized I/tau over broadcastable duty arrays, with _entropy_arr's 0
+    outside (0, 1) where the profile and the batch give NaN: on saturated
+    channels (ChannelParams(1, 0.1, 10, 5)) the slot probability rounds an ulp
+    above 1, and a NaN cell would win _grid_max's argmax."""
     h1, h2, h3, h4 = hp.entropies()
     w = _weights(m1, m2)
     ph = w[0] * hp.p1 + w[1] * hp.p2 + w[2] * hp.p3 + w[3] * hp.p4
@@ -117,12 +112,6 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     lo, hi = max(lo, 0.0), min(hi, 1.0)
     n = max(1, int(round((hi - lo) / step)))
     return np.linspace(lo, hi, n + 1)
-
-
-def _row_blocks(n: int) -> Iterator[slice]:
-    """Slices of the rows of an n x n grid, about BLOCK_CELLS cells each."""
-    rows = max(1, BLOCK_CELLS // n)
-    return (slice(lo, lo + rows) for lo in range(0, n, rows))
 
 
 def _local_peaks(values: np.ndarray, g: np.ndarray, sep: float, count: int) -> list[tuple[float, float, float]]:
@@ -148,8 +137,7 @@ def _grid_max(
     """Largest rate(mu1, mu2) on the duty square, by grid search with refinement.
 
     rate is vectorized and gets broadcast axes, a column of mu1 against a row
-    of mu2.  The full pass at spec.step calls it once per row block (see
-    _row_blocks), writing into one values array, and keeps TOP_CELLS
+    of mu2.  The full pass at spec.step is one call, and keeps TOP_CELLS
     separated incumbents (only the best cell when there is nothing to
     refine), so close rival maxima cannot shake the search off the global
     one.  Each of the spec.refine_rounds rounds scans 1.5 old steps around
@@ -157,9 +145,7 @@ def _grid_max(
     strictly better cell.  Of equal final values the earliest incumbent wins.
     """
     g = _axis(0.0, 1.0, spec.step)
-    values = np.empty((g.size, g.size))
-    for rows in _row_blocks(g.size):
-        values[rows] = rate(g[rows, None], g[None, :])
+    values = rate(g[:, None], g[None, :])
     count = TOP_CELLS if spec.refine_rounds else 1
     incumbents = _local_peaks(values, g, 3.0 * spec.step, count)
     step = spec.step

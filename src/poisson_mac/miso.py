@@ -162,7 +162,8 @@ def subset_rates(peaks: Sequence[float]) -> np.ndarray:
 
 
 def _entropy_arr(q: np.ndarray) -> np.ndarray:
-    if q.size and q.min() > 0.0 and q.max() < 1.0:  # nothing to mask; else 0 outside (0, 1) and at NaN
+    """Binary entropy in nats, elementwise: 0 outside (0, 1) and at NaN, the grid oracle's convention."""
+    if q.size and q.min() > 0.0 and q.max() < 1.0:  # nothing to mask
         return -q * np.log(q) - (1.0 - q) * np.log1p(-q)
     out = np.zeros_like(q)
     inside = (q > 0.0) & (q < 1.0)

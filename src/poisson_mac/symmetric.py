@@ -66,7 +66,6 @@ __all__ = [
     "solve_symmetric",
 ]
 
-THRESHOLD_TOL = 1e-10
 FIXED_POINT_TOL = 1e-12
 
 
@@ -132,6 +131,8 @@ def _sym_probs(a: float, lambda0: float, tau: float) -> tuple[float, float, floa
 
 def flip_log_odds(a: float, lambda0: float, tau: float) -> float:
     """Log-odds level at which the majorization direction flips (_flip_of)."""
+    if a < 0.0:
+        raise ValueError(f"a must be nonnegative, got {a}")
     return _flip_of(lambda0, tau)(a)
 
 

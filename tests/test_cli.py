@@ -17,6 +17,8 @@ from poisson_mac.cli import main
 
 GOLDEN_CASES = runpy.run_path(str(Path(__file__).with_name("test_cli_golden.py")))["CASES"]
 GOLDEN = {argv: (code, expected) for argv, code, expected in GOLDEN_CASES}
+# A 2 x 2 sweep-region without a dead-time flag.
+REGION = ("sweep-region", "--a1", "1:3", "--a2", "1:3", "--cells", "2")
 
 
 def run(tmp_path, *argv):
@@ -267,6 +269,8 @@ class TestExitCodes:
             (("symmetric", "--a", "inf", "--tau", "0.02"), "a"),
             # Each peak is finite, but the summed peak a1 overflows.
             (("solve-miso", "--peaks1", "1e308,1e308", "--peaks2", "6", "--tau", "0.02"), "peaks1"),
+            (("converge", "--a1", "10", "--a2", "12", "--taus", "inf"), "taus"),
+            ((*REGION, "--tau-scale", "nan"), "tau-scale"),
         ],
     )
     def test_non_finite_input_is_validation_error(self, tmp_path, capsys, argv, field):
@@ -335,6 +339,25 @@ class TestExitCodes:
         assert code == 2
         assert text == ""
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((*REGION, "--tau-scale", "-1"), "tau-scale must be positive, got '-1'"),
+            ((*REGION, "--tau-scale", "0"), "tau-scale must be positive, got '0'"),
+            ((*REGION, "--tau-scale", "inf"), "tau-scale must be finite, got 'inf'"),
+            (("converge", "--a1", "10", "--a2", "12", "--taus", "0.01,nan"), "taus must be finite, got '0.01,nan'"),
+            (("converge", "--a1", "10", "--a2", "12", "--taus", "1e-3,0"), "taus must be positive, got '1e-3,0'"),
+        ],
+    )
+    def test_dead_time_errors_quote_the_typed_flag(self, tmp_path, capsys, argv, message):
+        code, text = run(tmp_path, *argv)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_fixed_tau_leaves_the_scale_unchecked(self, tmp_path):
+        assert run(tmp_path, *REGION, "--tau", "0.05", "--tau-scale", "-1") == run(tmp_path, *REGION, "--tau", "0.05")
 
     @pytest.mark.parametrize(
         "argv, message",

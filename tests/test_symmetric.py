@@ -103,6 +103,13 @@ class TestFlipLevel:
         for a in (1e290, 1e298):
             assert flip_log_odds(a, 1e-300, 1e-300) == flip_three_calls(a, 1e-300, 1e-300) > 0.0
 
+    def test_negative_peak_is_named(self):
+        with pytest.raises(ValueError, match=r"^a must be nonnegative, got -1$"):
+            flip_log_odds(-1, 0.001, 0.02)
+        # Small enough that every rate stays nonnegative, still rejected.
+        with pytest.raises(ValueError, match="^a must be nonnegative"):
+            flip_log_odds(-1e-6, 0.001, 0.02)
+
     def test_agrees_with_general_cross_ratio_at_equal_peaks(self):
         from poisson_mac.channel import hit_probs
 
