@@ -17,10 +17,15 @@ Every CSV starts with a '#' metadata line echoing all input parameters
 significant digits so identical inputs give byte-identical files.  Inputs
 can come from a flat key=value config file; command-line flags win.
 
-Each command is declared once, in COMMANDS.  main builds the parser from that
-table once per process, on its first call, then for each call applies
---strict and writes the CSV.  A sweep grid of more than MAX_GRID values, in
-one range or in all its rows, is refused before it is built.
+Each command is declared once, in COMMANDS.  main reads a well-formed command
+line, `command (--flag value | --strict)...` with every flag one of the
+command's own, spelled in full, and no value that begins with '-', straight
+from that table (_read_table), into the namespace argparse would give.  Any
+other command line, --help, a usage error, an abbreviated flag, --flag=value
+or a value such as -1e-3, goes to the argparse parser, which is built from
+the same table on first need and kept for the process.  Either way main then
+applies --strict and writes the CSV.  A sweep grid of more than MAX_GRID
+values, in one range or in all its rows, is refused before it is built.
 
 Importing this module does not import numpy (see _numpy.py): in regime,
 solve, intersections, symmetric and solve-miso run on the math module alone,
@@ -369,10 +374,40 @@ COMMANDS = {
 }
 
 
+# Each command's flags, as spelled on the command line, and their dests.
+_DESTS = {
+    name: {flag: flag[2:].replace("-", "_") for flag in COMMON_FLAGS | command.flags}
+    for name, command in COMMANDS.items()
+}
+
+
+def _read_table(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace argparse would give for argv when it is well formed:
+    `command (--flag value | --strict)...`, every flag one of the command's
+    own in full and no value beginning with '-' (argparse takes -3 as a value
+    but rejects -1e-3).  None for any other argv, which is argparse's to read,
+    help and usage errors included."""
+    if not argv or (dests := _DESTS.get(argv[0])) is None:
+        return None
+    values: dict[str, str | None] = dict.fromkeys(dests.values())
+    strict = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--strict":
+            strict = True
+        elif (dest := dests.get(token)) is None or (value := next(tokens, "-")).startswith("-"):
+            return None  # a flag at the end reads as a '-' value, and so goes to argparse too
+        else:
+            values[dest] = value  # the last occurrence wins, as in argparse
+    return argparse.Namespace(command=argv[0], strict=strict, **values)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built on first use and kept for the
-    process: building it costs more than an in-regime solve."""
+    """The parser of every command, for the command lines _read_table leaves
+    to it: help, usage errors, abbreviations, --flag=value and values that
+    begin with '-'.  Built on the first such call, not at import, and kept
+    for the process: building it costs more than an in-regime solve."""
     parser = argparse.ArgumentParser(
         prog="poisson-mac",
         description="Sum-rate capacity of the two-user dead-time-limited photon-counting channel",
@@ -398,7 +433,9 @@ def _drop_stdout() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if (args := _read_table(argv)) is None:
+        args = _build_parser().parse_args(argv)
     try:
         args.config_values = _read_config(args.config) if args.config else {}
         steps = COMMANDS[args.command].handler(args)

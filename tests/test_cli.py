@@ -1,5 +1,6 @@
 """Command-line front end: schemas, determinism, config handling, exit codes."""
 
+import contextlib
 import io
 import json
 import os
@@ -566,16 +567,39 @@ class TestSymmetricAndConverge:
 
 
 class TestParserCache:
-    def test_main_builds_the_parser_once(self, tmp_path):
-        cli._build_parser.cache_clear()
-        for _ in range(5):
-            assert run(tmp_path, "solve", "--a1", "10", "--a2", "12", "--tau", "0.02")[0] == 0
-            assert run(tmp_path, "symmetric", "--a", "10", "--tau", "0.02")[0] == 0
-        assert cli._build_parser.cache_info().misses == 1
+    def test_main_builds_the_parser_once(self, tmp_path, capsys):
+        # Well-formed calls are read from the command table and build no
+        # parser; the first help or usage error builds it, once.
+        for first in (["solve", "--help"], ["solve", "--a1"]):
+            cli._build_parser.cache_clear()
+            for _ in range(5):
+                assert run(tmp_path, "solve", "--a1", "10", "--a2", "12", "--tau", "0.02")[0] == 0
+                assert run(tmp_path, "symmetric", "--a", "10", "--tau", "0.02", "--strict")[0] == 0
+            assert cli._build_parser.cache_info().currsize == 0
+            for argv in (first, ["solve", "--help"], ["symmetric", "--a", "10", "--tau=0.02", "--no-such-flag"]):
+                with pytest.raises(SystemExit):
+                    main(argv)
+                assert run(tmp_path, "solve", "--a1", "10", "--a2", "12", "--tau", "0.02")[0] == 0
+            assert cli._build_parser.cache_info().misses == 1
+        capsys.readouterr()
 
     def test_import_builds_no_parser(self):
         code = "import poisson_mac.cli as cli; print(cli._build_parser.cache_info().currsize)"
         assert fresh_python(code).stdout == "0\n"
+
+    def test_module_run_builds_no_parser_for_a_well_formed_line(self):
+        # `python -m poisson_mac.cli ...` reads sys.argv (main's argv=None);
+        # sys.exit is replaced to read the run module's parser cache at exit.
+        code = (
+            "import runpy, sys\n"
+            "def exit(status):\n"
+            "    print(status, sys._getframe(1).f_globals['_build_parser'].cache_info().currsize)\n"
+            "sys.exit = exit\n"
+            "runpy.run_module('poisson_mac.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        argv = "solve --a1 10 --a2 12 --tau 0.02"
+        out = fresh_python(code, *argv.split()).stdout
+        assert out == GOLDEN["solve --a1 10 --a2 12 --lambda0 0.001 --tau 0.02"][1] + "0 0\n"
 
     def test_errors_and_help_leave_the_parser_as_built(self, tmp_path, capsys):
         cli._build_parser.cache_clear()
@@ -605,6 +629,80 @@ class TestParserCache:
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
         assert "--strict" in texts[0]
+
+
+def argparse_vars(argv):
+    """vars() of the parser's namespace for argv, or the exit it raised."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return f"exit {exc.code}"
+
+
+def table_read(argv):
+    """The command table's namespace for argv, checked against argparse's."""
+    args = cli._read_table(argv)
+    if args is not None:
+        assert vars(args) == argparse_vars(argv), argv
+    return args
+
+
+# The golden command lines that argparse reads: a value beginning with '-'
+# and --flag=value.
+ARGPARSE_GOLDEN = {
+    "solve --a1 -3 --a2 12 --tau 0.02",
+    "sweep-peak --a1 1e-20 --a2=1e-20:-1 --cells 2 --tau 0",
+}
+ALL_FLAGS = sorted({"--strict", *cli.COMMON_FLAGS, *(f for c in cli.COMMANDS.values() for f in c.flags)})
+VALUES = ["10", "0.02", "1:3", "5,5", "1e-3,0", "solve", "x"]
+HOSTILE = ["-", "--", "-3", "-1e-3", "-inf", "-h", "--help", "--ta", "--a1=3", "", "--grid-step", "--strict"]
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("argv", list(GOLDEN))
+    def test_golden_command_lines(self, argv):
+        paths = {"cfg": "run.cfg", "badcfg": "bad.cfg", "missing": "missing.cfg", "out": "out.csv"}
+        args = table_read([token.format(**paths) for token in argv.split()])
+        assert (args is None) == (argv in ARGPARSE_GOLDEN)
+
+    def test_golden_argparse_lines_are_golden(self):
+        assert ARGPARSE_GOLDEN <= set(GOLDEN)
+
+    def test_any_command_line_reads_as_argparse_does(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @st.composite
+        def argvs(draw):
+            command = draw(st.sampled_from([*cli.COMMANDS, "", "-h", "--strict"]))
+            own = sorted(cli.COMMON_FLAGS | cli.COMMANDS[command].flags) if command in cli.COMMANDS else ALL_FLAGS
+            argv = [command]
+            for _ in range(draw(st.integers(0, 6))):
+                kind = draw(st.integers(0, 9))
+                if kind < 5:  # one of the command's own flags, with a value
+                    argv += [draw(st.sampled_from(own)), draw(st.sampled_from(VALUES))]
+                elif kind == 5:
+                    argv.append("--strict")
+                elif kind == 6:  # a flag of any command
+                    argv += [draw(st.sampled_from(ALL_FLAGS)), draw(st.sampled_from(VALUES))]
+                elif kind == 7:  # a hostile value
+                    argv += [draw(st.sampled_from(own)), draw(st.sampled_from(HOSTILE))]
+                elif kind == 8:
+                    argv.append(draw(st.sampled_from(HOSTILE)))
+                else:  # a flag with no value
+                    argv.append(draw(st.sampled_from(own)))
+            return argv
+
+        taken = []
+
+        @settings(derandomize=True, deadline=None, max_examples=120, database=None)
+        @given(argvs())
+        def check(argv):
+            taken.append(table_read(argv) is not None)
+
+        check()
+        assert 0.2 < sum(taken) / len(taken) < 0.8
 
 
 # Runs each argv through main in one fresh interpreter; prints a JSON object
