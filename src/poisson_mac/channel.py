@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "ChannelParams",
@@ -140,13 +141,10 @@ class HitProbs:
     p3: float
     p4: float
 
+    @cached_property
     def entropies(self) -> tuple[float, float, float, float]:
-        return (
-            binary_entropy(self.p1),
-            binary_entropy(self.p2),
-            binary_entropy(self.p3),
-            binary_entropy(self.p4),
-        )
+        """binary_entropy of p1..p4, computed once per instance."""
+        return tuple(map(binary_entropy, (self.p1, self.p2, self.p3, self.p4)))
 
 
 @dataclass(frozen=True)
@@ -198,7 +196,7 @@ def mutual_info(params: ChannelParams, duty: DutyPair) -> float:
 def _mutual_info(hp: HitProbs, mu1: float, mu2: float) -> float:
     w = _weights(mu1, mu2)
     ph = w[0] * hp.p1 + w[1] * hp.p2 + w[2] * hp.p3 + w[3] * hp.p4
-    h1, h2, h3, h4 = hp.entropies()
+    h1, h2, h3, h4 = hp.entropies
     return binary_entropy(ph) - (w[0] * h1 + w[1] * h2 + w[2] * h3 + w[3] * h4)
 
 
@@ -219,7 +217,7 @@ def _grad_terms(hp: HitProbs, mu1, mu2) -> tuple:
     c_k and e_k are the hit-probability and entropy chords along mu_k and ph
     is the slot hit probability; mu1, mu2 are floats or broadcastable arrays.
     """
-    h1, h2, h3, h4 = hp.entropies()
+    h1, h2, h3, h4 = hp.entropies
     c1 = mu2 * (hp.p1 - hp.p2) + (1.0 - mu2) * (hp.p3 - hp.p4)
     c2 = mu1 * (hp.p1 - hp.p3) + (1.0 - mu1) * (hp.p2 - hp.p4)
     e1 = mu2 * (h1 - h2) + (1.0 - mu2) * (h3 - h4)
@@ -244,7 +242,7 @@ def hessian_mutual_info(
     which is exactly why the objective is not concave in general.
     """
     hp = hit_probs(params)
-    h1, h2, h3, h4 = hp.entropies()
+    h1, h2, h3, h4 = hp.entropies
     c1, c2, _, _, ph = _grad_terms(hp, duty.mu1, duty.mu2)
     var = ph * (1.0 - ph)
     dcross_p = hp.p1 - hp.p2 - hp.p3 + hp.p4

@@ -91,7 +91,7 @@ def _rate_grid(hp: HitProbs, tau: float, m1: np.ndarray, m2: np.ndarray) -> np.n
     outside (0, 1) where the profile and the batch give NaN: on saturated
     channels (ChannelParams(1, 0.1, 10, 5)) the slot probability rounds an ulp
     above 1, and a NaN cell would win _grid_max's argmax."""
-    h1, h2, h3, h4 = hp.entropies()
+    h1, h2, h3, h4 = hp.entropies
     w = _weights(m1, m2)
     ph = w[0] * hp.p1 + w[1] * hp.p2 + w[2] * hp.p3 + w[3] * hp.p4
     mix = w[0] * h1 + w[1] * h2 + w[2] * h3 + w[3] * h4

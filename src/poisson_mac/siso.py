@@ -26,6 +26,9 @@ numpy's exp, log and log1p, _profile_of), found by _profile_max_many, which
 maximises lanes of profiles at once: solve runs one lane, and
 continuous.cont_capacity_many runs a lane per continuous row.
 
+solve builds a channel's set-up once for private cores; find_intersections,
+sufficiency_tests and single_user_duty are wrappers over the same cores.
+
 solve_many runs the same enumeration over arrays of channels at once, with
 results identical to solve lane by lane, because its in-regime lanes call the
 math module lane by lane for every exp and log; the sweeps are built on it.
@@ -192,7 +195,7 @@ class SolveBatch:
 def uvw(params: ChannelParams) -> LineCoefficients:
     """Line coefficients of the both-active stationarity locus."""
     hp = hit_probs(params)
-    return LineCoefficients(*_line((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies()))
+    return LineCoefficients(*_line((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies))
 
 
 def _line(p: tuple, h: tuple) -> tuple:
@@ -223,7 +226,7 @@ def _curves_of(hp: HitProbs) -> tuple[Callable[[float], float], Callable[[], Cal
     d repeats g's operations inline, so d(x) is g(x) - f(x) to the last bit,
     NaN too (700.0 if 700.0 < e else e is min(e, 700.0)).  It is made on
     demand: f divides by the line's v, which is 0 where g is still defined."""
-    (h1, h2, h3, h4), p1, p2, p3, p4 = hp.entropies(), hp.p1, hp.p2, hp.p3, hp.p4
+    (h1, h2, h3, h4), p1, p2, p3, p4 = hp.entropies, hp.p1, hp.p2, hp.p3, hp.p4
     dp_13, dp_24, dh_13, dh_24 = p1 - p3, p2 - p4, h1 - h3, h2 - h4
 
     def g(mu1: float) -> float:
@@ -252,7 +255,7 @@ def _curves_of(hp: HitProbs) -> tuple[Callable[[float], float], Callable[[], Cal
 def _profile_of(hp: HitProbs, tau: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """mu1 -> (I/tau at (mu1, mu2), mu2) with mu2 = clip(g(mu1), 0, 1), over an array:
     the operations of _curves_of's g and _mutual_info in their order, with numpy's exp and logs."""
-    (h1, h2, h3, h4), p1, p2, p3, p4 = hp.entropies(), hp.p1, hp.p2, hp.p3, hp.p4
+    (h1, h2, h3, h4), p1, p2, p3, p4 = hp.entropies, hp.p1, hp.p2, hp.p3, hp.p4
     dp_13, dp_24, dh_13, dh_24 = p1 - p3, p2 - p4, h1 - h3, h2 - h4
 
     def profile(mu1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +325,10 @@ def find_intersections(params: ChannelParams) -> IntersectionSearch:
     search still runs but the result is flagged unreliable.
     """
     g, make_d = _curves_of(hit_probs(params))
-    d = make_d()
+    return _intersections(g, make_d(), params.in_regime)
+
+
+def _intersections(g: Callable, d: Callable, reliable: bool) -> IntersectionSearch:
     m_star = _golden_min(d, 0.0, 1.0, 1e-14)
     roots: list[float] = []
     if d(m_star) <= 0.0:
@@ -341,19 +347,20 @@ def find_intersections(params: ChannelParams) -> IntersectionSearch:
             points.append(DutyPair(min(max(r, 0.0), 1.0), min(max(mu2, 0.0), 1.0)))
         else:
             rejected.append(DutyPair(min(max(r, 0.0), 1.0), min(max(mu2, 0.0), 1.0)))
-    return IntersectionSearch(
-        points=tuple(points), rejected=tuple(rejected), reliable=params.in_regime
-    )
+    return IntersectionSearch(points=tuple(points), rejected=tuple(rejected), reliable=reliable)
 
 
 def single_user_duty(a: float, lambda0: float, tau: float) -> float:
     """Closed-form optimal duty cycle when one user at peak rate a transmits alone.
     ArithmeticError if rounding puts it outside [0, 1]."""
-    p_on = hit_prob(a + lambda0, tau)
-    p_off = hit_prob(lambda0, tau)
+    p_on, p_off = hit_prob(a + lambda0, tau), hit_prob(lambda0, tau)
+    return _solo_duty(p_on, p_off, binary_entropy(p_on), binary_entropy(p_off))
+
+
+def _solo_duty(p_on: float, p_off: float, h_on: float, h_off: float) -> float:
     if p_on == p_off:
         return 0.0  # the hit levels saturate alike: every duty has rate 0
-    chord = (binary_entropy(p_on) - binary_entropy(p_off)) / (p_on - p_off)
+    chord = (h_on - h_off) / (p_on - p_off)
     duty = (1.0 / (1.0 + math.exp(min(chord, 700.0))) - p_off) / (p_on - p_off)
     if not 0.0 <= duty <= 1.0:  # peaks far below the background: both differences cancel
         raise ArithmeticError(f"the single-user duty {duty:.3g} is outside [0, 1]: its entropy chord cancelled")
@@ -365,7 +372,10 @@ def sufficiency_tests(params: ChannelParams) -> SufficiencyRecord:
     hp = hit_probs(params)
     d = _curves_of(hp)[1]()
     mu1_solo = single_user_duty(params.a1, params.lambda0, params.tau)
-    mu2_solo = single_user_duty(params.a2, params.lambda0, params.tau)
+    return _sufficiency(hp, d, mu1_solo, single_user_duty(params.a2, params.lambda0, params.tau))
+
+
+def _sufficiency(hp: HitProbs, d: Callable, mu1_solo: float, mu2_solo: float) -> SufficiencyRecord:
     return SufficiencyRecord(
         single_user_sufficient=d(0.0) < 0.0 and d(1.0) < 0.0,  # g < f, as d = g - f exactly
         adding_user2_helps=_grad(hp, mu1_solo, 0.0)[1] > 0.0,
@@ -439,8 +449,11 @@ def solve(params: ChannelParams) -> SolveReport:
     rests on those last bits; another CPU may differ there.
     """
     hp = hit_probs(params)
+    g, make_d = _curves_of(hp)
+    d = None  # make_d raises where the line's v is 0, and again for the screens below
     try:
-        inter = find_intersections(params)
+        d = make_d()
+        inter = _intersections(g, d, params.in_regime)
     except (ArithmeticError, ValueError):
         # Saturated hit levels break the curve algebra; that only happens far
         # out of regime, where the profile below carries the result.
@@ -459,10 +472,9 @@ def solve(params: ChannelParams) -> SolveReport:
             candidates.append(
                 Candidate(DutyPair(0.0, 0.0), both_scen[slot], 0.0, valid=False)
             )
-    solos = {
-        Scenario.ONLY_USER1: DutyPair(single_user_duty(params.a1, params.lambda0, params.tau), 0.0),
-        Scenario.ONLY_USER2: DutyPair(0.0, single_user_duty(params.a2, params.lambda0, params.tau)),
-    }
+    p, h = (hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies
+    mu1_solo, mu2_solo = _solo_duty(p[2], p[3], h[2], h[3]), _solo_duty(p[1], p[3], h[1], h[3])
+    solos = {Scenario.ONLY_USER1: DutyPair(mu1_solo, 0.0), Scenario.ONLY_USER2: DutyPair(0.0, mu2_solo)}
     for scenario, duty in solos.items():
         rate = _mutual_info(hp, duty.mu1, duty.mu2) / params.tau
         candidates.append(Candidate(duty, scenario, rate, valid=True))
@@ -490,7 +502,7 @@ def solve(params: ChannelParams) -> SolveReport:
                 capacity, optimum, strategy = rate, duty, _strategy_at(duty)
 
     try:
-        sufficiency = sufficiency_tests(params)
+        sufficiency = _sufficiency(hp, d or make_d(), mu1_solo, mu2_solo)
     except (ArithmeticError, ValueError):
         if params.in_regime:
             raise
@@ -574,7 +586,7 @@ def _rate_many(
 
 
 def _solo_duty_many(p_on: np.ndarray, p_off: np.ndarray, h_on: np.ndarray, h_off: np.ndarray) -> np.ndarray:
-    """single_user_duty lane by lane, from its hit probabilities and entropies."""
+    """_solo_duty lane by lane, without its p_on == p_off shortcut."""
     chord = (h_on - h_off) / (p_on - p_off)
     return (1.0 / (1.0 + _lanes(math.exp, np.minimum(chord, 700.0))) - p_off) / (p_on - p_off)
 

@@ -120,18 +120,9 @@ class SymmetricReport:
     schur_mode: SchurMode
 
 
-def _sym_probs(a: float, lambda0: float, tau: float) -> tuple[float, float, float]:
-    """(p1, p2, p4): both on, exactly one on, both off."""
-    return (
-        hit_prob(2.0 * a + lambda0, tau),
-        hit_prob(a + lambda0, tau),
-        hit_prob(lambda0, tau),
-    )
-
-
 def flip_log_odds(a: float, lambda0: float, tau: float) -> float:
     """Log-odds level at which the majorization direction flips (_flip_of)."""
-    if a < 0.0:
+    if not a >= 0.0:
         raise ValueError(f"a must be nonnegative, got {a}")
     return _flip_of(lambda0, tau)(a)
 
@@ -210,11 +201,11 @@ def boundary_half_sums(
         threshold = peak_threshold(lambda0, tau)
     if a < threshold.value:
         return None
-    p1, p2, p4 = _sym_probs(a, lambda0, tau)
+    hp = hit_probs(ChannelParams(a, a, lambda0, tau))
     level = 1.0 / (1.0 + math.exp(flip_log_odds(a, lambda0, tau)))
-    c = level - p4
-    b = p2 - p4
-    q = 2.0 * p2 - p1 - p4
+    c = level - hp.p4
+    b = hp.p2 - hp.p4
+    q = 2.0 * hp.p2 - hp.p1 - hp.p4
     disc = b * b - q * c
     if disc < 0.0:
         raise ArithmeticError(
@@ -235,10 +226,10 @@ def schur_classify(
         threshold = peak_threshold(lambda0, tau)
     if a < threshold.value:
         return SchurRegion.GLOBAL
-    p1, p2, p4 = _sym_probs(a, lambda0, tau)
+    hp = hit_probs(ChannelParams(a, a, lambda0, tau))
     w11 = duty.mu1 * duty.mu2
     w00 = (1.0 - duty.mu1) * (1.0 - duty.mu2)
-    ph = w11 * p1 + (duty.mu1 + duty.mu2 - 2.0 * w11) * p2 + w00 * p4
+    ph = w11 * hp.p1 + (duty.mu1 + duty.mu2 - 2.0 * w11) * hp.p2 + w00 * hp.p4
     level = 1.0 / (1.0 + math.exp(flip_log_odds(a, lambda0, tau)))
     return SchurRegion.CONCAVE_SIDE if ph >= level else SchurRegion.CONVEX_SIDE
 
@@ -275,8 +266,7 @@ def line_constrained_max(
     Verification utility for the split-region dichotomy; a plain grid with
     the given step over the mu1 >= mu2 half of the segment.
     """
-    params = ChannelParams(a, a, lambda0, tau)
-    hp = hit_probs(params)
+    hp = hit_probs(ChannelParams(a, a, lambda0, tau))
     lo = max(half_sum, 2.0 * half_sum - 1.0)
     hi = min(1.0, 2.0 * half_sum)
     n = max(1, int(round((hi - lo) / step)))
@@ -294,8 +284,7 @@ def solve_symmetric(a: float, lambda0: float, tau: float) -> SymmetricReport:
     threshold = peak_threshold(lambda0, tau)
     boundary = boundary_half_sums(a, lambda0, tau, threshold)
     mu = symmetric_fixed_point(a, lambda0, tau)
-    params = ChannelParams(a, a, lambda0, tau)
-    capacity = _mutual_info(hit_probs(params), mu, mu) / tau
+    capacity = _mutual_info(hit_probs(ChannelParams(a, a, lambda0, tau)), mu, mu) / tau
     mode = (
         SchurMode.GLOBALLY_SCHUR_CONCAVE
         if a < threshold.value

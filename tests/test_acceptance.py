@@ -73,7 +73,7 @@ def test_criterion_1_constants():
         assert log_odds == pytest.approx(10.8198, abs=1e-3)
 
         hp = hit_probs(ChannelParams(10.0, 10.0, LAMBDA0, TAU))
-        h1, h2, h3, h4 = hp.entropies()
+        h1, h2, h3, h4 = hp.entropies
         cross_ratio = (h1 - h2 - h3 + h4) / (hp.p1 - hp.p2 - hp.p3 + hp.p4)
         assert cross_ratio == pytest.approx(9.51, abs=0.02)
         # The gap log_odds > cross_ratio is the non-concavity witness: it puts

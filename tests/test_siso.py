@@ -1,5 +1,6 @@
 """Two-user solver: curve geometry, candidate enumeration, strategy selection."""
 
+import collections
 import contextlib
 import dataclasses
 import math
@@ -10,7 +11,7 @@ import types
 import numpy as np
 import pytest
 
-from poisson_mac import gridsearch, siso
+from poisson_mac import channel, gridsearch, siso
 from poisson_mac.channel import ChannelParams, DutyPair, grad_mutual_info, hit_probs, mutual_info_rate
 from poisson_mac.gridsearch import GridSpec, grid_capacity
 from poisson_mac.siso import (
@@ -164,10 +165,10 @@ class TestScalarKernel:
         # would not.  Only levels that are no channel's give one with finite
         # den, and there f is NaN as well, so d is NaN either way.
         hp = hit_probs(FIG2)
-        h1, h2, _, h4 = hp.entropies()
-        fake = types.SimpleNamespace(p1=hp.p1, p2=hp.p2, p3=hp.p3, p4=hp.p4, entropies=lambda: (h1, h2, math.nan, h4))
+        h1, h2, _, h4 = hp.entropies
+        fake = types.SimpleNamespace(p1=hp.p1, p2=hp.p2, p3=hp.p3, p4=hp.p4, entropies=(h1, h2, math.nan, h4))
         g, make_d = siso._curves_of(fake)
-        u, v, w = siso._line((hp.p1, hp.p2, hp.p3, hp.p4), fake.entropies())
+        u, v, w = siso._line((hp.p1, hp.p2, hp.p3, hp.p4), fake.entropies)
         for x in (0.0, 0.3, 1.0):
             assert math.isnan(g(x)) and math.isnan(make_d()(x))
             assert outcome(make_d(), x) == outcome(lambda x: g(x) - (u / v * x + w / v), x)
@@ -300,6 +301,61 @@ class TestSolve:
         assert solve(FIG2).search == find_intersections(FIG2)
         saturated = solve(ChannelParams(1000.0, 1000.0, 0.001, 1.0))
         assert saturated.search.points == () and not saturated.search.reliable
+        # and on every channel, solve's one set-up gives what the public
+        # helpers give, read in solve's order: out of regime a failed search
+        # is reported empty and failed screens as None, in regime solve raises.
+        kinds = collections.Counter()
+        for params in TestScalarKernel().channels():
+            try:
+                try:
+                    search = find_intersections(params)
+                except (ArithmeticError, ValueError):
+                    if params.in_regime:
+                        raise
+                    search = siso.IntersectionSearch(points=(), rejected=(), reliable=False)
+                solos = [single_user_duty(a, params.lambda0, params.tau) for a in (params.a1, params.a2)]
+                try:
+                    record = sufficiency_tests(params)
+                except (ArithmeticError, ValueError):
+                    if params.in_regime:
+                        raise
+                    record = None
+            except (ArithmeticError, ValueError) as exc:
+                with pytest.raises((ArithmeticError, ValueError)) as raised:
+                    solve(params)
+                assert (type(raised.value), str(raised.value)) == (type(exc), str(exc)), params
+                kinds["raised"] += 1
+                continue
+            report = solve(params)
+            assert (report.search, report.sufficiency) == (search, record), params
+            duties = {c.scenario: c.duty for c in report.candidates}
+            edges = duties[Scenario.ONLY_USER1], duties[Scenario.ONLY_USER2]
+            assert [x.hex() for x in (edges[0].mu1, edges[1].mu2)] == [x.hex() for x in solos], params
+            assert edges[0].mu2 == edges[1].mu1 == 0.0
+            kinds["no screens" if record is None else "reported"] += 1
+        assert kinds["raised"] and kinds["no screens"] and kinds["reported"] >= 290, kinds
+
+    def test_one_set_up_per_solve(self, monkeypatch):
+        calls = collections.Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((channel, "hit_probs"), (siso, "hit_probs"), (siso, "_curves_of")):
+            count(module, name)
+        for module in (channel, siso):
+            count(module, "binary_entropy")
+        report = solve(FIG2)
+        assert report.regime_ok and len(report.search.points) == 1
+        assert calls["hit_probs"] == 1 and calls["_curves_of"] == 1
+        # four entropies for the set-up, one slot entropy per candidate rated
+        assert calls["binary_entropy"] <= 4 + sum(c.valid for c in report.candidates)
 
     def test_capacity_dominates_single_user_candidates(self):
         rng = random.Random(25)
@@ -389,7 +445,7 @@ class TestSolve:
         expected = solve(params)
         assert expected.strategy is Strategy.BOTH_ACTIVE and not expected.regime_ok
         monkeypatch.setattr(
-            siso, "find_intersections", lambda p: siso.IntersectionSearch(points=(), rejected=(), reliable=False)
+            siso, "_intersections", lambda *_: siso.IntersectionSearch(points=(), rejected=(), reliable=False)
         )
         report = solve(params)
         assert report.capacity > max(c.rate for c in report.candidates) + siso.TIE_TOL
@@ -578,7 +634,7 @@ class TestProfileKernel:
             hidden.append(ChannelParams(a1, a2, 0.001, rng.uniform(1.1, 2.0) * math.log(2) / (a1 + a2 + 0.001)))
         reports = [solve(params) for params in plain]
         monkeypatch.setattr(
-            siso, "find_intersections", lambda p: siso.IntersectionSearch(points=(), rejected=(), reliable=False)
+            siso, "_intersections", lambda *_: siso.IntersectionSearch(points=(), rejected=(), reliable=False)
         )
         reports += [solve(params) for params in hidden]
         won = [r.capacity > max(c.rate for c in r.candidates) + siso.TIE_TOL for r in reports]

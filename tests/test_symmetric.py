@@ -110,11 +110,15 @@ class TestFlipLevel:
         with pytest.raises(ValueError, match="^a must be nonnegative"):
             flip_log_odds(-1e-6, 0.001, 0.02)
 
+    def test_nan_peak_is_named(self):
+        with pytest.raises(ValueError, match=r"^a must be nonnegative, got nan$"):
+            flip_log_odds(math.nan, LAMBDA0, TAU)
+
     def test_agrees_with_general_cross_ratio_at_equal_peaks(self):
         from poisson_mac.channel import hit_probs
 
         hp = hit_probs(ChannelParams(10.0, 10.0, LAMBDA0, TAU))
-        h1, h2, h3, h4 = hp.entropies()
+        h1, h2, h3, h4 = hp.entropies
         cross = (h1 - h2 - h3 + h4) / (hp.p1 - hp.p2 - hp.p3 + hp.p4)
         assert flip_log_odds(10.0, LAMBDA0, TAU) == pytest.approx(cross, rel=1e-12)
 
@@ -188,6 +192,20 @@ class TestBoundary:
             d2 = mu1 * (p1 - p2) + (1 - mu1) * (p2 - p4)
             slope = -d2 / d1
             assert -1.0 - 1e-12 <= slope < 0.0
+
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_non_finite_peak_is_a_value_error(self, a):
+        # as in symmetric_fixed_point, not half-sums or a label from NaN or
+        # saturated hit levels
+        thr = peak_threshold(LAMBDA0, TAU)
+        for call in (
+            lambda: boundary_half_sums(a, LAMBDA0, TAU, thr),
+            lambda: schur_classify(a, LAMBDA0, TAU, DutyPair(0.3, 0.1), thr),
+            lambda: symmetric_fixed_point(a, LAMBDA0, TAU),
+        ):
+            with pytest.raises(ValueError, match=f"^a1 must be finite, got {a}$"):
+                call()
 
 
 class TestSchurClassification:
