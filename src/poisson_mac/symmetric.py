@@ -13,8 +13,7 @@ exceeds this level the objective is Schur-convex (spreading duty to one user
 helps); below it, Schur-concave (balancing helps).  Because the level falls
 as a grows while the log-odds at the all-off corner is fixed, there is a peak
 threshold below which the whole unit square is on the concave side and the
-balanced pair always wins.  The search for it runs on one closure of the
-level over a (_flip_of), which flip_log_odds calls once.
+balanced pair always wins.
 
 Above the threshold the critical set p̂ = 1/(1+e^flip) is a short curve near
 the origin.  Writing lines of constant duty sum mu1 + mu2 = 2*s, the curve
@@ -31,6 +30,11 @@ the balanced (s, s) wins; in the sliver between, both ends compete.
 
 The balanced optimum itself is the unique fixed point mu = g(mu) of the
 convex curve from the general solver.
+
+solve_symmetric builds its set-up once: one closure of the flip level over
+a (_flip_of) and one hit_probs, which run the cores of the threshold search,
+the half-sums and the fixed point.  peak_threshold, boundary_half_sums and
+symmetric_fixed_point are each their own set-up plus a call to that core.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from typing import Callable
 from .channel import (
     ChannelParams,
     DutyPair,
+    HitProbs,
     binary_entropy,
     entropy_slope,
     hit_prob,
@@ -143,26 +148,27 @@ def _flip_of(lambda0: float, tau: float) -> Callable[[float], float]:
     return flip
 
 
-def peak_threshold(
-    lambda0: float, tau: float, search_cap: float | None = None
-) -> ThresholdSearch:
+def peak_threshold(lambda0: float, tau: float) -> ThresholdSearch:
     """Peak rate at which the flip level meets the all-off log-odds.
 
     The bracket grows geometrically from a = lambda0 and is capped at the
-    in-regime bound a <= (ln2/tau - lambda0)/2, further limited by an
-    explicit search_cap when one is given; if the flip level is still above
-    the target at the cap, the threshold lies outside the searched regime
-    and value is reported as +inf.  The threshold grows without bound as
-    tau shrinks, so any fixed search_cap is eventually exceeded.
+    in-regime bound a <= (ln2/tau - lambda0)/2; if the flip level is still
+    above the target at the cap, the threshold lies outside the searched
+    regime and value is reported as +inf.  A dark slot whose hit
+    probability underflows to 0 below a positive cap is an ArithmeticError.
     """
-    p4 = hit_prob(lambda0, tau)
-    target = entropy_slope(p4)
-    flip = _flip_of(lambda0, tau)
+    return _threshold(_flip_of(lambda0, tau), lambda0, tau)
+
+
+def _threshold(flip: Callable[[float], float], lambda0: float, tau: float) -> ThresholdSearch:
+    # First the cap: p4 rounds to 1 only where lambda0 * tau > ln 2, at a cap <= 0.
     cap = (math.log(2.0) / tau - lambda0) / 2.0
-    if search_cap is not None:
-        cap = min(cap, search_cap)
     if cap <= 0.0:
         return ThresholdSearch(value=math.inf, found=False, search_cap=cap, residual=math.nan)
+    p4 = hit_prob(lambda0, tau)
+    if p4 == 0.0:
+        raise ArithmeticError(f"the dark-slot hit probability underflows to 0 at lambda0 {lambda0}, tau {tau}")
+    target = entropy_slope(p4)
 
     def delta(a: float) -> float:
         return flip(a) - target
@@ -178,16 +184,11 @@ def peak_threshold(
     if delta(hi) >= 0.0:
         return ThresholdSearch(value=math.inf, found=False, search_cap=cap, residual=math.nan)
     value = _bisect_root(delta, lo, hi)
-    return ThresholdSearch(
-        value=value, found=True, search_cap=cap, residual=abs(delta(value))
-    )
+    return ThresholdSearch(value=value, found=True, search_cap=cap, residual=abs(delta(value)))
 
 
 def boundary_half_sums(
-    a: float,
-    lambda0: float,
-    tau: float,
-    threshold: ThresholdSearch | None = None,
+    a: float, lambda0: float, tau: float, threshold: ThresholdSearch
 ) -> BoundaryHalfSums | None:
     """Half-sum endpoints of the critical curve, or None below the threshold.
 
@@ -197,12 +198,14 @@ def boundary_half_sums(
     positive), so the one-user split is optimal for half-sums up to axis and
     the balanced pair from diagonal on.
     """
-    if threshold is None:
-        threshold = peak_threshold(lambda0, tau)
     if a < threshold.value:
         return None
     hp = hit_probs(ChannelParams(a, a, lambda0, tau))
-    level = 1.0 / (1.0 + math.exp(flip_log_odds(a, lambda0, tau)))
+    return _half_sums(hp, flip_log_odds(a, lambda0, tau))
+
+
+def _half_sums(hp: HitProbs, flip_level: float) -> BoundaryHalfSums:
+    level = 1.0 / (1.0 + math.exp(flip_level))
     c = level - hp.p4
     b = hp.p2 - hp.p4
     q = 2.0 * hp.p2 - hp.p1 - hp.p4
@@ -215,15 +218,9 @@ def boundary_half_sums(
 
 
 def schur_classify(
-    a: float,
-    lambda0: float,
-    tau: float,
-    duty: DutyPair,
-    threshold: ThresholdSearch | None = None,
+    a: float, lambda0: float, tau: float, duty: DutyPair, threshold: ThresholdSearch
 ) -> SchurRegion:
     """Majorization behaviour at one duty pair of the symmetric instance."""
-    if threshold is None:
-        threshold = peak_threshold(lambda0, tau)
     if a < threshold.value:
         return SchurRegion.GLOBAL
     hp = hit_probs(ChannelParams(a, a, lambda0, tau))
@@ -240,8 +237,11 @@ def symmetric_fixed_point(a: float, lambda0: float, tau: float) -> float:
     Existence and uniqueness follow from g(0) > 0, g(1) < 1 and convexity;
     solved by bisection to a residual below 1e-12.
     """
-    params = ChannelParams(a, a, lambda0, tau)
-    g = _curves_of(hit_probs(params))[0]
+    return _fixed_point(hit_probs(ChannelParams(a, a, lambda0, tau)))
+
+
+def _fixed_point(hp: HitProbs) -> float:
+    g = _curves_of(hp)[0]
 
     def resid(mu: float) -> float:
         return mu - g(mu)
@@ -280,24 +280,23 @@ def line_constrained_max(
 
 
 def solve_symmetric(a: float, lambda0: float, tau: float) -> SymmetricReport:
-    """Full symmetric-instance report: flip level, threshold, boundary, optimum."""
-    threshold = peak_threshold(lambda0, tau)
-    boundary = boundary_half_sums(a, lambda0, tau, threshold)
-    mu = symmetric_fixed_point(a, lambda0, tau)
-    capacity = _mutual_info(hit_probs(ChannelParams(a, a, lambda0, tau)), mu, mu) / tau
-    mode = (
-        SchurMode.GLOBALLY_SCHUR_CONCAVE
-        if a < threshold.value
-        else SchurMode.SPLIT_REGIONS
-    )
+    """Full symmetric-instance report: flip level, threshold, boundary, optimum.
+    The cores run in the public helpers' order, so each input raises what they would."""
+    flip = _flip_of(lambda0, tau)
+    threshold = _threshold(flip, lambda0, tau)
+    hp = hit_probs(ChannelParams(a, a, lambda0, tau))  # a is positive and finite from here on
+    below = a < threshold.value
+    boundary = None if below else _half_sums(hp, flip(a))
+    mu = _fixed_point(hp)
+    capacity = _mutual_info(hp, mu, mu) / tau
     return SymmetricReport(
         a=a,
         lambda0=lambda0,
         tau=tau,
-        flip_level=flip_log_odds(a, lambda0, tau),
+        flip_level=flip(a),
         threshold=threshold,
         boundary=boundary,
         fixed_point=mu,
         capacity=capacity,
-        schur_mode=mode,
+        schur_mode=SchurMode.GLOBALLY_SCHUR_CONCAVE if below else SchurMode.SPLIT_REGIONS,
     )

@@ -405,6 +405,9 @@ class TestExitCodes:
             # to a duty outside [0, 1] (-2.12 here), in one solve and in a batch.
             ("solve", "--a1", "1e-8", "--a2", "1e-8", "--lambda0", "1", "--tau", "0.1"),
             ("sweep-peak", "--a1", "1e-8", "--a2", "1e-8:2e-8", "--cells", "2", "--lambda0", "1", "--tau", "0.1"),
+            # The dark slot's hit probability rounds to 1 or underflows to 0.
+            ("symmetric", "--a", "1", "--lambda0", "40", "--tau", "1"),
+            ("symmetric", "--a", "1", "--lambda0", "1e-200", "--tau", "1e-200"),
         ],
     )
     def test_underflow_is_numerical_error(self, tmp_path, capsys, argv):

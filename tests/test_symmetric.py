@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -133,14 +134,17 @@ class TestPeakThreshold:
         high = flip_log_odds(min(2 * thr.value, thr.search_cap), LAMBDA0, TAU) - target
         assert low > 0 > high
 
-    def test_small_tau_escapes_any_fixed_cap(self):
-        # The threshold exists for each tau but grows without bound, so a
-        # fixed search cap is eventually exceeded and reported as not found.
+    def test_grows_as_tau_shrinks_and_can_lie_beyond_the_regime_cap(self):
+        # The threshold grows as tau shrinks; where the flip level is still
+        # above the dark log-odds at the regime cap, it is reported as not found.
         values = [peak_threshold(LAMBDA0, tau).value for tau in (0.02, 0.005, 1e-3, 1e-4)]
         assert all(x < y for x, y in zip(values, values[1:]))
-        capped = peak_threshold(LAMBDA0, 1e-5, search_cap=100.0)
+        lambda0, tau = 18.4, 1.09e-3
+        capped = peak_threshold(lambda0, tau)
         assert not capped.found
         assert capped.value == math.inf
+        assert capped.search_cap == (math.log(2.0) / tau - lambda0) / 2.0 == pytest.approx(308.76, abs=0.01)
+        assert flip_log_odds(capped.search_cap, lambda0, tau) - dark_log_odds(lambda0, tau) > 1.0
 
     def test_threshold_between_known_sides(self):
         thr = peak_threshold(LAMBDA0, TAU)
@@ -309,3 +313,70 @@ class TestSymmetricReport:
     def test_fixed_point_in_open_interval(self):
         report = solve_symmetric(10.0, LAMBDA0, TAU)
         assert 0.0 < report.fixed_point < 1.0
+
+
+def hexes(value):
+    """float.hex of every float field of a report part (None as None), so
+    equal means bit for bit equal, NaN included."""
+    if value is None:
+        return None
+    fields = vars(value).values() if hasattr(value, "__dataclass_fields__") else (value,)
+    return tuple(float.hex(v) if isinstance(v, float) else v for v in fields)
+
+
+class TestSolveSymmetric:
+    def test_one_set_up_per_report(self, monkeypatch):
+        counts = {"ChannelParams": 0, "hit_probs": 0, "_flip_of": 0}
+
+        def counted(name):
+            real = getattr(symmetric, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(symmetric, name, counted(name))
+        report = solve_symmetric(12.0, LAMBDA0, TAU)
+        assert report.schur_mode is SchurMode.SPLIT_REGIONS  # every step ran
+        assert counts == {"ChannelParams": 1, "hit_probs": 1, "_flip_of": 1}
+
+    @staticmethod
+    def channels():
+        """Seeded equal-peak channels on both sides of the threshold and at it,
+        in regime and out of it, with the threshold found and not."""
+        rng = random.Random(1717)
+        cases = []
+        for _ in range(220):
+            lambda0, tau = 10 ** rng.uniform(-4, 0), 10 ** rng.uniform(-3, -0.5)
+            thr = peak_threshold(lambda0, tau)
+            if thr.found:
+                a = thr.value if rng.random() < 0.1 else thr.value * 10 ** rng.uniform(-1, 1)
+            else:
+                a = 10 ** rng.uniform(-2, 2)
+            cases.append((a, lambda0, tau))
+        return cases
+
+    def test_report_agrees_with_the_public_helpers(self):
+        sides = {True: 0, False: 0}
+        for a, lambda0, tau in self.channels():
+            thr = peak_threshold(lambda0, tau)
+            try:
+                # in the report's order, so the first error is the one it raises
+                want = (
+                    hexes(thr),
+                    hexes(boundary_half_sums(a, lambda0, tau, thr)),
+                    hexes(symmetric_fixed_point(a, lambda0, tau)),
+                    hexes(flip_log_odds(a, lambda0, tau)),
+                )
+            except ArithmeticError as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    solve_symmetric(a, lambda0, tau)
+                continue
+            report = solve_symmetric(a, lambda0, tau)
+            got = (hexes(report.threshold), hexes(report.boundary), hexes(report.fixed_point), hexes(report.flip_level))
+            assert got == want, (a, lambda0, tau)
+            sides[report.boundary is None] += 1
+        assert min(sides.values()) >= 50, sides
