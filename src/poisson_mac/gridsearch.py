@@ -9,7 +9,10 @@ exhaustively scans the one-parameter family of joint PMFs that share given
 marginals (two antennas per user), which brackets the staircase construction.
 
 The grid maximiser, _grid_max, takes any vectorized objective (the tests
-run it on the continuous rate too).
+run it on the continuous rate too).  The grid and the PMF enumeration rate
+their cells with siso's batch kernels (_rate_many, _entropy_many) on numpy's
+logs, so a cell whose slot probability rounds outside [0, 1] is NaN, which
+never wins a maximum.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from functools import cached_property
 from typing import Callable
 
 from ._numpy import np
-from .channel import ChannelParams, DutyPair, HitProbs, _grad_terms, _weights, hit_probs, mutual_info
-from .miso import MisoConfig, _entropy_arr, subset_rates
-from .siso import TOP_CELLS
+from .channel import ChannelParams, DutyPair, HitProbs, _grad_terms, hit_probs, mutual_info
+from .miso import MisoConfig, subset_rates
+from .siso import TOP_CELLS, _entropy_many, _rate_many
 
 __all__ = [
     "GridSpec",
@@ -34,6 +37,8 @@ __all__ = [
 ]
 
 SAFETY_FACTOR = 1.5
+FD_GRADIENT_STEP = 1e-6  # fd_gradient's central-difference step
+FD_HESSIAN_STEP = 1e-4  # fd_hessian's
 
 
 @dataclass(frozen=True)
@@ -87,15 +92,10 @@ class GridResult:
 
 
 def _rate_grid(hp: HitProbs, tau: float, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Vectorized I/tau over broadcastable duty arrays, with _entropy_arr's 0
-    outside (0, 1) where the profile and the batch give NaN: on saturated
-    channels (ChannelParams(1, 0.1, 10, 5)) the slot probability rounds an ulp
-    above 1, and a NaN cell would win _grid_max's argmax."""
-    h1, h2, h3, h4 = hp.entropies
-    w = _weights(m1, m2)
-    ph = w[0] * hp.p1 + w[1] * hp.p2 + w[2] * hp.p3 + w[3] * hp.p4
-    mix = w[0] * h1 + w[1] * h2 + w[2] * h3 + w[3] * h4
-    return (_entropy_arr(ph) - mix) / tau
+    """I/tau over broadcastable duty arrays: the batch's rate on numpy's logs,
+    NaN where the slot probability rounds outside [0, 1] (on saturated
+    channels, ChannelParams(1, 0.1, 10, 5), it rounds an ulp above 1)."""
+    return _rate_many((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies, tau, m1, m2, np)
 
 
 def _grad_norm_grid(hp: HitProbs, tau: float, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -137,15 +137,15 @@ def _grid_max(
     """Largest rate(mu1, mu2) on the duty square, by grid search with refinement.
 
     rate is vectorized and gets broadcast axes, a column of mu1 against a row
-    of mu2.  The full pass at spec.step is one call, and keeps TOP_CELLS
-    separated incumbents (only the best cell when there is nothing to
-    refine), so close rival maxima cannot shake the search off the global
-    one.  Each of the spec.refine_rounds rounds scans 1.5 old steps around
+    of mu2; a NaN cell never wins.  The full pass at spec.step is one call,
+    and keeps TOP_CELLS separated incumbents (only the best cell when there
+    is nothing to refine), so close rival maxima cannot shake the search off
+    the global one.  Each of the spec.refine_rounds rounds scans 1.5 old steps around
     every incumbent at a tenth of the step, and an incumbent moves only to a
     strictly better cell.  Of equal final values the earliest incumbent wins.
     """
     g = _axis(0.0, 1.0, spec.step)
-    values = rate(g[:, None], g[None, :])
+    values = np.fmax(rate(g[:, None], g[None, :]), -np.inf)
     count = TOP_CELLS if spec.refine_rounds else 1
     incumbents = _local_peaks(values, g, 3.0 * spec.step, count)
     step = spec.step
@@ -153,7 +153,7 @@ def _grid_max(
         for k, (best, mu1, mu2) in enumerate(incumbents):
             a1 = _axis(mu1 - 1.5 * step, mu1 + 1.5 * step, step / 10.0)
             a2 = _axis(mu2 - 1.5 * step, mu2 + 1.5 * step, step / 10.0)
-            local = rate(a1[:, None], a2[None, :])
+            local = np.fmax(rate(a1[:, None], a2[None, :]), -np.inf)
             i, j = np.unravel_index(np.argmax(local), local.shape)
             if local[i, j] > best:
                 incumbents[k] = (float(local[i, j]), float(a1[i]), float(a2[j]))
@@ -170,11 +170,9 @@ def grid_capacity(params: ChannelParams, spec: GridSpec = GridSpec()) -> GridRes
     return GridResult(capacity, duty, params, spec)
 
 
-def fd_gradient(
-    params: ChannelParams, duty: DutyPair, h: float = 1e-6
-) -> tuple[float, float]:
-    """Central-difference gradient of the per-slot mutual information."""
-    mu1, mu2 = duty.mu1, duty.mu2
+def fd_gradient(params: ChannelParams, duty: DutyPair) -> tuple[float, float]:
+    """Central-difference gradient of the per-slot mutual information, at step FD_GRADIENT_STEP."""
+    mu1, mu2, h = duty.mu1, duty.mu2, FD_GRADIENT_STEP
     if min(mu1, mu2, 1.0 - mu1, 1.0 - mu2) < h:
         raise ValueError(f"duty must be at least {h} away from the boundary")
     d1 = mutual_info(params, DutyPair(mu1 + h, mu2)) - mutual_info(
@@ -186,11 +184,9 @@ def fd_gradient(
     return (d1 / (2.0 * h), d2 / (2.0 * h))
 
 
-def fd_hessian(
-    params: ChannelParams, duty: DutyPair, h: float = 1e-4
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Central-difference Hessian of the per-slot mutual information."""
-    mu1, mu2 = duty.mu1, duty.mu2
+def fd_hessian(params: ChannelParams, duty: DutyPair) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Central-difference Hessian of the per-slot mutual information, at step FD_HESSIAN_STEP."""
+    mu1, mu2, h = duty.mu1, duty.mu2, FD_HESSIAN_STEP
     if min(mu1, mu2, 1.0 - mu1, 1.0 - mu2) < h:
         raise ValueError(f"duty must be at least {h} away from the boundary")
 
@@ -252,5 +248,5 @@ def miso_pmf_enumeration(
     )
     hits = -np.expm1(-rates * config.tau)
     ph = q1 @ hits @ q2.T
-    mix = q1 @ _entropy_arr(hits) @ q2.T
-    return float(np.max(_entropy_arr(ph) - mix))
+    mix = q1 @ _entropy_many(hits, np) @ q2.T
+    return float(np.max(np.fmax(_entropy_many(ph, np) - mix, -np.inf)))  # a NaN cell never wins

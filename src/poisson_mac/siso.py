@@ -21,10 +21,10 @@ regime the convexity guarantee lapses; the solver still runs but flags the
 report and checks the candidates against the profile maximum and a coarse
 grid.  At every tau and mu1, the hit probability and the entropy mixture are
 affine in mu2, so I(mu1, .) is concave and peaks at clip(g(mu1), 0, 1): the
-capacity is the maximum over mu1 of that profile (one numpy kernel with
-numpy's exp, log and log1p, _profile_of), found by _profile_max_many, which
-maximises lanes of profiles at once: solve runs one lane, and
-continuous.cont_capacity_many runs a lane per continuous row.
+capacity is the maximum over mu1 of that profile (_profile_of: the batch's g
+and rate kernels below on numpy's exp, log and log1p), found by
+_profile_max_many, which maximises lanes of profiles at once: solve runs one
+lane, and continuous.cont_capacity_many runs a lane per continuous row.
 
 solve builds a channel's set-up once for private cores; find_intersections,
 sufficiency_tests and single_user_duty are wrappers over the same cores.
@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import ModuleType
 from typing import Callable, NamedTuple, Sequence
 
 from ._numpy import np
@@ -250,28 +251,6 @@ def _curves_of(hp: HitProbs) -> tuple[Callable[[float], float], Callable[[], Cal
         return d
 
     return g, make_d
-
-
-def _profile_of(hp: HitProbs, tau: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """mu1 -> (I/tau at (mu1, mu2), mu2) with mu2 = clip(g(mu1), 0, 1), over an array:
-    the operations of _curves_of's g and _mutual_info in their order, with numpy's exp and logs."""
-    (h1, h2, h3, h4), p1, p2, p3, p4 = hp.entropies, hp.p1, hp.p2, hp.p3, hp.p4
-    dp_13, dp_24, dh_13, dh_24 = p1 - p3, p2 - p4, h1 - h3, h2 - h4
-
-    def profile(mu1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nu1 = 1.0 - mu1
-        den = mu1 * dp_13 + nu1 * dp_24
-        a_m = np.exp(np.minimum((mu1 * dh_13 + nu1 * dh_24) / den, 700.0))
-        g = (1.0 / (a_m + 1.0) - (mu1 * p3 + nu1 * p4)) / den
-        mu2 = np.fmin(np.fmax(g, 0.0), 1.0)  # 0 where g is NaN: den = 0, and I is flat in mu2
-        w0, w1, w2, w3 = mu1 * mu2, nu1 * mu2, mu1 * (1.0 - mu2), nu1 * (1.0 - mu2)
-        ph = w0 * p1 + w1 * p2 + w2 * p3 + w3 * p4
-        h = -ph * np.log(ph) - (1.0 - ph) * np.log1p(-ph)  # NaN outside [0, 1]
-        if not (ph.min() > 0.0 and ph.max() < 1.0):
-            h = np.where((ph == 0.0) | (ph == 1.0), 0.0, h)
-        return (h - (w0 * h1 + w1 * h2 + w2 * h3 + w3 * h4)) / tau, mu2
-
-    return profile
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -529,17 +508,27 @@ def solve(params: ChannelParams) -> SolveReport:
 # for bit the scalar one.  A lane skips only work whose result solve never
 # reads: the golden-section pass where g - f < 0 at both ends of [0, 1], and
 # any step after the one that fixes a pass's result, where the lane leaves it.
+# g, the entropy and the rate take xp, the module of their exp and logs (math
+# by default, see _call); the profile and the grid and MISO oracles pass numpy.
 
 
 def _lanes(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
-def _entropy_many(q: np.ndarray) -> np.ndarray:
-    """binary_entropy lane by lane; nan outside [0, 1]."""
+def _call(xp: ModuleType, name: str, x: np.ndarray) -> np.ndarray:
+    """xp's function name over x: the math module's lane by lane, or numpy's ufunc."""
+    fn = getattr(xp, name)
+    return _lanes(fn, x) if xp is math else fn(x)
+
+
+def _entropy_many(q: np.ndarray, xp: ModuleType = math) -> np.ndarray:
+    """binary_entropy over an array, on xp's logs (see _call); nan outside [0, 1]."""
+    if q.size and q.min() > 0.0 and q.max() < 1.0:  # nothing to mask
+        return -q * _call(xp, "log", q) - (1.0 - q) * _call(xp, "log1p", -q)
     inside = (q > 0.0) & (q < 1.0)
     q_in = np.where(inside, q, 0.5)
-    h = -q_in * _lanes(math.log, q_in) - (1.0 - q_in) * _lanes(math.log1p, -q_in)
+    h = -q_in * _call(xp, "log", q_in) - (1.0 - q_in) * _call(xp, "log1p", -q_in)
     return np.where(inside, h, np.where((q == 0.0) | (q == 1.0), 0.0, np.nan))
 
 
@@ -558,10 +547,10 @@ class _CurvesMany(NamedTuple):
     def take(self, lanes: np.ndarray) -> "_CurvesMany":
         return _CurvesMany(*(x[lanes] for x in self))
 
-    def g(self, mu1: np.ndarray) -> np.ndarray:
+    def g(self, mu1: np.ndarray, xp: ModuleType = math) -> np.ndarray:
         nu1 = 1.0 - mu1  # the scalar g rounds 1 - mu1 alike at each of its three uses
         den = mu1 * self.dp_13 + nu1 * self.dp_24
-        a_m = _lanes(math.exp, np.minimum((mu1 * self.dh_13 + nu1 * self.dh_24) / den, 700.0))
+        a_m = _call(xp, "exp", np.minimum((mu1 * self.dh_13 + nu1 * self.dh_24) / den, 700.0))
         return (1.0 / (a_m + 1.0) - (mu1 * self.p3 + nu1 * self.p4)) / den
 
     def d(self, mu1: np.ndarray) -> np.ndarray:
@@ -577,12 +566,27 @@ def _curves_many(p: tuple[np.ndarray, ...], h: tuple[np.ndarray, ...]) -> _Curve
 
 
 def _rate_many(
-    p: tuple[np.ndarray, ...], h: tuple[np.ndarray, ...], tau: np.ndarray, mu1: np.ndarray, mu2: np.ndarray
+    p: tuple, h: tuple, tau: np.ndarray, mu1: np.ndarray, mu2: np.ndarray, xp: ModuleType = math
 ) -> np.ndarray:
-    """_mutual_info / tau lane by lane."""
-    w0, w1, w2, w3 = mu1 * mu2, (1.0 - mu1) * mu2, mu1 * (1.0 - mu2), (1.0 - mu1) * (1.0 - mu2)
+    """_mutual_info / tau over broadcast duty arrays, on xp's logs (see _call)."""
+    nu1, nu2 = 1.0 - mu1, 1.0 - mu2  # _weights rounds each twice, to these doubles
+    w0, w1, w2, w3 = mu1 * mu2, nu1 * mu2, mu1 * nu2, nu1 * nu2
     ph = w0 * p[0] + w1 * p[1] + w2 * p[2] + w3 * p[3]
-    return (_entropy_many(ph) - (w0 * h[0] + w1 * h[1] + w2 * h[2] + w3 * h[3])) / tau
+    return (_entropy_many(ph, xp) - (w0 * h[0] + w1 * h[1] + w2 * h[2] + w3 * h[3])) / tau
+
+
+def _profile_of(hp: HitProbs, tau: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """mu1 -> (I/tau at (mu1, mu2), mu2) with mu2 = clip(g(mu1), 0, 1), over an array:
+    the batch's g and rate on numpy's exp and logs.  The coefficients are numpy doubles, so a
+    line's v of 0, which g never reads, gives inf or NaN under the caller's errstate, not an error."""
+    p, h = tuple(np.array((hp.p1, hp.p2, hp.p3, hp.p4))), tuple(np.array(hp.entropies))
+    curves = _curves_many(p, h)
+
+    def profile(mu1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mu2 = np.fmin(np.fmax(curves.g(mu1, np), 0.0), 1.0)  # 0 where g is NaN: den = 0, and I is flat in mu2
+        return _rate_many(p, h, tau, mu1, mu2, np), mu2
+
+    return profile
 
 
 def _solo_duty_many(p_on: np.ndarray, p_off: np.ndarray, h_on: np.ndarray, h_off: np.ndarray) -> np.ndarray:

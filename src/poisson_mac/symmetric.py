@@ -72,6 +72,10 @@ __all__ = [
 ]
 
 FIXED_POINT_TOL = 1e-12
+# Largest |flip - target| / |target| at a threshold root: genuine roots keep ~1e-14; below tau ~ 1e-10
+# the flip level's second differences cancel, and roots of that noise keep ~1e13.
+THRESHOLD_RTOL = 1e-9
+LINE_STEP = 1e-4  # line_constrained_max's grid step
 
 
 class SchurRegion(Enum):
@@ -155,7 +159,8 @@ def peak_threshold(lambda0: float, tau: float) -> ThresholdSearch:
     in-regime bound a <= (ln2/tau - lambda0)/2; if the flip level is still
     above the target at the cap, the threshold lies outside the searched
     regime and value is reported as +inf.  A dark slot whose hit
-    probability underflows to 0 below a positive cap is an ArithmeticError.
+    probability underflows to 0 below a positive cap is an ArithmeticError,
+    as is a root whose residual is above THRESHOLD_RTOL of the target.
     """
     return _threshold(_flip_of(lambda0, tau), lambda0, tau)
 
@@ -184,7 +189,11 @@ def _threshold(flip: Callable[[float], float], lambda0: float, tau: float) -> Th
     if delta(hi) >= 0.0:
         return ThresholdSearch(value=math.inf, found=False, search_cap=cap, residual=math.nan)
     value = _bisect_root(delta, lo, hi)
-    return ThresholdSearch(value=value, found=True, search_cap=cap, residual=abs(delta(value)))
+    residual = abs(delta(value))
+    if not residual <= THRESHOLD_RTOL * abs(target):
+        msg = f"peak-threshold residual {residual:.3e} above {THRESHOLD_RTOL} of the target {target:.6g}"
+        raise ArithmeticError(msg + ": the flip level is rounding noise")
+    return ThresholdSearch(value=value, found=True, search_cap=cap, residual=residual)
 
 
 def boundary_half_sums(
@@ -254,22 +263,16 @@ def _fixed_point(hp: HitProbs) -> float:
     return mu
 
 
-def line_constrained_max(
-    a: float,
-    lambda0: float,
-    tau: float,
-    half_sum: float,
-    step: float = 1e-4,
-) -> tuple[float, DutyPair]:
+def line_constrained_max(a: float, lambda0: float, tau: float, half_sum: float) -> tuple[float, DutyPair]:
     """Grid maximum of the objective on the segment mu1 + mu2 = 2*half_sum.
 
     Verification utility for the split-region dichotomy; a plain grid with
-    the given step over the mu1 >= mu2 half of the segment.
+    step LINE_STEP over the mu1 >= mu2 half of the segment.
     """
     hp = hit_probs(ChannelParams(a, a, lambda0, tau))
     lo = max(half_sum, 2.0 * half_sum - 1.0)
     hi = min(1.0, 2.0 * half_sum)
-    n = max(1, int(round((hi - lo) / step)))
+    n = max(1, int(round((hi - lo) / LINE_STEP)))
     best_val, best_mu1 = -math.inf, lo
     for i in range(n + 1):
         mu1 = min(lo + i * (hi - lo) / n, hi)

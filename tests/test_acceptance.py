@@ -183,11 +183,11 @@ def test_criterion_7_derivatives():
             params = ChannelParams(a1, a2, lam0, tau)
             duty = DutyPair(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
             g = grad_mutual_info(params, duty)
-            fd = fd_gradient(params, duty, h=1e-6)
+            fd = fd_gradient(params, duty)
             assert g[0] == pytest.approx(fd[0], rel=1e-6, abs=1e-9)
             assert g[1] == pytest.approx(fd[1], rel=1e-6, abs=1e-9)
             h = hessian_mutual_info(params, duty)
-            fh = fd_hessian(params, duty, h=1e-4)
+            fh = fd_hessian(params, duty)
             for i in (0, 1):
                 for j in (0, 1):
                     assert h[i][j] == pytest.approx(fh[i][j], rel=1e-4, abs=1e-7)
@@ -213,18 +213,18 @@ def test_criterion_8_schur_dichotomy():
         band = grad_cap * 1e-4  # value resolution of the 1e-4 line grid
         # Half-sums at or below the axis crossing: the one-user split wins.
         for hs in (0.25 * bounds.axis, 0.6 * bounds.axis, 0.99 * bounds.axis):
-            best, _ = line_constrained_max(a, LAMBDA0, TAU, hs, step=1e-4)
+            best, _ = line_constrained_max(a, LAMBDA0, TAU, hs)
             split = mutual_info(params, DutyPair(2 * hs, 0.0))
             assert split >= best - 1e-12
         # Half-sums at or above the diagonal crossing: the balanced pair wins.
         for hs in (1.01 * bounds.diagonal, 0.1, 0.25, 0.4):
-            best, _ = line_constrained_max(a, LAMBDA0, TAU, hs, step=1e-4)
+            best, _ = line_constrained_max(a, LAMBDA0, TAU, hs)
             balanced = mutual_info(params, DutyPair(hs, hs))
             assert balanced >= best - 1e-12
         # Inside the sliver between the two crossings both ends compete and
         # sit within the grid band of the line maximum.
         hs = 0.5 * (bounds.axis + bounds.diagonal)
-        best, _ = line_constrained_max(a, LAMBDA0, TAU, hs, step=1e-4)
+        best, _ = line_constrained_max(a, LAMBDA0, TAU, hs)
         assert mutual_info(params, DutyPair(2 * hs, 0.0)) >= best - band
         assert mutual_info(params, DutyPair(hs, hs)) >= best - band
 

@@ -252,7 +252,7 @@ class TestDerivatives:
         for _ in range(100):
             duty = DutyPair(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
             g = grad_mutual_info(params, duty)
-            fd = fd_gradient(params, duty, h=1e-6)
+            fd = fd_gradient(params, duty)
             assert g[0] == pytest.approx(fd[0], rel=1e-6, abs=1e-9)
             assert g[1] == pytest.approx(fd[1], rel=1e-6, abs=1e-9)
 
@@ -277,7 +277,7 @@ class TestDerivatives:
         for _ in range(30):
             duty = DutyPair(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
             h = hessian_mutual_info(params, duty)
-            fd = fd_hessian(params, duty, h=1e-4)
+            fd = fd_hessian(params, duty)
             for i in (0, 1):
                 for j in (0, 1):
                     assert h[i][j] == pytest.approx(fd[i][j], rel=1e-4, abs=1e-7)

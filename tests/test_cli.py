@@ -418,6 +418,25 @@ class TestExitCodes:
         assert err.startswith("error: numerical failure") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The peak threshold's root is rounding noise: the half-sums
+            # overflowed at the first line and were ~1e16 at the second.
+            ("symmetric", "--a", "512.5202477033777", "--lambda0", "0.0029339146239736333", "--tau", "1.2741161428746491e-14"),
+            ("symmetric", "--a", "0.003073778104790355", "--lambda0", "0.0006130141166780985", "--tau", "1.5667856323274545e-14"),
+        ],
+    )
+    def test_noise_threshold_names_its_residual(self, tmp_path, capsys, argv):
+        code, text = run(tmp_path, *argv)
+        assert (code, text) == (4, "")
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: numerical failure \(ArithmeticError: peak-threshold residual \S+ above 1e-09 of the target \S+:"
+            r" the flip level is rounding noise\)\n",
+            err,
+        ), err
+
     def test_continuous_rounding_noise_names_its_floor(self, tmp_path, capsys):
         code, text = run(tmp_path, "sweep-peak", "--a1", "1e-20", "--a2", "1e-20", "--tau", "0")
         assert (code, text) == (4, "")

@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from poisson_mac import gridsearch, miso
-from poisson_mac.channel import ChannelParams, DutyPair, grad_mutual_info, mutual_info
+from poisson_mac import gridsearch, siso
+from poisson_mac.channel import ChannelParams, DutyPair, _weights, grad_mutual_info, mutual_info
 from poisson_mac.gridsearch import (
     GridSpec,
     _grid_max,
@@ -121,6 +121,16 @@ def _old_entropy_arr(q):
     return out
 
 
+def _old_rate_grid(hp, tau, m1, m2):
+    """gridsearch._rate_grid as it was before it ran siso._rate_many: entropy
+    0 where the slot probability rounds outside (0, 1)."""
+    h1, h2, h3, h4 = hp.entropies
+    w = _weights(m1, m2)
+    ph = w[0] * hp.p1 + w[1] * hp.p2 + w[2] * hp.p3 + w[3] * hp.p4
+    mix = w[0] * h1 + w[1] * h2 + w[2] * h3 + w[3] * h4
+    return (_old_entropy_arr(ph) - mix) / tau
+
+
 def _old_local_peaks(values, g, sep, count):
     """gridsearch._local_peaks as it was before it skipped the last mask."""
     picked = []
@@ -132,8 +142,9 @@ def _old_local_peaks(values, g, sep, count):
 
 
 class TestWitnessHelpers:
-    """The grid's entropy and peak-picking helpers give the bits of their
-    earlier, always-masking forms."""
+    """The oracles' entropy on numpy, the grid's rate and its peak picking give
+    the bits of their earlier forms: miso._entropy_arr, which masked every
+    entropy, and _rate_grid's own kernel."""
 
     def test_entropy_matches_the_masked_form(self):
         rng = np.random.default_rng(7)
@@ -144,9 +155,12 @@ class TestWitnessHelpers:
         mixed = rng.uniform(-0.5, 1.5, 400)
         mixed[rng.integers(0, 400, 40)] = rng.choice([0.0, 1.0, np.nan], 40)
         for q in inside + edges + [mixed, mixed.reshape(20, 20), np.empty(0), np.empty((0, 3))]:
-            new, old = miso._entropy_arr(q), _old_entropy_arr(q)
+            new, old = siso._entropy_many(q, np), _old_entropy_arr(q)
             assert new.shape == old.shape and new.dtype == old.dtype
-            assert new.tobytes() == old.tobytes(), q
+            # The old form's bits in [0, 1], where it gives 0 at the ends; NaN elsewhere.
+            kept = (q >= 0.0) & (q <= 1.0)
+            assert new[kept].tobytes() == old[kept].tobytes(), q
+            assert np.isnan(new[~kept]).all(), q
 
     @pytest.mark.parametrize("count", [1, 2, 5])
     def test_local_peaks_match_the_masking_form(self, count):
@@ -157,20 +171,23 @@ class TestWitnessHelpers:
             new = gridsearch._local_peaks(values.copy(), g, 0.03, count)
             assert new == _old_local_peaks(values.copy(), g, 0.03, count)
 
-    @pytest.mark.parametrize("spec", [GridSpec(1e-2, 0), GridSpec()])
+    @pytest.mark.parametrize("spec", [GridSpec(1e-2, 0), GridSpec(), GridSpec(3e-2, 2)])
     def test_grid_capacity_is_unchanged(self, monkeypatch, spec):
         rng = random.Random(31)
         channels = [
             ChannelParams(1000.0, 1000.0, 0.001, 1.0),  # every hit level rounds to 1
             ChannelParams(1.0, 0.1, 10.0, 5.0),
             ChannelParams(1000.0, 10.0, 0.001, 0.1),
+            # Hit levels an ulp or so below 1: at step 3e-2 a refinement
+            # window holds NaN cells beside a better one.
+            ChannelParams(0.06680523841052471, 0.5131909992854794, 15.838569506565392, 2.293482078800965),
         ]
         for _ in range(12):
             a1, a2 = math.exp(rng.uniform(-3.0, 4.0)), math.exp(rng.uniform(-3.0, 4.0))
             lambda0 = math.exp(rng.uniform(-7.0, 2.0))
             channels.append(ChannelParams(a1, a2, lambda0, rng.uniform(0.1, 5.0) * math.log(2) / (a1 + a2 + lambda0)))
         results = [grid_capacity(params, spec) for params in channels]
-        monkeypatch.setattr(gridsearch, "_entropy_arr", _old_entropy_arr)
+        monkeypatch.setattr(gridsearch, "_rate_grid", _old_rate_grid)
         monkeypatch.setattr(gridsearch, "_local_peaks", _old_local_peaks)
         for params, new in zip(channels, results):
             old = grid_capacity(params, spec)
@@ -186,7 +203,7 @@ class TestFiniteDifferences:
 
     def test_boundary_distance_enforced(self):
         with pytest.raises(ValueError):
-            fd_gradient(FIG2, DutyPair(0.0, 0.5), h=1e-6)
+            fd_gradient(FIG2, DutyPair(0.0, 0.5))
 
 
 class TestPmfEnumeration:

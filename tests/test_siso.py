@@ -595,11 +595,39 @@ class TestProfileMax:
         assert len({mu1[i] for i in range(9) if finite[i]}) == 8
 
 
+SATURATED = [
+    ChannelParams(1000.0, 10.0, 0.001, 0.1),  # p1 = p3 = 1: den = 0 at mu1 = 1
+    ChannelParams(1.0, 0.1, 10.0, 5.0),  # every hit level is 1: den = 0 everywhere
+]
+
+
+def _old_profile_of(hp, tau):
+    """siso._profile_of as it was before it ran the batch's g and rate."""
+    (h1, h2, h3, h4), p1, p2, p3, p4 = hp.entropies, hp.p1, hp.p2, hp.p3, hp.p4
+    dp_13, dp_24, dh_13, dh_24 = p1 - p3, p2 - p4, h1 - h3, h2 - h4
+
+    def profile(mu1):
+        nu1 = 1.0 - mu1
+        den = mu1 * dp_13 + nu1 * dp_24
+        a_m = np.exp(np.minimum((mu1 * dh_13 + nu1 * dh_24) / den, 700.0))
+        g = (1.0 / (a_m + 1.0) - (mu1 * p3 + nu1 * p4)) / den
+        mu2 = np.fmin(np.fmax(g, 0.0), 1.0)
+        w0, w1, w2, w3 = mu1 * mu2, nu1 * mu2, mu1 * (1.0 - mu2), nu1 * (1.0 - mu2)
+        ph = w0 * p1 + w1 * p2 + w2 * p3 + w3 * p4
+        h = -ph * np.log(ph) - (1.0 - ph) * np.log1p(-ph)
+        if not (ph.min() > 0.0 and ph.max() < 1.0):
+            h = np.where((ph == 0.0) | (ph == 1.0), 0.0, h)
+        return (h - (w0 * h1 + w1 * h2 + w2 * h3 + w3 * h4)) / tau, mu2
+
+    return profile
+
+
 class TestProfileKernel:
-    """solve's out-of-regime profile, one numpy kernel (siso._profile_of),
-    against the scalar g_mac and mutual_info_rate.  The tolerances leave room
-    for numpy's exp and logs to differ from math's in the last bit, as they
-    may on other CPUs."""
+    """solve's out-of-regime profile (siso._profile_of, the batch's g and rate
+    on numpy's exp and logs), against its earlier form bit for bit and against
+    the scalar g_mac and mutual_info_rate.  The tolerances leave room for
+    numpy's exp and logs to differ from math's in the last bit, as they may
+    on other CPUs."""
 
     @pytest.mark.parametrize(
         "params", [ChannelParams(10.0, 30.0, 0.001, 0.02), ChannelParams(8850.0, 4010.0, 0.001, 7.92e-05)]
@@ -645,13 +673,21 @@ class TestProfileKernel:
             assert abs(report.capacity - expected) <= 4.0 * math.ulp(1.0) * abs(expected), params
             assert abs(mu2 - min(max(g_mac(params, mu1), 0.0), 1.0)) <= 1e-15, params
 
-    @pytest.mark.parametrize(
-        "params",
-        [
-            ChannelParams(1000.0, 10.0, 0.001, 0.1),  # p1 = p3 = 1: den = 0 at mu1 = 1
-            ChannelParams(1.0, 0.1, 10.0, 5.0),  # every hit level is 1: den = 0 everywhere
-        ],
-    )
+    def test_profile_gives_the_bits_of_its_earlier_kernel(self):
+        rng = random.Random(181)
+        channels = list(SATURATED)
+        for _ in range(200):
+            a1, a2 = 10.0 ** rng.uniform(-3.0, 4.0), 10.0 ** rng.uniform(-3.0, 4.0)
+            lambda0 = 10.0 ** rng.uniform(-4.0, 1.5)
+            channels.append(ChannelParams(a1, a2, lambda0, 10.0 ** rng.uniform(0.0, 2.0) * math.log(2) / (a1 + a2 + lambda0)))
+        mu1 = np.concatenate((np.arange(1001) * 1e-3, np.random.default_rng(181).uniform(0.0, 1.0, 300)))
+        with np.errstate(all="ignore"):
+            for params in channels:
+                hp = hit_probs(params)
+                new, old = siso._profile_of(hp, params.tau)(mu1), _old_profile_of(hp, params.tau)(mu1)
+                assert [v.tobytes() for v in new] == [v.tobytes() for v in old], params
+
+    @pytest.mark.parametrize("params", SATURATED)
     def test_saturated_samples_keep_mu2_in_the_box(self, params):
         hp, mu1 = hit_probs(params), np.linspace(0.0, 1.0, 1001)
         den = mu1 * (hp.p1 - hp.p3) + (1.0 - mu1) * (hp.p2 - hp.p4)

@@ -146,6 +146,13 @@ class TestPeakThreshold:
         assert capped.search_cap == (math.log(2.0) / tau - lambda0) / 2.0 == pytest.approx(308.76, abs=0.01)
         assert flip_log_odds(capped.search_cap, lambda0, tau) - dark_log_odds(lambda0, tau) > 1.0
 
+    def test_root_of_rounding_noise_is_an_error(self):
+        # At tau ~ 1e-14 the flip level's second differences cancel and delta
+        # changes sign on noise: the bisection's root has a residual of 5.6e15
+        # against a target of 37.8.
+        with pytest.raises(ArithmeticError, match=r"peak-threshold residual 5\.6\d*e\+15 above 1e-09 of the target 37\.8"):
+            peak_threshold(0.0029339146239736333, 1.2741161428746491e-14)
+
     def test_threshold_between_known_sides(self):
         thr = peak_threshold(LAMBDA0, TAU)
         # At peak 10 the flip level 9.51 already sits below the dark log-odds
@@ -254,7 +261,7 @@ class TestLineDichotomy:
         params = ChannelParams(a, a, LAMBDA0, TAU)
         for frac in (0.25, 0.6, 0.95):
             hs = frac * bounds.axis
-            best, _ = line_constrained_max(a, LAMBDA0, TAU, hs, step=1e-4)
+            best, _ = line_constrained_max(a, LAMBDA0, TAU, hs)
             split = mutual_info(params, DutyPair(min(2 * hs, 1.0), max(2 * hs - 1, 0.0)))
             assert split >= best - 1e-12
 
@@ -264,7 +271,7 @@ class TestLineDichotomy:
         bounds = boundary_half_sums(a, LAMBDA0, TAU, thr)
         params = ChannelParams(a, a, LAMBDA0, TAU)
         for hs in (1.5 * bounds.diagonal, 0.1, 0.25, 0.4):
-            best, _ = line_constrained_max(a, LAMBDA0, TAU, hs, step=1e-4)
+            best, _ = line_constrained_max(a, LAMBDA0, TAU, hs)
             balanced = mutual_info(params, DutyPair(hs, hs))
             assert balanced >= best - 1e-12
 
