@@ -27,9 +27,13 @@ the same table on first need and kept for the process.  Either way main then
 applies --strict and writes the CSV.  A sweep grid of more than MAX_GRID
 values, in one range or in all its rows, is refused before it is built.
 
-Importing this module does not import numpy (see _numpy.py): in regime,
-solve, intersections, symmetric and solve-miso run on the math module alone,
-so a process that runs only those never loads it.  The sweeps, the
+Importing this module runs only the package, _numpy, channel, siso and this
+module, and does not import numpy (see _numpy.py).  The other library
+modules load when a command first needs them: symmetric for symmetric, miso
+for solve-miso, continuous for converge and sweep-peak's tau = 0 rows, and
+gridsearch (with miso) for solve's out-of-regime check.  In regime, solve,
+intersections, symmetric and solve-miso run on the math module alone, so a
+process that runs only those never loads numpy; the sweeps, the
 out-of-regime checks and the continuous reference load it on first use.
 
 Exit status: 0 on success, 2 on a validation error (the message names the
@@ -54,10 +58,7 @@ from itertools import islice
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .channel import ChannelParams
-from .continuous import cont_capacity_many, convergence_report
-from .miso import MAX_ANTENNAS, MisoConfig, solve_miso
 from .siso import find_intersections, regime_fraction_rule, solve, solve_many, sweep_strategy_region
-from .symmetric import solve_symmetric
 
 __all__ = ["main"]
 
@@ -141,12 +142,12 @@ def _check_positive(name: str, values: list[float], text: str) -> None:
         raise ValueError(f"{name} must be positive, got '{text}'")
 
 
-def _parse_peaks(args: argparse.Namespace, name: str) -> tuple[float, ...]:
-    """A list of antenna peaks, each finite and positive, with a finite sum."""
+def _parse_peaks(args: argparse.Namespace, name: str, max_antennas: int) -> tuple[float, ...]:
+    """A list of at most max_antennas peaks, each finite and positive, with a finite sum."""
     peaks = _parse_floats(args, name)
     text = _require(args, name)
-    if len(peaks) > MAX_ANTENNAS:
-        raise ValueError(f"{name} supports at most {MAX_ANTENNAS} antennas, got '{text}'")
+    if len(peaks) > max_antennas:
+        raise ValueError(f"{name} supports at most {max_antennas} antennas, got '{text}'")
     _check_positive(name, peaks, text)
     if not math.isfinite(sum(peaks)):  # the summed peak is the user's a1 or a2
         raise ValueError(f"the sum of {name} must be finite, got '{text}'")
@@ -201,8 +202,13 @@ def _channel(args: argparse.Namespace) -> ChannelParams:
 # then yields a regime predicate, which main calls before the next step only
 # under --strict; then it solves and yields (meta, header, rows) for main to
 # write, where rows may be a generator over values already solved.  It
-# reaches the library through this module's globals at call time, so
-# patching them reaches the handlers.
+# reaches channel and siso through this module's globals and the other
+# library modules through an import inside the handler, so that a command
+# loads only the modules it calls.  Either way it reads each name at call
+# time, so patching it here (channel, siso) or at its home module (the
+# others) reaches the handler.  Those imports are absolute: once the module
+# is loaded, `import poisson_mac.miso as miso` costs ~0.4 us a call and a
+# relative `from .miso import ...` ~1.4 us, 1-3 % of an in-regime command.
 Steps = Iterator[Any]
 
 SOLVE_HEADER = ("a1", "a2", "lambda0", "tau", "capacity_nats", "mu1", "mu2", "strategy", "regime_ok")
@@ -221,15 +227,17 @@ def _cmd_solve(args: argparse.Namespace) -> Steps:
 
 
 def _cmd_solve_miso(args: argparse.Namespace) -> Steps:
+    import poisson_mac.miso as miso
+
     # MisoConfig would name peaks_user1 and peaks_user2, not the flags.
-    config = MisoConfig(
-        peaks_user1=_parse_peaks(args, "peaks1"),
-        peaks_user2=_parse_peaks(args, "peaks2"),
+    config = miso.MisoConfig(
+        peaks_user1=_parse_peaks(args, "peaks1", miso.MAX_ANTENNAS),
+        peaks_user2=_parse_peaks(args, "peaks2", miso.MAX_ANTENNAS),
         lambda0=_lambda0(args),
         tau=_flag(args, "tau"),
     )
     yield lambda: config.in_regime
-    report = solve_miso(config)
+    report = miso.solve_miso(config)
     meta = {
         "peaks1": ":".join(_fmt(p) for p in config.peaks_user1),
         "peaks2": ":".join(_fmt(p) for p in config.peaks_user2),
@@ -262,7 +270,12 @@ def _cmd_sweep_peak(args: argparse.Namespace) -> Steps:
     solved = zip(lanes, batch.mu1.tolist(), batch.mu2.tolist(), batch.capacity.tolist())
     solved_rows = iter([[a2, tau, mu1, mu2, capacity] for (a2, tau), mu1, mu2, capacity in solved])
     # The continuous rows in one pass, reused for a repeated 0.
-    cont = cont_capacity_many(a1, a2_values, lambda0) if 0.0 in taus else ((), (), ())
+    if 0.0 in taus:
+        import poisson_mac.continuous as continuous
+
+        cont = continuous.cont_capacity_many(a1, a2_values, lambda0)
+    else:
+        cont = ((), (), ())
     cont_rows = [[a2, 0.0, mu1, mu2, rate] for a2, rate, mu1, mu2 in zip(a2_values, *cont)]
     rows: list[list[object]] = []
     for tau in taus:
@@ -295,6 +308,8 @@ def _cmd_sweep_region(args: argparse.Namespace) -> Steps:
 
 
 def _cmd_symmetric(args: argparse.Namespace) -> Steps:
+    import poisson_mac.symmetric as symmetric
+
     a = _flag(args, "a")
     lambda0 = _lambda0(args)
     tau = _flag(args, "tau")
@@ -309,7 +324,7 @@ def _cmd_symmetric(args: argparse.Namespace) -> Steps:
         )
     params = ChannelParams(a, a, lambda0, tau)
     yield lambda: params.in_regime
-    report = solve_symmetric(a, lambda0, tau)
+    report = symmetric.solve_symmetric(a, lambda0, tau)
     meta = {"a": a, "lambda0": lambda0, "tau": tau}
     boundary = (report.boundary.axis, report.boundary.diagonal) if report.boundary else (math.nan, math.nan)
     row = [*meta.values(), report.flip_level, report.threshold.value, *boundary]
@@ -318,13 +333,15 @@ def _cmd_symmetric(args: argparse.Namespace) -> Steps:
 
 
 def _cmd_converge(args: argparse.Namespace) -> Steps:
+    import poisson_mac.continuous as continuous
+
     a1 = _flag(args, "a1")
     a2 = _flag(args, "a2")
     lambda0 = _lambda0(args)
     taus = _parse_floats(args, "taus")
     _check_positive("taus", taus, _require(args, "taus"))
     yield lambda: all(ChannelParams(a1, a2, lambda0, tau).in_regime for tau in taus)
-    report = convergence_report(a1, a2, lambda0, taus)
+    report = continuous.convergence_report(a1, a2, lambda0, taus)
     meta = {"a1": a1, "a2": a2, "lambda0": lambda0, "taus": _require(args, "taus")}
     rows = [[r.tau, r.capacity, r.cont_capacity, r.gap, r.duty.mu1, r.duty.mu2] for r in report]
     yield meta, ("tau", "capacity", "cont_capacity", "gap", "mu1", "mu2"), rows

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from poisson_mac import cli
+from poisson_mac import cli, continuous, miso, symmetric
 from poisson_mac.cli import main
 
 GOLDEN_CASES = runpy.run_path(str(Path(__file__).with_name("test_cli_golden.py")))["CASES"]
@@ -121,11 +121,14 @@ class TestStrict:
         def refuse(*args, **kwargs):
             raise AssertionError("solved under --strict")
 
-        for name in (
-            "solve", "solve_many", "find_intersections", "sweep_strategy_region",
-            "cont_capacity_many", "convergence_report", "solve_miso", "solve_symmetric",
-        ):
+        for name in ("solve", "solve_many", "find_intersections", "sweep_strategy_region"):
             monkeypatch.setattr(cli, name, refuse)
+        # The handlers import these at call time, from their home modules.
+        for module, name in (
+            (continuous, "cont_capacity_many"), (continuous, "convergence_report"),
+            (miso, "solve_miso"), (symmetric, "solve_symmetric"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
         code, text = run(tmp_path, *argv.split(), "--strict")
         assert code == 3
         assert text == ""
@@ -478,8 +481,9 @@ class TestExitCodes:
         # The grid lists are comprehensions over range: a module global
         # shadows the builtin, so a list over the cap is never allocated.
         monkeypatch.setattr(cli, "range", bounded_range, raising=False)
-        for name in ("solve_many", "sweep_strategy_region", "cont_capacity_many"):
+        for name in ("solve_many", "sweep_strategy_region"):
             monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(continuous, "cont_capacity_many", refuse)
         start = time.perf_counter()
         code, text = run(tmp_path, *argv)
         assert time.perf_counter() - start < 1.0
@@ -786,3 +790,50 @@ class TestLazyNumpy:
         out = fresh_python(code, check=False)
         assert out.returncode == 1
         assert out.stderr.splitlines()[-1].startswith("ModuleNotFoundError: ")
+
+
+# Imports the CLI in a fresh interpreter, then runs each argv through main;
+# prints a JSON object with the package modules the import loaded, each run's
+# exit code and stdout, and the package modules the runs added.
+FRESH_LOADS = """
+import contextlib, io, json, sys
+
+def package_modules():
+    return {m for m in sys.modules if m.split(".")[0] == "poisson_mac"}
+
+import poisson_mac.cli
+loaded, runs = package_modules(), []
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runs.append((poisson_mac.cli.main(argv.split()), out.getvalue()))
+print(json.dumps({"import": sorted(loaded), "runs": runs, "added": sorted(package_modules() - loaded)}))
+"""
+
+
+class TestLazyModules:
+    CLI_IMPORT = ["poisson_mac", "poisson_mac._numpy", "poisson_mac.channel", "poisson_mac.cli", "poisson_mac.siso"]
+
+    @pytest.mark.parametrize(
+        "argvs, added",
+        [
+            (
+                (
+                    "solve --a1 10 --a2 12 --lambda0 0.001 --tau 0.02",
+                    "intersections --a1 10 --a2 12 --tau 0.02",
+                    "sweep-region --a1 1:30 --a2 1:30 --cells 12",
+                    "sweep-peak --a1 10 --a2 5:15:5 --tau 0.02 --strict",
+                ),
+                [],
+            ),
+            (("symmetric --a 10 --tau 0.02",), ["symmetric"]),
+            (("solve-miso --peaks1 5,5 --peaks2 6,6 --tau 0.02",), ["miso"]),
+            (("converge --a1 10 --a2 12 --taus 1e-3,1e-4,1e-5",), ["continuous"]),
+            (("sweep-peak --a1 10 --a2 5:10:5 --tau 0",), ["continuous"]),
+            (("solve --a1 10 --a2 30 --tau 0.02",), ["gridsearch", "miso"]),
+        ],
+    )
+    def test_each_command_loads_only_the_modules_it_calls(self, argvs, added):
+        out = json.loads(fresh_python(FRESH_LOADS, *argvs).stdout)
+        assert out["import"] == self.CLI_IMPORT
+        assert [tuple(run) for run in out["runs"]] == [GOLDEN[argv] for argv in argvs]
+        assert out["added"] == [f"poisson_mac.{m}" for m in added]
