@@ -10,21 +10,22 @@ problem:
   affine relation mu1*u - mu2*v + w = 0 (curve ``f``); the second partial
   alone solves to a closed form mu2 = g(mu1) that is strictly convex whenever
   tau <= ln2/(a1+a2+lambda0).  An affine curve meets a strictly convex one at
-  most twice, so one golden-section pass locating the minimum of g - f plus a
-  bisection on each side finds every interior candidate.  Both run on one
-  closure d (_curves_of), g - f to the last bit in one Python call a step.
+  most twice, so any point where g - f <= 0 lies between the two meetings: a
+  golden-section pass towards the minimum of g - f ends at its first such
+  sample, and a bisection on each side finds every interior candidate, both
+  on one closure d (_curves_of), g - f to the last bit in one Python call a step.
 * the two edge candidates put one user at its closed-form solo duty cycle and
   silence the other.
 
 The best of the at-most-four candidates is the capacity.  Out of the stated
-regime the convexity guarantee lapses; the solver still runs but flags the
-report and checks the candidates against the profile maximum and a coarse
-grid.  At every tau and mu1, the hit probability and the entropy mixture are
-affine in mu2, so I(mu1, .) is concave and peaks at clip(g(mu1), 0, 1): the
-capacity is the maximum over mu1 of that profile (_profile_of: the batch's g
-and rate kernels below on numpy's exp, log and log1p), found by
-_profile_max_many, which maximises lanes of profiles at once: solve runs one
-lane, and continuous.cont_capacity_many runs a lane per continuous row.
+regime the convexity guarantee lapses, so the pass runs to its width; the solver
+flags the report and checks the candidates against the profile maximum and a
+coarse grid.  At every tau and mu1, the hit probability and the entropy mixture
+are affine in mu2, so I(mu1, .) is concave and peaks at clip(g(mu1), 0, 1): the
+capacity is the maximum over mu1 of that profile (_profile_of: the batch's g and
+rate kernels below on numpy's exp, log and log1p), found by _profile_max_many,
+which maximises lanes of profiles at once: solve runs one lane, and
+continuous.cont_capacity_many runs a lane per continuous row.
 
 solve builds a channel's set-up once for private cores; find_intersections,
 sufficiency_tests and single_user_duty are wrappers over the same cores.
@@ -256,22 +257,31 @@ def _curves_of(hp: HitProbs) -> tuple[Callable[[float], float], Callable[[], Cal
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Abscissa of the minimum of a strictly unimodal function on [lo, hi]."""
+def _golden_min(fn: Callable, lo: float, hi: float, tol: float, stop: bool = False) -> tuple[float, float | None]:
+    """Abscissa of the minimum of a strictly unimodal function on [lo, hi],
+    with no value.  With stop, the first sample where fn <= 0 instead, with
+    its value; past the first, a sample counts only if the width test after
+    it passes, so the pass reads the samples _golden_min_many takes."""
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc = fn(c)
+    if stop and fc <= 0.0:
+        return c, fc
+    x, fx = d, fn(d)  # the newest sample
+    fd = fx
     while b - a > tol:
+        if stop and fx <= 0.0:
+            return x, fx
         if fc < fd:
             b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fn(c)
+            x = c = b - _INV_GOLDEN * (b - a)
+            fx = fc = fn(c)
         else:
             a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+            x = d = a + _INV_GOLDEN * (b - a)
+            fx = fd = fn(d)
+    return 0.5 * (a + b), None
 
 
 def _bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
@@ -299,18 +309,20 @@ def _bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
 def find_intersections(params: ChannelParams) -> IntersectionSearch:
     """All stationary pairs where the affine and convex curves meet on [0, 1].
 
-    Exploits strict convexity of g - f: golden-section locates its minimum,
-    then one bisection per side recovers each sign change.  Out of regime the
-    search still runs but the result is flagged unreliable.
+    Exploits strict convexity of g - f: golden-section samples towards its
+    minimum until one sample is <= 0, then one bisection per side recovers
+    each sign change.  Out of regime the pass runs to its width, and the
+    result is flagged unreliable.
     """
     g, make_d = _curves_of(hit_probs(params))
     return _intersections(g, make_d(), params.in_regime)
 
 
 def _intersections(g: Callable, d: Callable, reliable: bool) -> IntersectionSearch:
-    m_star = _golden_min(d, 0.0, 1.0, 1e-14)
+    m_star, d_m = _golden_min(d, 0.0, 1.0, 1e-14, stop=reliable)  # d is convex where reliable
+    d_m = d(m_star) if d_m is None else d_m
     roots: list[float] = []
-    if d(m_star) <= 0.0:
+    if d_m <= 0.0:
         if d(0.0) >= 0.0:
             roots.append(_bisect_root(d, 0.0, m_star))
         if d(1.0) >= 0.0:
@@ -459,6 +471,8 @@ def solve(params: ChannelParams) -> SolveReport:
         candidates.append(Candidate(duty, scenario, rate, valid=True))
 
     best_rate = max(c.rate for c in candidates)
+    if not math.isfinite(best_rate):  # an overflowed or NaN rate leaves no candidate near it
+        raise ArithmeticError(f"the best candidate rate is {best_rate}, not a finite number")
     near = [c for c in candidates if c.valid and best_rate - c.rate <= TIE_TOL]
     winner = min(near, key=lambda c: _TIE_RANK[_STRATEGY_OF_SCENARIO[c.scenario]])
 
@@ -507,7 +521,8 @@ def solve(params: ChannelParams) -> SolveReport:
 # lane runs the same IEEE operations as the scalar code, and its result is bit
 # for bit the scalar one.  A lane skips only work whose result solve never
 # reads: the golden-section pass where g - f < 0 at both ends of [0, 1], and
-# any step after the one that fixes a pass's result, where the lane leaves it.
+# any step after the one that fixes a pass's result (in the golden-section
+# pass, its first sample with g - f <= 0), where the lane leaves it.
 # g, the entropy and the rate take xp, the module of their exp and logs (math
 # by default, see _call); the profile and the grid and MISO oracles pass numpy.
 
@@ -595,29 +610,32 @@ def _solo_duty_many(p_on: np.ndarray, p_off: np.ndarray, h_on: np.ndarray, h_off
     return (1.0 / (1.0 + _lanes(math.exp, np.minimum(chord, 700.0))) - p_off) / (p_on - p_off)
 
 
-def _golden_min_many(curves: _CurvesMany, tol: float) -> np.ndarray:
-    """_golden_min of g - f on [0, 1] per lane.  Each step starts with the
-    scalar loop's width test: a lane whose b - a is not above tol (a NaN
-    width too) leaves with its result, without the scalar loop's last
-    evaluation, which that result never reads.  The other lanes evaluate
-    their pending point and step on."""
+def _golden_min_many(curves: _CurvesMany, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """_golden_min of g - f on [0, 1] per lane, with stop: per-lane arrays of
+    the result and its value, NaN where there is none.  A lane leaves at its
+    first sample with g - f <= 0, else at the scalar loop's width test (a NaN
+    width fails it too), without the scalar loop's last evaluation, which that
+    result never reads.  The other lanes evaluate their pending point and step on."""
     n = curves.slope.size
-    m_star, lane = np.empty(n), np.arange(n)
+    m_star, d_m, lane = np.empty(n), np.full(n, np.nan), np.arange(n)
     a, b = np.zeros(n), np.ones(n)
     # s is the interior point the bracket keeps, x the one still to be
     # evaluated; x is c (and s is d) where lt, else x is d (and s is c).
     s = b - _INV_GOLDEN * (b - a)
     fs, x, lt = curves.d(s), a + _INV_GOLDEN * (b - a), np.zeros(n, bool)
+    new, f_new = s, fs  # the newest sample
     while True:
-        wide = b - a > tol
-        if not wide.all():
-            m_star[lane[~wide]] = 0.5 * (a[~wide] + b[~wide])
-            lane, a, b, s, fs, x, lt = (v[wide] for v in (lane, a, b, s, fs, x, lt))
-            curves = curves.take(wide)
+        low = f_new <= 0.0
+        stay = ~low & (b - a > tol)
+        if not stay.all():
+            m_star[lane[~stay]] = np.where(low, new, 0.5 * (a + b))[~stay]
+            d_m[lane[low]] = f_new[low]
+            lane, a, b, s, fs, x, lt = (v[stay] for v in (lane, a, b, s, fs, x, lt))
+            curves = curves.take(stay)
         if not lane.size:
-            return m_star
-        fx = curves.d(x)
-        c, fc, d, fd = np.where(lt, x, s), np.where(lt, fx, fs), np.where(lt, s, x), np.where(lt, fs, fx)
+            return m_star, d_m
+        new, f_new = x, curves.d(x)
+        c, fc, d, fd = np.where(lt, x, s), np.where(lt, f_new, fs), np.where(lt, s, x), np.where(lt, fs, f_new)
         lt = fc < fd
         b = np.where(lt, d, b)
         a = np.where(lt, a, c)
@@ -674,8 +692,9 @@ def _enumerate_many(
     d_0, d_1 = curves.d(zeros), curves.d(ones)
     ends = np.flatnonzero((d_0 >= 0.0) | (d_1 >= 0.0))
     m_star, d_m = np.full(n, np.nan), np.full(n, np.nan)
-    m_star[ends] = _golden_min_many(curves.take(ends), 1e-14)
-    d_m[ends] = curves.take(ends).d(m_star[ends])
+    m_star[ends], d_m[ends] = _golden_min_many(curves.take(ends), 1e-14)
+    full = ends[np.isnan(d_m[ends])]  # lanes with no sample <= 0 ran the whole pass
+    d_m[full] = curves.take(full).d(m_star[full])
     crosses = d_m <= 0.0
     left = np.flatnonzero(crosses & (d_0 >= 0.0))
     right = np.flatnonzero(crosses & (d_1 >= 0.0))
@@ -747,7 +766,8 @@ def solve_many(
     if not valid.all():
         ChannelParams(*(float(x[np.argmin(valid)]) for x in lanes))  # raises
 
-    regime = tau <= math.log(2.0) / (a1 + a2 + lambda0)
+    with np.errstate(over="ignore"):  # a1 + a2 + lambda0 = inf puts the lane out of regime
+        regime = tau <= math.log(2.0) / (a1 + a2 + lambda0)
     capacity, mu1, mu2 = (np.full(tau.size, np.nan) for _ in range(3))
     code = np.full(tau.size, -1)
     fast = np.flatnonzero(regime)

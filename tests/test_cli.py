@@ -411,6 +411,10 @@ class TestExitCodes:
             # The dark slot's hit probability rounds to 1 or underflows to 0.
             ("symmetric", "--a", "1", "--lambda0", "40", "--tau", "1"),
             ("symmetric", "--a", "1", "--lambda0", "1e-200", "--tau", "1e-200"),
+            # Every candidate rate overflows to inf, in one solve and in a
+            # batch, whose regime test overflows too.
+            ("solve", "--a1", "1e308", "--a2", "1e308", "--tau", "1e-310"),
+            ("sweep-peak", "--a1", "1e308", "--a2", "1e308", "--tau", "1e-310"),
         ],
     )
     def test_underflow_is_numerical_error(self, tmp_path, capsys, argv):

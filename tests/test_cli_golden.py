@@ -386,7 +386,7 @@ CASES = [
         "tau,capacity,cont_capacity,gap,mu1,mu2\n"
         "0.001,4.79737692555,4.81137429765,0.0139973721036,0.218857455666,0.303189096204\n"
         "0.0001,4.80997287026,4.81137429765,0.00140142738987,0.219085696801,0.302879894498\n"
-        "1e-05,4.81123413801,4.81137429765,0.00014015963676,0.219108466122,0.302849012375\n",
+        "1e-05,4.81123413801,4.81137429765,0.00014015963677,0.219108466122,0.302849012375\n",
     ),
     (
         "converge --a1 10 --a2 12 --taus 1e-3 --strict",

@@ -1,6 +1,7 @@
 """Property tests of the shared kernels (the profile maximiser, the gradient
 algebra and the bisection behind the symmetric analysis), of solve on
-either side of the regime bound, of solve_many against solve, and of
+either side of the regime bound, of the in-regime search's early exit
+against the full golden-section pass, of solve_many against solve, and of
 solve_miso under regroupings of the same antenna peaks.
 
 Needs hypothesis (the `test` extra); without it the module is skipped.
@@ -19,7 +20,8 @@ from poisson_mac.channel import ChannelParams, DutyPair, entropy_slope, grad_mut
 from poisson_mac.continuous import ContinuousParams, cont_capacity  # noqa: E402
 from poisson_mac.gridsearch import _grad_norm_grid, _rate_grid  # noqa: E402
 from poisson_mac.miso import MisoConfig, solve_miso  # noqa: E402
-from poisson_mac.siso import TIE_TOL, g_mac, solve, solve_many  # noqa: E402
+from poisson_mac import siso  # noqa: E402
+from poisson_mac.siso import TIE_TOL, find_intersections, g_mac, solve, solve_many  # noqa: E402
 from poisson_mac.symmetric import (  # noqa: E402
     FIXED_POINT_TOL,
     flip_log_odds,
@@ -111,6 +113,46 @@ def test_solve_label_swap(a1, a2, lambda0, fraction):
     capacity = solve(_channel(a1, a2, lambda0, fraction)).capacity
     swapped = solve(_channel(a2, a1, lambda0, fraction)).capacity
     assert swapped == pytest.approx(capacity, rel=1e-12, abs=0.0)
+
+
+def _full_golden_min(fn, lo, hi, tol, stop=False):
+    """The golden-section pass as it ran before its early exit: always to a
+    width of tol, returning the midpoint and no value."""
+    a, b = lo, hi
+    c = b - siso._INV_GOLDEN * (b - a)
+    d = a + siso._INV_GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - siso._INV_GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + siso._INV_GOLDEN * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b), None
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_log_uniform(1e-2, 1e3), _log_uniform(1e-2, 1e3), _log_uniform(1e-4, 10.0), fractions)
+def test_early_exit_finds_the_full_pass_roots(a1, a2, lambda0, fraction):
+    # In regime g - f is convex, so its first sample <= 0 splits its roots as
+    # well as the minimum does.  The bisections start from other brackets, so
+    # their roots may differ within the rounding noise of g - f (~1e-13).
+    params = _channel(a1, a2, lambda0, fraction)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(siso, "_golden_min", _full_golden_min)
+        full, full_strategy = find_intersections(params), solve(params).strategy
+    early = find_intersections(params)
+    assert (len(early.points), len(early.rejected)) == (len(full.points), len(full.rejected))
+    for got, want in zip(early.points + early.rejected, full.points + full.rejected):
+        assert abs(got.mu1 - want.mu1) <= 1e-12
+    assert solve(params).strategy is full_strategy
 
 
 # Small batches of in-regime channels, each lane with its own background.

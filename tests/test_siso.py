@@ -213,6 +213,35 @@ class TestIntersections:
         assert not find_intersections(params).reliable
 
     @pytest.mark.parametrize(
+        "params, evaluations",
+        [
+            # In regime g - f is convex, so its first sample <= 0 (here the
+            # first of all) splits its roots: 1 golden-section sample, 2 end
+            # values, 53 in the bisection (d at 0 again, then 52 midpoints)
+            # and 1 in the screens.
+            (FIG2, 57),
+            # Out of regime the pass runs to its width (69 samples) and d(m*)
+            # is evaluated again, as before the early exit.
+            (ChannelParams(0.5, 0.3, 20.0, 0.1), 128),
+        ],
+    )
+    def test_evaluations_of_g_minus_f_per_solve(self, monkeypatch, params, evaluations):
+        samples, curves_of_hp = [], siso._curves_of
+
+        def counted_curves(hp):
+            g, make_d = curves_of_hp(hp)
+
+            def make_counted_d():
+                d = make_d()
+                return lambda x: samples.append(x) or d(x)
+
+            return g, make_counted_d
+
+        monkeypatch.setattr(siso, "_curves_of", counted_curves)
+        assert len(solve(params).search.points) == 1
+        assert len(samples) == evaluations
+
+    @pytest.mark.parametrize(
         "fn, lo, hi",
         [
             (lambda x: x * x - 2.0, 1.0, 2.0),
@@ -897,7 +926,8 @@ class TestSolveMany:
     def test_passes_on_zero_lanes(self):
         curves, _ = curves_of([])
         with wall_bound(30.0):
-            assert siso._golden_min_many(curves, 1e-14).shape == (0,)
+            m_star, d_m = siso._golden_min_many(curves, 1e-14)
+            assert m_star.shape == d_m.shape == (0,)
             empty = np.empty(0)
             assert siso._bisect_many(curves, empty, empty, empty).shape == (0,)
             assert solve_many([], [], 0.001, []).capacity.shape == (0,)
@@ -929,29 +959,54 @@ class TestSolveMany:
         )
 
     def test_passes_match_their_scalar_loops(self):
-        peaks = [(10.0, 12.0, 0.001), (5.0, 5.0, 0.1), (2.5, 4.75, 0.001)]
-        curves, fns = curves_of([ChannelParams(*c, 0.8 * math.log(2) / sum(c)) for c in peaks])
-        m_star = siso._golden_min_many(curves, 1e-14)
-        assert m_star.tolist() == [siso._golden_min(fn, 0.0, 1.0, 1e-14) for fn in fns]
-        for lo, hi in ((np.zeros(3), m_star), (m_star, np.ones(3))):
+        # g - f <= 0 at the golden-section pass's first sample, at its
+        # second, at its 14th (far out of regime), and nowhere: at 45x the
+        # regime bound the background saturates the hit levels, g - f >= 0.025
+        # at the ends and > 0 in between, and the pass runs to its width.
+        channels = [
+            FIG2,
+            ChannelParams(17.47, 4.94, 0.001, 0.5 * math.log(2) / 22.411),
+            ChannelParams(300.0, 200.0, 3.0, 0.12),
+            ChannelParams(0.0025, 0.1, 14.0, 2.2),
+        ]
+        curves, fns = curves_of(channels)
+        samples = collections.Counter()
+        counted = [lambda x, i=i, fn=fn: samples.update([i]) or fn(x) for i, fn in enumerate(fns)]
+        scalar = [siso._golden_min(fn, 0.0, 1.0, 1e-14, stop=True) for fn in counted]
+        assert [samples[i] for i in range(4)] == [1, 2, 14, 69]
+        m_star, d_m = siso._golden_min_many(curves, 1e-14)
+        assert [x.hex() for x in m_star.tolist()] == [x.hex() for x, _ in scalar]
+        assert [x.hex() for x in d_m.tolist()] == [(math.nan if v is None else v).hex() for _, v in scalar]
+        assert (d_m[:3] <= 0.0).all() and scalar[3][1] is None and fns[3](m_star[3]) > 0.0
+        for lo, hi in ((np.zeros(4), m_star), (m_star, np.ones(4))):
             flo = np.array([fn(x) for fn, x in zip(fns, lo.tolist())])
             roots = siso._bisect_many(curves, lo, hi, flo)
-            assert roots.tolist() == [siso._bisect_root(fn, *b) for fn, b in zip(fns, zip(lo.tolist(), hi.tolist()))]
+            want = [siso._bisect_root(fn, *b) for fn, b in zip(fns, zip(lo.tolist(), hi.tolist()))]
+            assert [x.hex() for x in roots.tolist()] == [x.hex() for x in want]
 
     def test_nan_width_counts_as_finished(self):
         # With a NaN tolerance every width test fails, as for a NaN width:
-        # the scalar loop returns the midpoint of [0, 1] without a step.
-        curves, fns = curves_of([FIG1, FIG2, SYM])
+        # a lane whose first sample has g - f <= 0 leaves with it, and the
+        # others get the midpoint of [0, 1] with no value, as from the scalar
+        # loop.
+        second = ChannelParams(17.47, 4.94, 0.001, 0.5 * math.log(2) / 22.411)
+        curves, fns = curves_of([FIG1, FIG2, SYM, second])
         with wall_bound(30.0):
-            m_star = siso._golden_min_many(curves, math.nan)
-        assert m_star.tolist() == [siso._golden_min(fn, 0.0, 1.0, math.nan) for fn in fns] == [0.5] * 3
+            m_star, d_m = siso._golden_min_many(curves, math.nan)
+        scalar = [siso._golden_min(fn, 0.0, 1.0, math.nan, stop=True) for fn in fns]
+        assert m_star.tolist() == [x for x, _ in scalar]
+        assert d_m[:3].tolist() == [v for _, v in scalar[:3]]
+        assert (m_star[3], scalar[3][1]) == (0.5, None) and math.isnan(d_m[3])
+        assert [siso._golden_min(fn, 0.0, 1.0, math.nan) for fn in fns] == [(0.5, None)] * 4
 
     def test_lane_evaluations_on_the_readme_grid(self, monkeypatch):
         # The cells of sweep-region --a1 1:30 --a2 1:30 --cells 30 at the
-        # default rule.  Evaluating only what solve reads takes 83,667
-        # evaluations of g - f over the 900 lanes; one more golden-section
-        # step per searched lane adds 669, and running that pass on every
-        # lane to its last step makes 100,926.
+        # default rule.  Evaluating only what solve reads takes 37,721
+        # evaluations of g - f over the 900 lanes: each of the 669 lanes
+        # searched leaves the golden-section pass at its first or second
+        # sample, where g - f <= 0.  Running that pass to its width on those
+        # lanes, as before the early exit, made 83,667, and one more sample
+        # per searched lane would add 669.
         axis = [1.0 + 29.0 * i / 29 for i in range(30)]
         rows = [in_regime_row(x, axis) for x in axis]
         a1, a2, tau = ([v for row in rows for v in row[i]] for i in range(3))
@@ -970,7 +1025,7 @@ class TestSolveMany:
         monkeypatch.setattr(siso._CurvesMany, "d", counted)
         monkeypatch.setattr(siso, "_golden_min_many", recorded)
         assert_batch_matches_scalar(a1, a2, 0.001, tau)
-        assert sum(lanes) <= 84_000
+        assert sum(lanes) <= 38_000
         [ends] = searched
         assert 0 < ends.size < len(a1)
         assert (ends >= 0.0).all()
