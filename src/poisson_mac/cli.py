@@ -32,16 +32,16 @@ module, and does not import numpy (see _numpy.py).  The other library
 modules load when a command first needs them: symmetric for symmetric, miso
 for solve-miso, continuous for converge and sweep-peak's tau = 0 rows, and
 gridsearch (with miso) for solve's out-of-regime check.  In regime, solve,
-intersections, symmetric and solve-miso run on the math module alone, so a
-process that runs only those never loads numpy; the sweeps, the
-out-of-regime checks and the continuous reference load it on first use.
+intersections, symmetric, solve-miso and converge run on the math module
+alone, so a process that runs only those never loads numpy; the sweeps and
+the out-of-regime checks load it on first use.
 
 Exit status: 0 on success, 2 on a validation error (the message names the
 offending field), 3 when --strict is set and an instance is out of regime
 (checked before anything is solved), 4 when the arithmetic breaks down (hit
 probabilities that round to 1 far out of regime, rates and dead times so
-small that the arithmetic underflows, or a continuous reference whose rates
-all overflow), 141 (128 + SIGPIPE) when
+small that the arithmetic underflows, or a continuous reference with no
+finite candidate rate), 141 (128 + SIGPIPE) when
 the reader of the output goes away first, as in `... | head`; that case
 prints nothing on stderr.
 """
@@ -269,14 +269,14 @@ def _cmd_sweep_peak(args: argparse.Namespace) -> Steps:
     batch = solve_many(a1, [a2 for a2, _ in lanes], lambda0, [tau for _, tau in lanes])
     solved = zip(lanes, batch.mu1.tolist(), batch.mu2.tolist(), batch.capacity.tolist())
     solved_rows = iter([[a2, tau, mu1, mu2, capacity] for (a2, tau), mu1, mu2, capacity in solved])
-    # The continuous rows in one pass, reused for a repeated 0.
+    # The continuous rows, solved once each in row order and reused for a repeated 0.
+    cont_rows: list[list[object]] = []
     if 0.0 in taus:
         import poisson_mac.continuous as continuous
 
-        cont = continuous.cont_capacity_many(a1, a2_values, lambda0)
-    else:
-        cont = ((), (), ())
-    cont_rows = [[a2, 0.0, mu1, mu2, rate] for a2, rate, mu1, mu2 in zip(a2_values, *cont)]
+        for a2 in a2_values:
+            rate, duty = continuous.cont_capacity(continuous.ContinuousParams(a1, a2, lambda0))
+            cont_rows.append([a2, 0.0, duty.mu1, duty.mu2, rate])
     rows: list[list[object]] = []
     for tau in taus:
         rows += cont_rows if tau == 0.0 else islice(solved_rows, len(a2_values))

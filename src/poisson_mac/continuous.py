@@ -10,25 +10,28 @@ expression built from phi(x) = x ln x:
                 - phi(mu1 a1 + mu2 a2 + l0),
 
 and the stationarity curves of the finite-tau solver converge to closed
-forms: the affine curve tends to slope a1/a2 with a phi-expression intercept,
-and the convex curve to an exponential form.  R is concave in mu2 (affine
-terms minus phi of an affine mean), with that convex curve as its maximiser,
-so the continuous optimum is the maximum of a profile over mu1, found for
-many a2 at once (cont_capacity_many) by siso._profile_max_many, as in
-solve's out-of-regime check.  It is the reference against which finite-tau
-capacities are gapped.
+forms: the affine curve to a line of slope a1/a2 (cont_f), and the convex
+curve to cont_g, the exponential of an affine function of mu1 minus an
+affine one, at which R, concave in mu2, peaks.  So cont_g - cont_f is
+strictly convex at every a1, a2 and lambda0, not only in a regime, and
+siso._intersections finds its at most two roots: the interior stationary
+pairs.  With each user's closed-form solo duty, cont_g at 0 (user 2) and its
+label swap (user 1), clipped to [0, 1] with the other user silent, they are
+the at-most-four candidates, and the best of them is the continuous optimum
+(cont_capacity).  It is the reference against which finite-tau capacities
+are gapped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from types import ModuleType
 from typing import Sequence
 
 from ._numpy import np
 from .channel import ChannelParams, DutyPair, _require_finite, phi
-from .siso import SolveReport, _profile_max_many, solve
+from .siso import SolveReport, _intersections, solve
 
 __all__ = [
     "ContinuousParams",
@@ -37,11 +40,8 @@ __all__ = [
     "cont_f",
     "cont_g",
     "cont_capacity",
-    "cont_capacity_many",
     "convergence_report",
 ]
-
-LANE_BLOCK = 64  # lanes per profile pass, ~64k samples: the fastest of 8 to 512
 
 
 @dataclass(frozen=True)
@@ -61,95 +61,84 @@ class ContinuousParams:
 
 def cont_mutual_info_rate(cp: ContinuousParams, duty: DutyPair) -> float:
     """Continuous-channel information rate in nats per unit time."""
-    return float(_rate_grid(cp, duty.mu1, duty.mu2))
+    return _rate(_levels(cp.a1, cp.a2, cp.lambda0), duty.mu1, duty.mu2)
 
 
 def cont_f(cp: ContinuousParams, mu1: float) -> float:
     """Zero-dead-time limit of the affine stationarity curve."""
-    a1, a2, _, p12, p2, p1, p0, _, _ = _levels(cp.a1, cp.a2, cp.lambda0)
-    slope = a1 / a2
-    return slope * mu1 + (p0 - p1 - slope * (p0 - p2)) / (p0 - p2 - p1 + p12)
+    slope, intercept = _line(_levels(cp.a1, cp.a2, cp.lambda0))
+    return slope * mu1 + intercept
 
 
 def _levels(a1: float, a2: float, l0: float) -> tuple[float, ...]:
-    """The rates and phi terms of cont_f, cont_g and _rate_grid, by the scalar phi."""
+    """The rates and phi terms of _line, _g and _rate, by the scalar phi."""
     p12, p2, p1, p0 = phi(a1 + a2 + l0), phi(a2 + l0), phi(a1 + l0), phi(l0)
     return a1, a2, l0, p12, p2, p1, p0, p1 - p12, p0 - p2
 
 
+def _line(levels: Sequence[float]) -> tuple[float, float]:
+    """Slope and intercept of cont_f; the intercept is NaN where its divisor
+    rounds to 0, as for peaks far below the background."""
+    a1, a2, _, p12, p2, p1, p0, _, _ = levels
+    slope, den = a1 / a2, p0 - p2 - p1 + p12
+    return slope, (p0 - p1 - slope * (p0 - p2)) / den if den else math.nan
+
+
 def cont_g(cp: ContinuousParams, mu1: float | np.ndarray) -> float | np.ndarray:
     """Zero-dead-time limit of the convex stationarity curve, elementwise."""
-    return _g(_levels(cp.a1, cp.a2, cp.lambda0), mu1)
+    return _g(_levels(cp.a1, cp.a2, cp.lambda0), mu1, np)
 
 
-def _g(levels: Sequence, mu1: np.ndarray) -> np.ndarray:
+def _g(levels: Sequence, mu1, xp: ModuleType = math):
+    """cont_g on xp's exp: math for one float, numpy for arrays."""
     a1, a2, l0, _, _, _, _, d1, d0 = levels
     mix = mu1 * d1 + (1.0 - mu1) * d0
-    return np.exp(-1.0 - mix / a2) / a2 - (mu1 * a1 + l0) / a2
+    return xp.exp(-1.0 - mix / a2) / a2 - (mu1 * a1 + l0) / a2
 
 
-def _rate_grid(cp: ContinuousParams, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """cont_mutual_info_rate over broadcastable duty arrays."""
-    return _rate(_levels(cp.a1, cp.a2, cp.lambda0), m1, m2)
-
-
-def _rate(levels: Sequence, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+def _rate(levels: Sequence, m1, m2, xp: ModuleType = math):
+    """R at (m1, m2) on xp's log: math for floats, numpy for arrays."""
     a1, a2, l0, p12, p2, p1, p0, _, _ = levels
     n1, n2 = 1.0 - m1, 1.0 - m2
     mean = m1 * a1 + m2 * a2 + l0  # at least lambda0 > 0
-    return m1 * m2 * p12 + n1 * m2 * p2 + m1 * n2 * p1 + n1 * n2 * p0 - mean * np.log(mean)
+    return m1 * m2 * p12 + n1 * m2 * p2 + m1 * n2 * p1 + n1 * n2 * p0 - mean * xp.log(mean)
 
 
 def _rounding_floor(a1: float, a2: float, l0: float, m1: float, m2: float) -> float:
-    """Bound on the rounding error of _rate_grid at duty (m1, m2).  Its phi
-    terms cancel to the rate, and each is off by a few ulps of w (|phi(x)| +
-    x), x ln x rounded and x itself rounded; the floor is 16 ulps of their sum."""
+    """Bound on the rounding error of _rate at duty (m1, m2).  Its phi terms
+    cancel to the rate, and each is off by a few ulps of w (|phi(x)| + x),
+    x ln x rounded and x itself rounded; the floor is 16 ulps of their sum."""
     terms = ((m1 * m2, a1 + a2 + l0), ((1.0 - m1) * m2, a2 + l0), (m1 * (1.0 - m2), a1 + l0))
     terms += (((1.0 - m1) * (1.0 - m2), l0), (1.0, m1 * a1 + m2 * a2 + l0))
     return 16.0 * math.ulp(1.0) * sum(w * (abs(phi(x)) + x) for w, x in terms)
 
 
-def _profile(levels: Sequence, mu1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rate, mu2) with mu2 = clip(cont_g(mu1), 0, 1), on one row of mu1 per lane of levels."""
-    mu2 = np.clip(_g(levels, mu1), 0.0, 1.0)
-    return _rate(levels, mu1, mu2), mu2
-
-
 def cont_capacity(cp: ContinuousParams) -> tuple[float, DutyPair]:
-    """Continuous optimum, one row of cont_capacity_many: the largest rate
-    over mu1 (resolution 1e-9) of the profile with mu2 = clip(cont_g(mu1), 0,
-    1).  ArithmeticError if that rate is not above the rounding floor of its
-    terms: for peaks far below the background it is cancellation noise."""
-    (rate,), (mu1,), (mu2,) = cont_capacity_many(cp.a1, [cp.a2], cp.lambda0)
+    """Continuous optimum: the best of the interior stationary pairs and the
+    two solo duties (see the module docstring); of equal rates the first in
+    that order wins.  ArithmeticError if no candidate rate is finite, or if
+    the best is not above the rounding floor of its terms: for peaks far
+    below the background it is cancellation noise."""
+    a1, a2, l0 = cp.a1, cp.a2, cp.lambda0
+    levels = _levels(a1, a2, l0)
+    slope, intercept = _line(levels)
+    duties: list[tuple[float, float]] = []
+    try:
+        if math.isfinite(slope) and math.isfinite(intercept):  # else no line, so no interior pair
+            inter = _intersections(lambda x: _g(levels, x), lambda x: _g(levels, x) - (slope * x + intercept), True)
+            duties += [(pt.mu1, pt.mu2) for pt in inter.points]
+        # cont_g at 0 is user 2's solo duty in closed form; with the labels swapped, user 1's.
+        solo2, solo1 = _g(levels, 0.0), _g(_levels(a2, a1, l0), 0.0)
+    except OverflowError as exc:  # the exponent is ~ln of a rate: only rounding noise passes exp's range
+        raise ArithmeticError("the exponent of cont_g overflows: its phi terms are rounding noise") from exc
+    duties += [(0.0, min(max(solo2, 0.0), 1.0)), (min(max(solo1, 0.0), 1.0), 0.0)]
+    finite = [(r, m1, m2) for m1, m2 in duties if math.isfinite(r := _rate(levels, m1, m2))]
+    if not finite:
+        raise ArithmeticError("the continuous reference has no finite rate")
+    rate, mu1, mu2 = max(finite, key=lambda c: c[0])  # the first of equal rates
+    if not rate > (floor := _rounding_floor(a1, a2, l0, mu1, mu2)):
+        raise ArithmeticError(f"the continuous rate {rate:.3g} is not above its rounding floor {floor:.3g}")
     return rate, DutyPair(mu1, mu2)
-
-
-def cont_capacity_many(a1: float, a2_values: Sequence[float], lambda0: float) -> tuple[list[float], ...]:
-    """cont_capacity of (a1, a2, lambda0) for each a2, as lists of the rate,
-    mu1 and mu2, bit for bit, solved as lanes LANE_BLOCK at a time.  Raises
-    the first failing row's error, as row by row: a row's ValueError (of
-    ContinuousParams) comes after the ArithmeticErrors of earlier rows."""
-    valid = 0.0 < a1 < math.inf and 0.0 < lambda0 < math.inf  # as ContinuousParams checks
-    n = next((i for i, a2 in enumerate(a2_values) if not (valid and 0.0 < a2 < math.inf)), len(a2_values))
-    out: tuple[list[float], ...] = ([], [], [])
-    for lo in range(0, n, LANE_BLOCK):
-        a2s = a2_values[lo : min(lo + LANE_BLOCK, n)]
-        levels = [_levels(a1, a2, lambda0) for a2 in a2s]
-        # One lane keeps floats, which numpy broadcasts faster than (1, 1) columns.
-        levels = levels[0] if len(a2s) == 1 else np.array(levels).T[:, :, None]
-        with np.errstate(all="ignore"):  # as in solve: a lane's overflow shows as no finite rate
-            finite, *block = (v.tolist() for v in _profile_max_many(partial(_profile, levels), len(a2s)))
-        for a2, has_rate, rate, mu1, mu2 in zip(a2s, finite, *block):
-            if not has_rate:
-                raise ArithmeticError("the profile has no finite rate")
-            if not rate > (floor := _rounding_floor(a1, a2, lambda0, mu1, mu2)):
-                message = f"the continuous rate {rate:.3g} is not above its rounding floor {floor:.3g}"
-                raise ArithmeticError(message)
-        for v, b in zip(out, block):
-            v += b
-    if n < len(a2_values):
-        ContinuousParams(a1, a2_values[n], lambda0)  # raises
-    return out
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ coarse grid.  At every tau and mu1, the hit probability and the entropy mixture
 are affine in mu2, so I(mu1, .) is concave and peaks at clip(g(mu1), 0, 1): the
 capacity is the maximum over mu1 of that profile (_profile_of: the batch's g and
 rate kernels below on numpy's exp, log and log1p), found by _profile_max_many,
-which maximises lanes of profiles at once: solve runs one lane, and
-continuous.cont_capacity_many runs a lane per continuous row.
+which maximises lanes of profiles at once; solve runs one lane.  The
+continuous reference (continuous.cont_capacity) needs no profile: its g - f
+is convex at every parameter, so _intersections enumerates its candidates.
 
 solve builds a channel's set-up once for private cores; find_intersections,
 sufficiency_tests and single_user_duty are wrappers over the same cores.
@@ -284,9 +285,8 @@ def _golden_min(fn: Callable, lo: float, hi: float, tol: float, stop: bool = Fal
     return 0.5 * (a + b), None
 
 
-def _bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of a continuous function with fn(lo) >= 0 >= fn(hi) (or reversed)."""
-    flo = fn(lo)
+def _bisect_root(fn: Callable[[float], float], lo: float, hi: float, flo: float) -> float:
+    """Root of a continuous function with flo = fn(lo) >= 0 >= fn(hi) (or reversed)."""
     if flo == 0.0:
         return lo
     sign_lo = flo > 0.0
@@ -323,10 +323,10 @@ def _intersections(g: Callable, d: Callable, reliable: bool) -> IntersectionSear
     d_m = d(m_star) if d_m is None else d_m
     roots: list[float] = []
     if d_m <= 0.0:
-        if d(0.0) >= 0.0:
-            roots.append(_bisect_root(d, 0.0, m_star))
+        if (d_0 := d(0.0)) >= 0.0:
+            roots.append(_bisect_root(d, 0.0, m_star, d_0))
         if d(1.0) >= 0.0:
-            roots.append(_bisect_root(d, m_star, 1.0))
+            roots.append(_bisect_root(d, m_star, 1.0, d_m))
     if len(roots) == 2 and abs(roots[0] - roots[1]) < 1e-9:
         roots = roots[:1]
 

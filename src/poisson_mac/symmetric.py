@@ -179,7 +179,7 @@ def _threshold(flip: Callable[[float], float], lambda0: float, tau: float) -> Th
         return flip(a) - target
 
     lo = min(lambda0, cap)
-    while delta(lo) < 0.0 and lo > 1e-300:
+    while (d_lo := delta(lo)) < 0.0 and lo > 1e-300:
         lo /= 2.0
     hi = lo
     while hi < cap:
@@ -188,7 +188,7 @@ def _threshold(flip: Callable[[float], float], lambda0: float, tau: float) -> Th
             break
     if delta(hi) >= 0.0:
         return ThresholdSearch(value=math.inf, found=False, search_cap=cap, residual=math.nan)
-    value = _bisect_root(delta, lo, hi)
+    value = _bisect_root(delta, lo, hi, d_lo)
     residual = abs(delta(value))
     if not residual <= THRESHOLD_RTOL * abs(target):
         msg = f"peak-threshold residual {residual:.3e} above {THRESHOLD_RTOL} of the target {target:.6g}"
@@ -255,7 +255,7 @@ def _fixed_point(hp: HitProbs) -> float:
     def resid(mu: float) -> float:
         return mu - g(mu)
 
-    mu = _bisect_root(resid, 0.0, 1.0)
+    mu = _bisect_root(resid, 0.0, 1.0, resid(0.0))
     if abs(resid(mu)) > FIXED_POINT_TOL:
         raise ArithmeticError(
             f"fixed-point residual {resid(mu):.3e} above {FIXED_POINT_TOL}"

@@ -18,6 +18,22 @@ from poisson_mac.cli import main
 
 GOLDEN_CASES = runpy.run_path(str(Path(__file__).with_name("test_cli_golden.py")))["CASES"]
 GOLDEN = {argv: (code, expected) for argv, code, expected in GOLDEN_CASES}
+# The errors of a continuous reference that is rounding noise or overflows.
+NOISE = r"numerical failure \(ArithmeticError: the continuous rate \S+ is not above its rounding floor \S+\)"
+NO_RATE = r"numerical failure \(ArithmeticError: the continuous reference has no finite rate\)"
+# Continuous rows that fail, with the exit code and stderr after "error: ".
+CONTINUOUS_FAILURES = [
+    # A later row below its rounding floor; such a row raises before a later
+    # invalid one (a2 = -1), and a valid row does not.
+    ("sweep-peak --a1 1e-20 --a2 1:1e-10 --cells 2 --tau 0", 4, NOISE),
+    ("sweep-peak --a1 1e-20 --a2=1e-20:-1 --cells 2 --tau 0", 4, NOISE),
+    ("sweep-peak --a1 10 --a2=12:-1 --cells 2 --tau 0", 2, r"a2 must be positive, got -1\.0"),
+    # hi - lo overflows, so the first a2 is -1e308 + inf * 0, NaN.
+    ("sweep-peak --a1 10 --a2=-1e308:1e308 --cells 2 --tau 0", 2, "a2 must be finite, got nan"),
+    ("sweep-peak --a1 10 --a2 12 --lambda0 0 --tau 0", 2, r"lambda0 must be positive, got 0\.0"),
+    ("sweep-peak --a1 1e308 --a2 1:2 --cells 2 --tau 0", 4, NO_RATE),
+    ("converge --a1 1e308 --a2 1 --taus 1", 4, NO_RATE),
+]
 # A 2 x 2 sweep-region without a dead-time flag.
 REGION = ("sweep-region", "--a1", "1:3", "--a2", "1:3", "--cells", "2")
 
@@ -125,7 +141,7 @@ class TestStrict:
             monkeypatch.setattr(cli, name, refuse)
         # The handlers import these at call time, from their home modules.
         for module, name in (
-            (continuous, "cont_capacity_many"), (continuous, "convergence_report"),
+            (continuous, "cont_capacity"), (continuous, "convergence_report"),
             (miso, "solve_miso"), (symmetric, "solve_symmetric"),
         ):
             monkeypatch.setattr(module, name, refuse)
@@ -220,6 +236,23 @@ class TestSweeps:
         assert set(slotted) == set(cont) == {"5", "10", "15"}
         for a2 in slotted:
             assert slotted[a2] < cont[a2]  # dead time only loses information
+
+    def test_continuous_rows_are_cont_capacity_row_by_row(self, tmp_path, monkeypatch):
+        # One cont_capacity per a2, in row order, and its rows again for a
+        # repeated 0.
+        solved, cont_capacity = [], continuous.cont_capacity
+        monkeypatch.setattr(continuous, "cont_capacity", lambda cp: solved.append(cp) or cont_capacity(cp))
+        code, text = run(tmp_path, "sweep-peak", "--a1", "7.5", "--a2", "0.05:40", "--cells", "9", "--tau", "0,0.01,0")
+        assert code == 0
+        a2_values = [0.05 + (40.0 - 0.05) * i / 8 for i in range(9)]
+        assert solved == [continuous.ContinuousParams(7.5, a2, 0.001) for a2 in a2_values]
+        _, rows = rows_of(text)
+        expected = []
+        for a2 in a2_values:
+            rate, duty = cont_capacity(continuous.ContinuousParams(7.5, a2, 0.001))
+            expected.append([cli._fmt(v) for v in (a2, duty.mu1, duty.mu2, rate)])
+        cont = [[r[k] for k in ("a2", "mu1", "mu2", "capacity")] for r in rows if r["tau"] == "0"]
+        assert cont == expected + expected
 
     def test_sweep_region_labels(self, tmp_path):
         code, text = run(
@@ -394,14 +427,15 @@ class TestExitCodes:
             ("symmetric", "--a", "1e-300", "--tau", "1e-300"),
             # The symmetric fixed point cannot meet its residual bound.
             ("symmetric", "--a", "1e-10", "--tau", "1e-10"),
-            # The continuous reference overflows: no profile sample has a finite rate.
+            # The continuous reference overflows: no candidate has a finite rate.
             ("sweep-peak", "--a1", "1e308", "--a2", "1:2", "--cells", "2", "--tau", "0"),
             ("converge", "--a1", "1e308", "--a2", "1", "--taus", "1"),
             # Peaks far below the background: the continuous rate is rounding noise.
             ("sweep-peak", "--a1", "1e-20", "--a2", "1e-20", "--tau", "0"),
             ("converge", "--a1", "1e-10", "--a2", "1e-10", "--taus", "1e-3"),
-            # A peak that underflows against the background: the continuous
-            # profile overflows, and no numpy warning may precede the error.
+            # A peak that vanishes against the background (a2 + lambda0 is
+            # lambda0): cont_g, divided by the subnormal a2, is NaN, and no
+            # warning may precede the error.
             ("sweep-peak", "--a1", "1e-8", "--a2", "1e-320", "--lambda0", "30", "--tau", "0"),
             ("converge", "--a1", "1e-8", "--a2", "1e-320", "--lambda0", "30", "--taus", "0.01"),
             # Valid weak signals: the single-user duty's entropy chord cancels
@@ -458,6 +492,12 @@ class TestExitCodes:
         _, rows = rows_of(text)
         assert float(rows[0]["capacity"]) > 0.0
 
+    @pytest.mark.parametrize("argv, code, message", CONTINUOUS_FAILURES, ids=[c[0] for c in CONTINUOUS_FAILURES])
+    def test_continuous_rows_fail_in_row_order(self, tmp_path, capsys, argv, code, message):
+        assert run(tmp_path, *argv.split()) == (code, "")
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {message}\n", err), err
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -487,7 +527,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "range", bounded_range, raising=False)
         for name in ("solve_many", "sweep_strategy_region"):
             monkeypatch.setattr(cli, name, refuse)
-        monkeypatch.setattr(continuous, "cont_capacity_many", refuse)
+        monkeypatch.setattr(continuous, "cont_capacity", refuse)
         start = time.perf_counter()
         code, text = run(tmp_path, *argv)
         assert time.perf_counter() - start < 1.0
@@ -770,12 +810,18 @@ class TestLazyNumpy:
         assert [tuple(run) for run in out["runs"]] == [GOLDEN[argv] for argv in self.IN_REGIME]
         assert out["before"] == out["after"] == []
 
+    def test_converge_loads_no_numpy(self):
+        # The continuous reference enumerates its candidates in math code.
+        argv = "converge --a1 10 --a2 12 --taus 1e-3,1e-4,1e-5"
+        out = fresh_cli(argv)
+        assert [tuple(run) for run in out["runs"]] == [GOLDEN[argv]]
+        assert out["before"] == out["after"] == []
+
     @pytest.mark.parametrize(
         "argv",
         [
             "solve --a1 10 --a2 30 --tau 0.02",
             "sweep-region --a1 1:30 --a2 1:30 --cells 12",
-            "converge --a1 10 --a2 12 --taus 1e-3,1e-4,1e-5",
             "sweep-peak --a1 10 --a2 5:10:5 --tau 0",
         ],
     )

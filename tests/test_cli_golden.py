@@ -147,8 +147,8 @@ CASES = [
         "5,0.01,0.374147318756,0,4.48748174676\n"
         "17.5,0.01,0.161261573663,0.334859996313,6.44779326387\n"
         "30,0.01,0,0.38231586475,10.4256089238\n"
-        "5,0,0.36810663,0,4.5928985773\n"
-        "17.5,0,0.16927092,0.327290131628,6.70621095962\n"
+        "5,0,0.368106631673,0,4.5928985773\n"
+        "17.5,0,0.169270939365,0.327290127898,6.70621095962\n"
         "30,0,0,0.36798481189,11.0302350271\n",
     ),
     (
@@ -166,8 +166,8 @@ CASES = [
         0,
         "# command=sweep-peak a1=10 lambda0=0.001 a2=5:10:5 tau=0\n"
         "a2,tau,mu1,mu2,capacity\n"
-        "5,0,0.366953345,0.00815586094554,3.67354638935\n"
-        "10,0,0.266188022,0.266188035236,4.33358119883\n",
+        "5,0,0.36695335548,0.00815585482558,3.67354638935\n"
+        "10,0,0.266188032485,0.266188032485,4.33358119883\n",
     ),
     (
         "sweep-peak --a1 10 --a2 5:15:5 --tau 0.02 --strict",
@@ -386,7 +386,7 @@ CASES = [
         "tau,capacity,cont_capacity,gap,mu1,mu2\n"
         "0.001,4.79737692555,4.81137429765,0.0139973721036,0.218857455666,0.303189096204\n"
         "0.0001,4.80997287026,4.81137429765,0.00140142738987,0.219085696801,0.302879894498\n"
-        "1e-05,4.81123413801,4.81137429765,0.00014015963677,0.219108466122,0.302849012375\n",
+        "1e-05,4.81123413801,4.81137429765,0.000140159636769,0.219108466122,0.302849012375\n",
     ),
     (
         "converge --a1 10 --a2 12 --taus 1e-3 --strict",
@@ -510,39 +510,39 @@ CASES = [
         0,
         "# command=sweep-peak a1=10 lambda0=0.001 a2=10 tau=0\n"
         "a2,tau,mu1,mu2,capacity\n"
-        "10,0,0.266188022,0.266188035236,4.33358119883\n",
+        "10,0,0.266188032485,0.266188032485,4.33358119883\n",
     ),
-    # Continuous rows solved as one batch of lanes: several rows, a 0 given
-    # twice around a finite tau, a later row below its rounding floor (rate
-    # 3.47e-18, floor 5.62e-17), and a first row's numeric failure, which
+    # Continuous rows solved row by row: several rows, a 0 given twice
+    # around a finite tau, a later row below its rounding floor (rate
+    # 1.73e-18, floor 5.62e-17), and a first row's numeric failure, which
     # comes before the second row's validation error (a2 = -1).
     (
         "sweep-peak --a1 20 --a2 5:40 --cells 7 --tau 0",
         0,
         "# command=sweep-peak a1=20 lambda0=0.001 a2=5:40 tau=0\n"
         "a2,tau,mu1,mu2,capacity\n"
-        "5,0,0.36803006,0,7.3516970624\n"
-        "10.8333333333,0,0.359690637,0.050692811297,7.36974309557\n"
-        "16.6666666667,0,0.302775522,0.219015540171,8.02196122805\n"
-        "22.5,0,0.236996164,0.290818516822,9.24940517589\n"
-        "28.3333333333,0,0.164935882,0.328913143989,10.8307352123\n"
-        "34.1666666667,0,0.08817042,0.351834419286,12.6686404941\n"
-        "40,0,0.007728386,0.366821519444,14.7095852548\n",
+        "5,0,0.368030054757,0,7.3516970624\n"
+        "10.8333333333,0,0.359690638842,0.0506928103248,7.36974309557\n"
+        "16.6666666667,0,0.30277552086,0.219015540532,8.02196122805\n"
+        "22.5,0,0.236996167132,0.290818516089,9.24940517589\n"
+        "28.3333333333,0,0.164935883148,0.32891314377,10.8307352123\n"
+        "34.1666666667,0,0.08817041028,0.351834420882,12.6686404941\n"
+        "40,0,0.00772838920504,0.366821518976,14.7095852548\n",
     ),
     (
         "sweep-peak --a1 20 --a2 5:40 --cells 3 --tau 0,0.01,0",
         0,
         "# command=sweep-peak a1=20 lambda0=0.001 a2=5:40 tau=0,0.01,0\n"
         "a2,tau,mu1,mu2,capacity\n"
-        "5,0,0.36803006,0,7.3516970624\n"
-        "22.5,0,0.236996164,0.290818516822,9.24940517589\n"
-        "40,0,0.007728386,0.366821519444,14.7095852548\n"
+        "5,0,0.368030054757,0,7.3516970624\n"
+        "22.5,0,0.236996167132,0.290818516089,9.24940517589\n"
+        "40,0,0.00772838920504,0.366821518976,14.7095852548\n"
         "5,0.01,0.377647936045,0,7.08227845297\n"
         "22.5,0.01,0.23428195643,0.295769619955,8.74122213625\n"
         "40,0.01,0,0.386935456322,13.637106683\n"
-        "5,0,0.36803006,0,7.3516970624\n"
-        "22.5,0,0.236996164,0.290818516822,9.24940517589\n"
-        "40,0,0.007728386,0.366821519444,14.7095852548\n",
+        "5,0,0.368030054757,0,7.3516970624\n"
+        "22.5,0,0.236996167132,0.290818516089,9.24940517589\n"
+        "40,0,0.00772838920504,0.366821518976,14.7095852548\n",
     ),
     (
         "sweep-peak --a1 1e-20 --a2 1:1e-10 --cells 2 --tau 0",

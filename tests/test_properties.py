@@ -1,5 +1,6 @@
 """Property tests of the shared kernels (the profile maximiser, the gradient
-algebra and the bisection behind the symmetric analysis), of solve on
+algebra and the bisection behind the symmetric analysis), of the continuous
+reference under a label swap and at equal peaks, of solve on
 either side of the regime bound, of the in-regime search's early exit
 against the full golden-section pass, of solve_many against solve, and of
 solve_miso under regroupings of the same antenna peaks.
@@ -51,11 +52,20 @@ def _channel(a1, a2, lambda0, fraction):
 def test_cont_capacity_label_swap(a1, a2, lambda0):
     rate, duty = cont_capacity(ContinuousParams(a1, a2, lambda0))
     rate_sw, duty_sw = cont_capacity(ContinuousParams(a2, a1, lambda0))
-    # The profile runs over mu1 in one channel and over the other user's
-    # duty in the swapped one; both land on the optimum to well within 1e-6.
+    # The roots are found in mu1 in one channel and in the other user's duty
+    # in the swapped one; both land on the optimum to well within 1e-6.
     assert rate_sw == pytest.approx(rate, rel=0.0, abs=1e-12)
     assert abs(duty_sw.mu1 - duty.mu2) <= 1e-6
     assert abs(duty_sw.mu2 - duty.mu1) <= 1e-6
+
+
+@SETTINGS
+@given(st.floats(1e-2, 1e3), st.floats(1e-4, 10.0))
+def test_cont_capacity_equal_peaks_equal_duties(a, lambda0):
+    # Equal users share one optimal duty: the enumeration's root of
+    # cont_g - cont_f lies on the diagonal, where cont_f is the identity.
+    _, duty = cont_capacity(ContinuousParams(a, a, lambda0))
+    assert abs(duty.mu1 - duty.mu2) <= 1e-12
 
 
 @SETTINGS
