@@ -266,9 +266,11 @@ def _cmd_sweep_peak(args: argparse.Namespace) -> Steps:
     # The finite-tau (a2, tau) lanes in row order; tau = 0 rows are continuous.
     lanes = [(a2, tau) for tau in taus if tau != 0.0 for a2 in a2_values]
     yield lambda: all(ChannelParams(a1, a2, lambda0, tau).in_regime for a2, tau in lanes)
-    batch = solve_many(a1, [a2 for a2, _ in lanes], lambda0, [tau for _, tau in lanes])
-    solved = zip(lanes, batch.mu1.tolist(), batch.mu2.tolist(), batch.capacity.tolist())
-    solved_rows = iter([[a2, tau, mu1, mu2, capacity] for (a2, tau), mu1, mu2, capacity in solved])
+    solved_rows = iter([])
+    if lanes:  # with no finite-tau lane, numpy is never loaded
+        batch = solve_many(a1, [a2 for a2, _ in lanes], lambda0, [tau for _, tau in lanes])
+        solved = zip(lanes, batch.mu1.tolist(), batch.mu2.tolist(), batch.capacity.tolist())
+        solved_rows = iter([[a2, tau, mu1, mu2, capacity] for (a2, tau), mu1, mu2, capacity in solved])
     # The continuous rows, solved once each in row order and reused for a repeated 0.
     cont_rows: list[list[object]] = []
     if 0.0 in taus:

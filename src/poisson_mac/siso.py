@@ -28,8 +28,9 @@ which maximises lanes of profiles at once; solve runs one lane.  The
 continuous reference (continuous.cont_capacity) needs no profile: its g - f
 is convex at every parameter, so _intersections enumerates its candidates.
 
-solve builds a channel's set-up once for private cores; find_intersections,
-sufficiency_tests and single_user_duty are wrappers over the same cores.
+solve builds a channel's set-up once for private cores; find_intersections
+and single_user_duty are wrappers over the same cores.  The strategy screens
+are sufficiency_tests' alone: they settle the strategy without the solve.
 
 solve_many runs the same enumeration over arrays of channels at once, with
 results identical to solve lane by lane, because its in-regime lanes call the
@@ -171,11 +172,8 @@ class SolveReport:
     candidates: tuple[Candidate, ...]
     near_ties: tuple[Candidate, ...]
     regime_ok: bool
-    # None only for saturated out-of-regime channels where the screens'
-    # curve algebra is undefined.
-    sufficiency: SufficiencyRecord | None
-    # The curve intersections behind the interior candidates; empty for the
-    # saturated channels above.
+    # The curve intersections behind the interior candidates; empty for
+    # saturated out-of-regime channels, where the curve algebra is undefined.
     search: IntersectionSearch
     grid_checked: bool = False
 
@@ -362,11 +360,8 @@ def sufficiency_tests(params: ChannelParams) -> SufficiencyRecord:
     """Screens that settle the transmission strategy without the full solve."""
     hp = hit_probs(params)
     d = _curves_of(hp)[1]()
-    mu1_solo = single_user_duty(params.a1, params.lambda0, params.tau)
-    return _sufficiency(hp, d, mu1_solo, single_user_duty(params.a2, params.lambda0, params.tau))
-
-
-def _sufficiency(hp: HitProbs, d: Callable, mu1_solo: float, mu2_solo: float) -> SufficiencyRecord:
+    p, h = (hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies
+    mu1_solo, mu2_solo = _solo_duty(p[2], p[3], h[2], h[3]), _solo_duty(p[1], p[3], h[1], h[3])
     return SufficiencyRecord(
         single_user_sufficient=d(0.0) < 0.0 and d(1.0) < 0.0,  # g < f, as d = g - f exactly
         adding_user2_helps=_grad(hp, mu1_solo, 0.0)[1] > 0.0,
@@ -441,10 +436,8 @@ def solve(params: ChannelParams) -> SolveReport:
     """
     hp = hit_probs(params)
     g, make_d = _curves_of(hp)
-    d = None  # make_d raises where the line's v is 0, and again for the screens below
     try:
-        d = make_d()
-        inter = _intersections(g, d, params.in_regime)
+        inter = _intersections(g, make_d(), params.in_regime)
     except (ArithmeticError, ValueError):
         # Saturated hit levels break the curve algebra; that only happens far
         # out of regime, where the profile below carries the result.
@@ -474,6 +467,9 @@ def solve(params: ChannelParams) -> SolveReport:
     if not math.isfinite(best_rate):  # an overflowed or NaN rate leaves no candidate near it
         raise ArithmeticError(f"the best candidate rate is {best_rate}, not a finite number")
     near = [c for c in candidates if c.valid and best_rate - c.rate <= TIE_TOL]
+    if not near:  # no interior root, so best_rate is a placeholder's 0, and each solo rate is below it
+        top = max(c.rate for c in candidates if c.valid)
+        raise ArithmeticError(f"every candidate rate is rounding noise below zero (the best is {top:.3g})")
     winner = min(near, key=lambda c: _TIE_RANK[_STRATEGY_OF_SCENARIO[c.scenario]])
 
     capacity = winner.rate
@@ -494,13 +490,6 @@ def solve(params: ChannelParams) -> SolveReport:
             if rate > capacity + TIE_TOL:
                 capacity, optimum, strategy = rate, duty, _strategy_at(duty)
 
-    try:
-        sufficiency = _sufficiency(hp, d or make_d(), mu1_solo, mu2_solo)
-    except (ArithmeticError, ValueError):
-        if params.in_regime:
-            raise
-        sufficiency = None
-
     return SolveReport(
         capacity=capacity,
         optimum=optimum,
@@ -508,7 +497,6 @@ def solve(params: ChannelParams) -> SolveReport:
         candidates=tuple(candidates),
         near_ties=tuple(near) if len(near) > 1 else (),
         regime_ok=params.in_regime,
-        sufficiency=sufficiency,
         search=inter,
         grid_checked=grid_checked,
     )

@@ -181,12 +181,12 @@ def _threshold(flip: Callable[[float], float], lambda0: float, tau: float) -> Th
     lo = min(lambda0, cap)
     while (d_lo := delta(lo)) < 0.0 and lo > 1e-300:
         lo /= 2.0
-    hi = lo
+    hi, d_hi = lo, d_lo
     while hi < cap:
         hi = min(hi * 2.0, cap)
-        if delta(hi) < 0.0:
+        if (d_hi := delta(hi)) < 0.0:
             break
-    if delta(hi) >= 0.0:
+    if d_hi >= 0.0:
         return ThresholdSearch(value=math.inf, found=False, search_cap=cap, residual=math.nan)
     value = _bisect_root(delta, lo, hi, d_lo)
     residual = abs(delta(value))
@@ -289,14 +289,17 @@ def solve_symmetric(a: float, lambda0: float, tau: float) -> SymmetricReport:
     threshold = _threshold(flip, lambda0, tau)
     hp = hit_probs(ChannelParams(a, a, lambda0, tau))  # a is positive and finite from here on
     below = a < threshold.value
-    boundary = None if below else _half_sums(hp, flip(a))
+    # flip(a) runs once, where the helpers first read it: before the half-sums, else after the fixed point.
+    boundary = None if below else _half_sums(hp, flip_level := flip(a))
     mu = _fixed_point(hp)
+    if below:
+        flip_level = flip(a)
     capacity = _mutual_info(hp, mu, mu) / tau
     return SymmetricReport(
         a=a,
         lambda0=lambda0,
         tau=tau,
-        flip_level=flip(a),
+        flip_level=flip_level,
         threshold=threshold,
         boundary=boundary,
         fixed_point=mu,

@@ -449,6 +449,13 @@ class TestExitCodes:
             # batch, whose regime test overflows too.
             ("solve", "--a1", "1e308", "--a2", "1e308", "--tau", "1e-310"),
             ("sweep-peak", "--a1", "1e308", "--a2", "1e308", "--tau", "1e-310"),
+            # In regime, no interior root, and both solo rates are rounding
+            # noise below 0: in one solve, and in a one-cell sweep whose lane
+            # falls back to it.
+            ("solve", "--a1", "4.999922800686578e-05", "--a2", "4.999922800686578e-05",
+             "--lambda0", "1879.047957630584", "--tau", "4.792461863126556e-08"),
+            ("sweep-region", "--a1", "4.999922800686578e-05", "--a2", "4.999922800686578e-05",
+             "--lambda0", "1879.047957630584", "--tau", "4.792461863126556e-08"),
         ],
     )
     def test_underflow_is_numerical_error(self, tmp_path, capsys, argv):
@@ -817,12 +824,19 @@ class TestLazyNumpy:
         assert [tuple(run) for run in out["runs"]] == [GOLDEN[argv]]
         assert out["before"] == out["after"] == []
 
+    def test_continuous_sweep_peak_loads_no_numpy(self):
+        # With no finite dead time, sweep-peak has no lane for the batch.
+        argv = "sweep-peak --a1 10 --a2 5:10:5 --tau 0"
+        out = fresh_cli(argv)
+        assert [tuple(run) for run in out["runs"]] == [GOLDEN[argv]]
+        assert out["before"] == out["after"] == []
+
     @pytest.mark.parametrize(
         "argv",
         [
             "solve --a1 10 --a2 30 --tau 0.02",
             "sweep-region --a1 1:30 --a2 1:30 --cells 12",
-            "sweep-peak --a1 10 --a2 5:10:5 --tau 0",
+            "sweep-peak --a1 20 --a2 5:40 --cells 3 --tau 0,0.01,0",
         ],
     )
     def test_first_array_use_loads_numpy(self, argv):

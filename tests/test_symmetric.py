@@ -350,6 +350,20 @@ class TestSolveSymmetric:
         assert report.schur_mode is SchurMode.SPLIT_REGIONS  # every step ran
         assert counts == {"ChannelParams": 1, "hit_probs": 1, "_flip_of": 1}
 
+    def test_flip_evaluations_per_report(self, monkeypatch):
+        # The threshold's bracket reuses each end's value, and the report
+        # evaluates flip(a) once for the half-sums and itself.
+        calls, flip_of = [], symmetric._flip_of
+
+        def counted_flip_of(lambda0, tau):
+            flip = flip_of(lambda0, tau)
+            return lambda a: calls.append(a) or flip(a)
+
+        monkeypatch.setattr(symmetric, "_flip_of", counted_flip_of)
+        report = solve_symmetric(10.0, LAMBDA0, TAU)
+        assert report.schur_mode is SchurMode.SPLIT_REGIONS
+        assert len(calls) == 67 and calls.count(10.0) == 1
+
     @staticmethod
     def channels():
         """Seeded equal-peak channels on both sides of the threshold and at it,
