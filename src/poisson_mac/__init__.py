@@ -37,7 +37,7 @@ _HOMES = {
         "gridsearch": "GridResult GridSpec fd_gradient fd_hessian grid_capacity miso_pmf_enumeration",
         "miso": "JointPmf MisoConfig MisoReport NuPmf miso_mutual_info nu_pmf solve_miso subset_rates",
         "siso": (
-            "Candidate IntersectionSearch LineCoefficients Scenario SolveBatch SolveReport Strategy"
+            "Candidate IntersectionSearch LineCoefficients SolveBatch SolveReport Strategy"
             " SufficiencyRecord f_mac find_intersections g_mac regime_fraction_rule single_user_duty solve"
             " solve_many sufficiency_tests sweep_strategy_region uvw"
         ),

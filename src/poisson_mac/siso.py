@@ -17,7 +17,9 @@ problem:
 * the two edge candidates put one user at its closed-form solo duty cycle and
   silence the other.
 
-The best of the at-most-four candidates is the capacity.  Out of the stated
+In tie order (interior points, user 2 alone, user 1 alone), the first candidate
+rated >= 0 and within TIE_TOL of the best is the capacity; if every rate is
+below zero (rounding noise), solve raises ArithmeticError.  Out of the stated
 regime the convexity guarantee lapses, so the pass runs to its width; the solver
 flags the report and checks the candidates against the profile maximum and a
 coarse grid.  At every tau and mu1, the hit probability and the entropy mixture
@@ -59,7 +61,6 @@ from .channel import (
 
 __all__ = [
     "Strategy",
-    "Scenario",
     "LineCoefficients",
     "Candidate",
     "SufficiencyRecord",
@@ -90,26 +91,9 @@ class Strategy(Enum):
     BOTH_ACTIVE = "BothActive"
 
 
-class Scenario(Enum):
-    """Origin of a candidate: first/second interior stationary point or an edge."""
-
-    BOTH_ACTIVE_1 = "BothActive1"
-    BOTH_ACTIVE_2 = "BothActive2"
-    ONLY_USER1 = "OnlyUser1"
-    ONLY_USER2 = "OnlyUser2"
-
-
-_STRATEGY_OF_SCENARIO = {
-    Scenario.BOTH_ACTIVE_1: Strategy.BOTH_ACTIVE,
-    Scenario.BOTH_ACTIVE_2: Strategy.BOTH_ACTIVE,
-    Scenario.ONLY_USER1: Strategy.ONLY_USER1,
-    Scenario.ONLY_USER2: Strategy.ONLY_USER2,
-}
-
 # Deterministic tie-break: prefer both-active, then user 2, then user 1.  A
 # strategy's rank is also its code in SolveBatch.
 _BY_RANK = (Strategy.BOTH_ACTIVE, Strategy.ONLY_USER2, Strategy.ONLY_USER1)
-_TIE_RANK = {s: rank for rank, s in enumerate(_BY_RANK)}
 
 
 @dataclass(frozen=True)
@@ -127,14 +111,11 @@ class LineCoefficients:
 
 @dataclass(frozen=True)
 class Candidate:
-    """One evaluated optimum candidate.  Interior points that fall outside the
-    unit square are recorded as the conventional placeholder (0, 0) with
-    valid=False and rate 0."""
+    """One evaluated optimum candidate; solve lists them in tie order."""
 
     duty: DutyPair
-    scenario: Scenario
+    strategy: Strategy
     rate: float
-    valid: bool
 
 
 @dataclass(frozen=True)
@@ -445,36 +426,24 @@ def solve(params: ChannelParams) -> SolveReport:
             raise
         inter = IntersectionSearch(points=(), rejected=(), reliable=False)
 
-    candidates: list[Candidate] = []
-    both_scen = (Scenario.BOTH_ACTIVE_1, Scenario.BOTH_ACTIVE_2)
-    for slot in range(2):
-        if slot < len(inter.points):
-            pt = inter.points[slot]
-            rate = _mutual_info(hp, pt.mu1, pt.mu2) / params.tau
-            candidates.append(Candidate(pt, both_scen[slot], rate, valid=True))
-        else:
-            candidates.append(
-                Candidate(DutyPair(0.0, 0.0), both_scen[slot], 0.0, valid=False)
-            )
+    # In tie order: the in-box interior points, then user 2 alone, then user 1 alone.
+    candidates = [
+        Candidate(pt, Strategy.BOTH_ACTIVE, _mutual_info(hp, pt.mu1, pt.mu2) / params.tau) for pt in inter.points
+    ]
     p, h = (hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies
     mu1_solo, mu2_solo = _solo_duty(p[2], p[3], h[2], h[3]), _solo_duty(p[1], p[3], h[1], h[3])
-    solos = {Scenario.ONLY_USER1: DutyPair(mu1_solo, 0.0), Scenario.ONLY_USER2: DutyPair(0.0, mu2_solo)}
-    for scenario, duty in solos.items():
-        rate = _mutual_info(hp, duty.mu1, duty.mu2) / params.tau
-        candidates.append(Candidate(duty, scenario, rate, valid=True))
+    solos = ((DutyPair(0.0, mu2_solo), Strategy.ONLY_USER2), (DutyPair(mu1_solo, 0.0), Strategy.ONLY_USER1))
+    for duty, strategy in solos:
+        candidates.append(Candidate(duty, strategy, _mutual_info(hp, duty.mu1, duty.mu2) / params.tau))
 
     best_rate = max(c.rate for c in candidates)
     if not math.isfinite(best_rate):  # an overflowed or NaN rate leaves no candidate near it
         raise ArithmeticError(f"the best candidate rate is {best_rate}, not a finite number")
-    near = [c for c in candidates if c.valid and best_rate - c.rate <= TIE_TOL]
-    if not near:  # no interior root, so best_rate is a placeholder's 0, and each solo rate is below it
-        top = max(c.rate for c in candidates if c.valid)
-        raise ArithmeticError(f"every candidate rate is rounding noise below zero (the best is {top:.3g})")
-    winner = min(near, key=lambda c: _TIE_RANK[_STRATEGY_OF_SCENARIO[c.scenario]])
+    near = [c for c in candidates if c.rate >= 0.0 and best_rate - c.rate <= TIE_TOL]
+    if not near:  # the best rate itself is below zero
+        raise ArithmeticError(f"every candidate rate is rounding noise below zero (the best is {best_rate:.3g})")
 
-    capacity = winner.rate
-    optimum = winner.duty
-    strategy = _STRATEGY_OF_SCENARIO[winner.scenario]
+    capacity, optimum, strategy = near[0].rate, near[0].duty, near[0].strategy
     grid_checked = False
 
     if not params.in_regime:
@@ -706,31 +675,25 @@ def _enumerate_many(
     s0_mu1 = np.clip(np.where(in_l, root_l, root_r), 0.0, 1.0)
     s0_mu2 = np.clip(np.where(in_l, mu2_l, mu2_r), 0.0, 1.0)
     s1_mu1, s1_mu2 = np.clip(root_r, 0.0, 1.0), np.clip(mu2_r, 0.0, 1.0)
-    rate0 = np.where(slot0, _rate_many(p, h, tau, s0_mu1, s0_mu2), 0.0)
-    rate1 = np.where(slot1, _rate_many(p, h, tau, s1_mu1, s1_mu2), 0.0)
+    rate0 = np.where(slot0, _rate_many(p, h, tau, s0_mu1, s0_mu2), -np.inf)  # an empty slot never wins
+    rate1 = np.where(slot1, _rate_many(p, h, tau, s1_mu1, s1_mu2), -np.inf)
 
     solo1 = _solo_duty_many(p[2], p[3], h[2], h[3])
     solo2 = _solo_duty_many(p[1], p[3], h[1], h[3])
     rate_e1 = _rate_many(p, h, tau, solo1, zeros)
     rate_e2 = _rate_many(p, h, tau, zeros, solo2)
 
-    # Tie rule of solve: the first both-active slot within TIE_TOL of the
-    # best rate, else user 2 alone, else user 1 alone.
+    # Tie rule of solve: the first non-negative rate within TIE_TOL of the
+    # best, in solve's list order.  A lane with none keeps code -1 and NaN.
+    rates = (rate0, rate1, rate_e2, rate_e1)
     best = np.maximum(np.maximum(rate0, rate1), np.maximum(rate_e1, rate_e2))
-    near = [
-        slot0 & (best - rate0 <= TIE_TOL),
-        slot1 & (best - rate1 <= TIE_TOL),
-        best - rate_e2 <= TIE_TOL,
-        best - rate_e1 <= TIE_TOL,
-    ]
-    capacity = np.select(near, [rate0, rate1, rate_e2, rate_e1], np.nan)
+    near = [(r >= 0.0) & (best - r <= TIE_TOL) for r in rates]
+    capacity = np.select(near, rates, np.nan)
     mu1 = np.select(near, [s0_mu1, s1_mu1, zeros, solo1], np.nan)
     mu2 = np.select(near, [s0_mu2, s1_mu2, solo2, zeros], np.nan)
-    winners = (Strategy.BOTH_ACTIVE, Strategy.BOTH_ACTIVE, Strategy.ONLY_USER2, Strategy.ONLY_USER1)
-    code = np.select(near, [_TIE_RANK[s] for s in winners], -1)
+    code = np.select(near, [0, 0, 1, 2], -1)  # ranks in _BY_RANK
     finite = np.isfinite(d_0) & np.isfinite(d_1) & np.isfinite(capacity)
-    finite[ends] &= np.isfinite(d_m[ends])
-    finite &= np.isfinite(rate0) & np.isfinite(rate1) & np.isfinite(rate_e1) & np.isfinite(rate_e2)
+    finite[ends] &= np.isfinite(d_m[ends])  # a finite capacity leaves no NaN or +inf rate
     finite &= (0.0 <= solo1) & (solo1 <= 1.0) & (0.0 <= solo2) & (solo2 <= 1.0)
     return capacity, mu1, mu2, code, finite
 
@@ -741,12 +704,12 @@ def solve_many(
     """solve over arrays of channels, with the same results lane by lane.
 
     Inputs broadcast against each other.  In-regime lanes run the enumeration
-    as array operations: one golden-section pass over the lanes where g - f
-    >= 0 at an end of [0, 1], and one bisection pass over the lanes with a
-    root.  Lanes out of regime, or whose curve algebra is not finite, go
-    through solve() one at a time, which keeps the profile, the grid
-    cross-check and the saturated-channel guard in one place.  An invalid
-    input raises the ValueError of ChannelParams for the first such lane.
+    and solve's tie rule as array operations: one golden-section pass over the
+    lanes where g - f >= 0 at an end of [0, 1], and one bisection pass over
+    the lanes with a root.  Lanes out of regime, whose curve algebra is not
+    finite, or with no candidate rate >= 0 go through solve() one at a time,
+    which keeps the profile, the grid cross-check and the errors in one place.
+    An invalid input raises the ValueError of ChannelParams for its first lane.
     """
     lanes = tuple(np.ravel(x).astype(float) for x in np.broadcast_arrays(a1, a2, lambda0, tau))
     a1, a2, lambda0, tau = lanes
@@ -767,7 +730,7 @@ def solve_many(
     for i in np.flatnonzero(code < 0).tolist():
         report = solve(ChannelParams(*(float(x[i]) for x in lanes)))
         capacity[i], mu1[i], mu2[i] = report.capacity, report.optimum.mu1, report.optimum.mu2
-        code[i] = _TIE_RANK[report.strategy]
+        code[i] = _BY_RANK.index(report.strategy)
     return SolveBatch(capacity, mu1, mu2, code, regime)
 
 

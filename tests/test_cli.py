@@ -466,6 +466,20 @@ class TestExitCodes:
         assert err.startswith("error: numerical failure") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["solve", "sweep-region"])
+    def test_rate_below_zero_is_never_printed(self, tmp_path, capsys, command):
+        # In regime, no interior root, and the best solo rate is -1.31e-19:
+        # nothing is printed, by one solve or by a one-cell sweep.
+        argv = ("--a1", "2.85862709992799e-13", "--a2", "2.85862709992799e-13",
+                "--lambda0", "5.8182242800704014e-05", "--tau", "3.307354087863232")
+        assert main([command, *argv]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: numerical failure (ArithmeticError: every candidate rate is rounding noise below zero"
+            " (the best is -1.31e-19))\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

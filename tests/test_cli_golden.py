@@ -593,6 +593,28 @@ CASES = [
         "mu1,mu2,valid\n"
         "0.383037731088,0,false\n",
     ),
+    # Rates that are rounding noise around zero: one below zero never wins.
+    # The interior rate is -4.28e-20, so user 2 alone at +4.28e-20 wins, in
+    # one solve and in a batch.
+    (
+        "solve --a1 1.1012280661550147e-12 --a2 1.1012280661550147e-12"
+        " --lambda0 1.157995945307093e-05 --tau 1.5085142237072597e-07",
+        0,
+        "# command=solve a1=1.10122806616e-12 a2=1.10122806616e-12 lambda0=1.15799594531e-05"
+        " tau=1.50851422371e-07 intersections=1\n"
+        "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
+        "1.10122806616e-12,1.10122806616e-12,1.15799594531e-05,1.50851422371e-07,4.28391620975e-20,0,"
+        "0.196406624734,OnlyUser2,true\n",
+    ),
+    (
+        "sweep-peak --a1 1.1012280661550147e-12 --a2 1.1012280661550147e-12"
+        " --lambda0 1.157995945307093e-05 --tau 1.5085142237072597e-07",
+        0,
+        "# command=sweep-peak a1=1.10122806616e-12 lambda0=1.15799594531e-05 a2=1.1012280661550147e-12"
+        " tau=1.5085142237072597e-07\n"
+        "a2,tau,mu1,mu2,capacity\n"
+        "1.10122806616e-12,1.50851422371e-07,0,0.196406624734,4.28391620975e-20\n",
+    ),
 ]
 
 

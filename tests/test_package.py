@@ -14,7 +14,7 @@ import poisson_mac
 SUBMODULES = ("channel", "continuous", "gridsearch", "miso", "siso", "symmetric")
 PUBLIC = """
     Candidate ChannelParams ContinuousParams ConvergenceRow DutyPair GridResult GridSpec HitProbs
-    IntersectionSearch JointPmf LineCoefficients MisoConfig MisoReport NuPmf Scenario SchurMode SchurRegion
+    IntersectionSearch JointPmf LineCoefficients MisoConfig MisoReport NuPmf SchurMode SchurRegion
     SolveBatch SolveReport Strategy SufficiencyRecord SymmetricReport ThresholdSearch BoundaryHalfSums
     alpha_cont binary_entropy boundary_half_sums cont_capacity cont_f cont_g cont_mutual_info_rate
     convergence_report entropy_slope f_mac fd_gradient fd_hessian find_intersections flip_log_odds g_mac

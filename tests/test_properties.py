@@ -2,7 +2,8 @@
 algebra and the bisection behind the symmetric analysis), of the continuous
 reference under a label swap and at equal peaks, of solve on
 either side of the regime bound, of the in-regime search's early exit
-against the full golden-section pass, of solve_many against solve, and of
+against the full golden-section pass, of solve_many against solve, of solve
+on weak signals (a capacity at or above zero, or ArithmeticError), and of
 solve_miso under regroupings of the same antenna peaks.
 
 Needs hypothesis (the `test` extra); without it the module is skipped.
@@ -183,6 +184,37 @@ def test_solve_many_equals_solve_lane_by_lane(lanes):
         report = solve(p)
         assert strategy is report.strategy
         assert (batch.capacity[i], batch.mu1[i], batch.mu2[i]) == (report.capacity, report.optimum.mu1, report.optimum.mu2)
+
+
+# Weak signals, often far below the background, at 0.001x to 30x the regime
+# bound, with equal peaks in about half the lanes: the candidate rates are
+# often rounding noise around zero.
+weak_peaks = _log_uniform(1e-14, 1e-6)
+weak_lanes = st.lists(
+    st.tuples(weak_peaks, weak_peaks, st.booleans(), _log_uniform(1e-6, 1e2), st.floats(1e-3, 30.0)), min_size=1, max_size=8
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(weak_lanes)
+def test_weak_signals_give_a_rate_at_or_above_zero_or_an_error(lanes):
+    # A value or a typed error, never a capacity below zero; and the batch
+    # gives solve's bits on every lane that solve answers.
+    params = [_channel(a1, a1 if equal else a2, lambda0, fraction) for a1, a2, equal, lambda0, fraction in lanes]
+    solved = []
+    for p in params:
+        try:
+            report = solve(p)
+        except ArithmeticError:
+            continue
+        assert report.capacity >= 0.0, p
+        solved.append((p, report))
+    if solved:
+        batch = solve_many(*zip(*((p.a1, p.a2, p.lambda0, p.tau) for p, _ in solved)))
+        for i, (strategy, (p, report)) in enumerate(zip(batch.strategies(), solved)):
+            assert strategy is report.strategy, p
+            got = (batch.capacity[i], batch.mu1[i], batch.mu2[i])
+            assert [x.hex() for x in got] == [report.capacity.hex(), report.optimum.mu1.hex(), report.optimum.mu2.hex()], p
 
 
 @st.composite

@@ -15,7 +15,6 @@ from poisson_mac import channel, gridsearch, siso
 from poisson_mac.channel import ChannelParams, DutyPair, grad_mutual_info, hit_probs, mutual_info_rate
 from poisson_mac.gridsearch import GridSpec, grid_capacity
 from poisson_mac.siso import (
-    Scenario,
     Strategy,
     f_mac,
     find_intersections,
@@ -351,8 +350,8 @@ class TestSolve:
                 continue
             report = solve(params)
             assert report.search == search, params
-            duties = {c.scenario: c.duty for c in report.candidates}
-            edges = duties[Scenario.ONLY_USER1], duties[Scenario.ONLY_USER2]
+            duties = {c.strategy: c.duty for c in report.candidates}
+            edges = duties[Strategy.ONLY_USER1], duties[Strategy.ONLY_USER2]
             assert [x.hex() for x in (edges[0].mu1, edges[1].mu2)] == [x.hex() for x in solos], params
             assert edges[0].mu2 == edges[1].mu1 == 0.0
             kinds["solved"] += 1
@@ -367,8 +366,8 @@ class TestSolve:
             sufficiency_tests(params)
 
     def test_candidates_all_below_zero_raise(self):
-        # No interior root, and both solo rates are rounding noise below the
-        # empty slots' rate of 0, so no valid candidate is near the best.
+        # No interior root, and both solo rates are rounding noise below 0,
+        # so no candidate is at or above 0, and none may win.
         a, lambda0, tau = 4.999922800686578e-05, 1879.047957630584, 4.792461863126556e-08
         params = ChannelParams(a, a, lambda0, tau)
         assert params.in_regime and find_intersections(params).points == ()
@@ -396,7 +395,7 @@ class TestSolve:
         assert report.regime_ok and len(report.search.points) == 1
         assert calls["hit_probs"] == 1 and calls["_curves_of"] == 1
         # four entropies for the set-up, one slot entropy per candidate rated
-        assert calls["binary_entropy"] <= 4 + sum(c.valid for c in report.candidates)
+        assert calls["binary_entropy"] <= 4 + len(report.candidates)
 
     def test_capacity_dominates_single_user_candidates(self):
         rng = random.Random(25)
@@ -406,7 +405,7 @@ class TestSolve:
             solo = [
                 c.rate
                 for c in report.candidates
-                if c.scenario in (Scenario.ONLY_USER1, Scenario.ONLY_USER2)
+                if c.strategy in (Strategy.ONLY_USER1, Strategy.ONLY_USER2)
             ]
             assert report.capacity >= max(solo) - 1e-15
 
@@ -424,16 +423,20 @@ class TestSolve:
             assert a.optimum.mu1 == pytest.approx(b.optimum.mu2, abs=1e-9)
             assert a.optimum.mu2 == pytest.approx(b.optimum.mu1, abs=1e-9)
 
-    def test_candidate_slots_follow_convention(self):
-        report = solve(FIG1)
-        both = [
-            c
-            for c in report.candidates
-            if c.scenario in (Scenario.BOTH_ACTIVE_1, Scenario.BOTH_ACTIVE_2)
+    def test_candidates_are_listed_in_tie_order(self, monkeypatch):
+        # Only real candidates: with no interior root, the two solo duties,
+        # user 2 first.  No channel searched so far has two in-box roots, so
+        # the search is patched to return two; they come first, in root order.
+        assert [c.strategy for c in solve(FIG1).candidates] == [Strategy.ONLY_USER2, Strategy.ONLY_USER1]
+        points = (DutyPair(0.2, 0.3), DutyPair(0.25, 0.35))
+        search = siso.IntersectionSearch(points=points, rejected=(), reliable=True)
+        monkeypatch.setattr(siso, "_intersections", lambda *_: search)
+        report = solve(FIG2)
+        assert [c.strategy for c in report.candidates] == [
+            Strategy.BOTH_ACTIVE, Strategy.BOTH_ACTIVE, Strategy.ONLY_USER2, Strategy.ONLY_USER1
         ]
-        assert len(both) == 2
-        assert all(not c.valid and c.duty == DutyPair(0.0, 0.0) for c in both)
-        assert all(c.rate == 0.0 for c in both)
+        assert [c.duty for c in report.candidates[:2]] == list(points)
+        assert [c.duty.mu1 for c in report.candidates[2:]] == [0.0, single_user_duty(10.0, 0.001, 0.02)]
 
     def test_report_capacity_equals_best_candidate(self):
         for params in (FIG1, FIG2, SYM):
