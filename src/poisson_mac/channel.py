@@ -90,12 +90,15 @@ def alpha_cont(x: float) -> float:
     return (math.exp((1.0 + 1.0 / x) * math.log1p(x) - 1.0) - 1.0) / x
 
 
-def _require_finite(params: object, names: tuple[str, ...]) -> None:
-    """Reject infinite or NaN fields, naming the first one."""
+def _require_positive(record: object, names: tuple[str, ...], lambda0_hint: str = "") -> None:
+    """Reject the first named field that is infinite or NaN, else the first
+    not above 0, with lambda0_hint after a lambda0's message."""
     for name in names:
-        value = getattr(params, name)
-        if not math.isfinite(value):
+        if not math.isfinite(value := getattr(record, name)):
             raise ValueError(f"{name} must be finite, got {value}")
+    for name in names:
+        if not (value := getattr(record, name)) > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}{lambda0_hint if name == 'lambda0' else ''}")
 
 
 @dataclass(frozen=True)
@@ -108,19 +111,9 @@ class ChannelParams:
     tau: float
 
     def __post_init__(self) -> None:
-        _require_finite(self, ("a1", "a2", "lambda0", "tau"))
-        if not self.a1 > 0.0:
-            raise ValueError(f"a1 must be positive, got {self.a1}")
-        if not self.a2 > 0.0:
-            raise ValueError(f"a2 must be positive, got {self.a2}")
-        if not self.lambda0 > 0.0:
-            # A zero background makes the log-odds of the all-off slot singular.
-            raise ValueError(
-                f"lambda0 must be positive, got {self.lambda0}; for a "
-                "dark-current-free study use lambda0 = 1e-9 * (a1 + a2)"
-            )
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        # A zero background makes the log-odds of the all-off slot singular.
+        dark = "; for a dark-current-free study use lambda0 = 1e-9 * (a1 + a2)"
+        _require_positive(self, ("a1", "a2", "lambda0", "tau"), lambda0_hint=dark)
 
     @property
     def in_regime(self) -> bool:
@@ -190,14 +183,16 @@ def p_hat(params: ChannelParams, duty: DutyPair) -> float:
 def mutual_info(params: ChannelParams, duty: DutyPair) -> float:
     """Per-slot mutual information in nats between the user pair and the slot bit."""
     hp = hit_probs(params)
-    return _mutual_info(hp, duty.mu1, duty.mu2)
+    return _rate((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies, duty.mu1, duty.mu2)
 
 
-def _mutual_info(hp: HitProbs, mu1: float, mu2: float) -> float:
+def _rate(p: tuple, h: tuple, mu1, mu2, entropy=binary_entropy):
+    """I at (mu1, mu2) from the four hit levels p and their entropies h: the
+    only definition of the slot rate.  On floats, or on broadcast arrays with
+    an array entropy (siso._entropy_many); divide by tau for a rate per unit time."""
     w = _weights(mu1, mu2)
-    ph = w[0] * hp.p1 + w[1] * hp.p2 + w[2] * hp.p3 + w[3] * hp.p4
-    h1, h2, h3, h4 = hp.entropies
-    return binary_entropy(ph) - (w[0] * h1 + w[1] * h2 + w[2] * h3 + w[3] * h4)
+    ph = w[0] * p[0] + w[1] * p[1] + w[2] * p[2] + w[3] * p[3]
+    return entropy(ph) - (w[0] * h[0] + w[1] * h[1] + w[2] * h[2] + w[3] * h[3])
 
 
 def mutual_info_rate(params: ChannelParams, duty: DutyPair) -> float:

@@ -30,7 +30,7 @@ from types import ModuleType
 from typing import Sequence
 
 from ._numpy import np
-from .channel import ChannelParams, DutyPair, _require_finite, phi
+from .channel import ChannelParams, DutyPair, _require_positive, phi
 from .siso import SolveReport, _intersections, solve
 
 __all__ = [
@@ -53,10 +53,7 @@ class ContinuousParams:
     lambda0: float
 
     def __post_init__(self) -> None:
-        _require_finite(self, ("a1", "a2", "lambda0"))
-        for name in ("a1", "a2", "lambda0"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        _require_positive(self, ("a1", "a2", "lambda0"))
 
 
 def cont_mutual_info_rate(cp: ContinuousParams, duty: DutyPair) -> float:

@@ -9,10 +9,10 @@ exhaustively scans the one-parameter family of joint PMFs that share given
 marginals (two antennas per user), which brackets the staircase construction.
 
 The grid maximiser, _grid_max, takes any vectorized objective (the tests
-run it on the continuous rate too).  The grid and the PMF enumeration rate
-their cells with siso's batch kernels (_rate_many, _entropy_many) on numpy's
-logs, so a cell whose slot probability rounds outside [0, 1] is NaN, which
-never wins a maximum.
+run it on the continuous rate too).  The grid rates its cells with
+channel._rate, and it and the PMF enumeration take entropies from
+siso._entropy_many on numpy's logs, so a cell whose slot probability rounds
+outside [0, 1] is NaN, which never wins a maximum.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from functools import cached_property
 from typing import Callable
 
 from ._numpy import np
-from .channel import ChannelParams, DutyPair, HitProbs, _grad_terms, hit_probs, mutual_info
+from .channel import ChannelParams, DutyPair, HitProbs, _grad_terms, _rate, hit_probs, mutual_info
 from .miso import MisoConfig, subset_rates
-from .siso import TOP_CELLS, _entropy_many, _rate_many
+from .siso import TOP_CELLS, _entropy_many
 
 __all__ = [
     "GridSpec",
@@ -92,10 +92,10 @@ class GridResult:
 
 
 def _rate_grid(hp: HitProbs, tau: float, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """I/tau over broadcastable duty arrays: the batch's rate on numpy's logs,
+    """I/tau over broadcastable duty arrays: channel._rate on numpy's logs,
     NaN where the slot probability rounds outside [0, 1] (on saturated
     channels, ChannelParams(1, 0.1, 10, 5), it rounds an ulp above 1)."""
-    return _rate_many((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies, tau, m1, m2, np)
+    return _rate((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies, m1, m2, lambda q: _entropy_many(q, np)) / tau
 
 
 def _grad_norm_grid(hp: HitProbs, tau: float, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._numpy import np
-from .channel import ChannelParams, _require_finite, binary_entropy
+from .channel import ChannelParams, _require_positive, binary_entropy
 from .siso import SolveReport, _entropy_many, solve
 
 __all__ = [
@@ -65,11 +65,7 @@ class MisoConfig:
                 raise ValueError(f"every peak in {name} must be positive")
             if not all(math.isfinite(a) for a in peaks):
                 raise ValueError(f"every peak in {name} must be finite")
-        _require_finite(self, ("lambda0", "tau"))
-        if not self.lambda0 > 0.0:
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        _require_positive(self, ("lambda0", "tau"))
 
     @property
     def total_peak(self) -> float:

@@ -24,8 +24,8 @@ regime the convexity guarantee lapses, so the pass runs to its width; the solver
 flags the report and checks the candidates against the profile maximum and a
 coarse grid.  At every tau and mu1, the hit probability and the entropy mixture
 are affine in mu2, so I(mu1, .) is concave and peaks at clip(g(mu1), 0, 1): the
-capacity is the maximum over mu1 of that profile (_profile_of: the batch's g and
-rate kernels below on numpy's exp, log and log1p), found by _profile_max_many,
+capacity is the maximum over mu1 of that profile (_profile_of: the batch's g
+and channel._rate on numpy's exp, log and log1p), found by _profile_max_many,
 which maximises lanes of profiles at once; solve runs one lane.  The
 continuous reference (continuous.cont_capacity) needs no profile: its g - f
 is convex at every parameter, so _intersections enumerates its candidates.
@@ -56,7 +56,7 @@ from .channel import (
     hit_prob,
     hit_probs,
     _grad,
-    _mutual_info,
+    _rate,
 )
 
 __all__ = [
@@ -427,14 +427,12 @@ def solve(params: ChannelParams) -> SolveReport:
         inter = IntersectionSearch(points=(), rejected=(), reliable=False)
 
     # In tie order: the in-box interior points, then user 2 alone, then user 1 alone.
-    candidates = [
-        Candidate(pt, Strategy.BOTH_ACTIVE, _mutual_info(hp, pt.mu1, pt.mu2) / params.tau) for pt in inter.points
-    ]
     p, h = (hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies
+    candidates = [Candidate(pt, Strategy.BOTH_ACTIVE, _rate(p, h, pt.mu1, pt.mu2) / params.tau) for pt in inter.points]
     mu1_solo, mu2_solo = _solo_duty(p[2], p[3], h[2], h[3]), _solo_duty(p[1], p[3], h[1], h[3])
     solos = ((DutyPair(0.0, mu2_solo), Strategy.ONLY_USER2), (DutyPair(mu1_solo, 0.0), Strategy.ONLY_USER1))
     for duty, strategy in solos:
-        candidates.append(Candidate(duty, strategy, _mutual_info(hp, duty.mu1, duty.mu2) / params.tau))
+        candidates.append(Candidate(duty, strategy, _rate(p, h, duty.mu1, duty.mu2) / params.tau))
 
     best_rate = max(c.rate for c in candidates)
     if not math.isfinite(best_rate):  # an overflowed or NaN rate leaves no candidate near it
@@ -480,8 +478,9 @@ def solve(params: ChannelParams) -> SolveReport:
 # reads: the golden-section pass where g - f < 0 at both ends of [0, 1], and
 # any step after the one that fixes a pass's result (in the golden-section
 # pass, its first sample with g - f <= 0), where the lane leaves it.
-# g, the entropy and the rate take xp, the module of their exp and logs (math
-# by default, see _call); the profile and the grid and MISO oracles pass numpy.
+# g and the entropy take xp, the module of their exp and logs (math by
+# default, see _call); the profile and the grid and MISO oracles pass numpy.
+# The rate is channel._rate, on the entropy it is given.
 
 
 def _lanes(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -537,26 +536,16 @@ def _curves_many(p: tuple[np.ndarray, ...], h: tuple[np.ndarray, ...]) -> _Curve
     return _CurvesMany(u / v, w / v, p1 - p3, p2 - p4, h1 - h3, h2 - h4, p3, p4)
 
 
-def _rate_many(
-    p: tuple, h: tuple, tau: np.ndarray, mu1: np.ndarray, mu2: np.ndarray, xp: ModuleType = math
-) -> np.ndarray:
-    """_mutual_info / tau over broadcast duty arrays, on xp's logs (see _call)."""
-    nu1, nu2 = 1.0 - mu1, 1.0 - mu2  # _weights rounds each twice, to these doubles
-    w0, w1, w2, w3 = mu1 * mu2, nu1 * mu2, mu1 * nu2, nu1 * nu2
-    ph = w0 * p[0] + w1 * p[1] + w2 * p[2] + w3 * p[3]
-    return (_entropy_many(ph, xp) - (w0 * h[0] + w1 * h[1] + w2 * h[2] + w3 * h[3])) / tau
-
-
 def _profile_of(hp: HitProbs, tau: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """mu1 -> (I/tau at (mu1, mu2), mu2) with mu2 = clip(g(mu1), 0, 1), over an array:
-    the batch's g and rate on numpy's exp and logs.  The coefficients are numpy doubles, so a
+    the batch's g and channel._rate on numpy's exp and logs.  The coefficients are numpy doubles, so a
     line's v of 0, which g never reads, gives inf or NaN under the caller's errstate, not an error."""
     p, h = tuple(np.array((hp.p1, hp.p2, hp.p3, hp.p4))), tuple(np.array(hp.entropies))
     curves = _curves_many(p, h)
 
     def profile(mu1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mu2 = np.fmin(np.fmax(curves.g(mu1, np), 0.0), 1.0)  # 0 where g is NaN: den = 0, and I is flat in mu2
-        return _rate_many(p, h, tau, mu1, mu2, np), mu2
+        return _rate(p, h, mu1, mu2, lambda q: _entropy_many(q, np)) / tau, mu2
 
     return profile
 
@@ -668,30 +657,25 @@ def _enumerate_many(
     has_r &= ~(has_l & (np.abs(root_l - root_r) < 1e-9))
 
     mu2_l, mu2_r = curves.g(root_l), curves.g(root_r)
-    in_l = has_l & (-1e-12 <= mu2_l) & (mu2_l <= 1.0 + 1e-12)
-    in_r = has_r & (-1e-12 <= mu2_r) & (mu2_r <= 1.0 + 1e-12)
-    # Interior slot 0 is the first in-box root, slot 1 the second.
-    slot0, slot1 = in_l | in_r, in_l & in_r
-    s0_mu1 = np.clip(np.where(in_l, root_l, root_r), 0.0, 1.0)
-    s0_mu2 = np.clip(np.where(in_l, mu2_l, mu2_r), 0.0, 1.0)
-    s1_mu1, s1_mu2 = np.clip(root_r, 0.0, 1.0), np.clip(mu2_r, 0.0, 1.0)
-    rate0 = np.where(slot0, _rate_many(p, h, tau, s0_mu1, s0_mu2), -np.inf)  # an empty slot never wins
-    rate1 = np.where(slot1, _rate_many(p, h, tau, s1_mu1, s1_mu2), -np.inf)
-
     solo1 = _solo_duty_many(p[2], p[3], h[2], h[3])
     solo2 = _solo_duty_many(p[1], p[3], h[1], h[3])
-    rate_e1 = _rate_many(p, h, tau, solo1, zeros)
-    rate_e2 = _rate_many(p, h, tau, zeros, solo2)
+    # solve's candidates in its tie order, a row each: mu1, mu2, rank in
+    # _BY_RANK, and a mask.  A root whose mu2 leaves the box rates -inf.
+    table = (
+        (np.clip(root_l, 0.0, 1.0), np.clip(mu2_l, 0.0, 1.0), 0, has_l & (-1e-12 <= mu2_l) & (mu2_l <= 1.0 + 1e-12)),
+        (np.clip(root_r, 0.0, 1.0), np.clip(mu2_r, 0.0, 1.0), 0, has_r & (-1e-12 <= mu2_r) & (mu2_r <= 1.0 + 1e-12)),
+        (zeros, solo2, 1, True),
+        (solo1, zeros, 2, True),
+    )
+    rates = [np.where(mask, _rate(p, h, m1, m2, _entropy_many) / tau, -np.inf) for m1, m2, _, mask in table]
 
     # Tie rule of solve: the first non-negative rate within TIE_TOL of the
-    # best, in solve's list order.  A lane with none keeps code -1 and NaN.
-    rates = (rate0, rate1, rate_e2, rate_e1)
-    best = np.maximum(np.maximum(rate0, rate1), np.maximum(rate_e1, rate_e2))
+    # best, in table order.  A lane with none keeps code -1 and NaN.
+    best = np.max(rates, axis=0)
     near = [(r >= 0.0) & (best - r <= TIE_TOL) for r in rates]
-    capacity = np.select(near, rates, np.nan)
-    mu1 = np.select(near, [s0_mu1, s1_mu1, zeros, solo1], np.nan)
-    mu2 = np.select(near, [s0_mu2, s1_mu2, solo2, zeros], np.nan)
-    code = np.select(near, [0, 0, 1, 2], -1)  # ranks in _BY_RANK
+    mu1s, mu2s, ranks, _ = zip(*table)
+    capacity, mu1, mu2 = (np.select(near, x, np.nan) for x in (rates, mu1s, mu2s))
+    code = np.select(near, ranks, -1)
     finite = np.isfinite(d_0) & np.isfinite(d_1) & np.isfinite(capacity)
     finite[ends] &= np.isfinite(d_m[ends])  # a finite capacity leaves no NaN or +inf rate
     finite &= (0.0 <= solo1) & (solo1 <= 1.0) & (0.0 <= solo2) & (solo2 <= 1.0)

@@ -52,7 +52,7 @@ from .channel import (
     entropy_slope,
     hit_prob,
     hit_probs,
-    _mutual_info,
+    _rate,
 )
 from .siso import _bisect_root, _curves_of
 
@@ -160,7 +160,8 @@ def peak_threshold(lambda0: float, tau: float) -> ThresholdSearch:
     above the target at the cap, the threshold lies outside the searched
     regime and value is reported as +inf.  A dark slot whose hit
     probability underflows to 0 below a positive cap is an ArithmeticError,
-    as is a root whose residual is above THRESHOLD_RTOL of the target.
+    as are a flip level already below the target where the bracket starts
+    and a root whose residual is above THRESHOLD_RTOL of the target.
     """
     return _threshold(_flip_of(lambda0, tau), lambda0, tau)
 
@@ -178,9 +179,12 @@ def _threshold(flip: Callable[[float], float], lambda0: float, tau: float) -> Th
     def delta(a: float) -> float:
         return flip(a) - target
 
+    # The flip level lies ~1/p4 above the target at small a and falls as a
+    # grows, so one already below it where the bracket starts is rounding noise.
     lo = min(lambda0, cap)
-    while (d_lo := delta(lo)) < 0.0 and lo > 1e-300:
-        lo /= 2.0
+    if (d_lo := delta(lo)) < 0.0:
+        msg = f"the flip level {flip(lo):.6g} at a = {lo:.6g} is already below the target {target:.6g}"
+        raise ArithmeticError(msg + ": it is rounding noise")
     hi, d_hi = lo, d_lo
     while hi < cap:
         hi = min(hi * 2.0, cap)
@@ -270,13 +274,14 @@ def line_constrained_max(a: float, lambda0: float, tau: float, half_sum: float) 
     step LINE_STEP over the mu1 >= mu2 half of the segment.
     """
     hp = hit_probs(ChannelParams(a, a, lambda0, tau))
+    p, h = (hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies
     lo = max(half_sum, 2.0 * half_sum - 1.0)
     hi = min(1.0, 2.0 * half_sum)
     n = max(1, int(round((hi - lo) / LINE_STEP)))
     best_val, best_mu1 = -math.inf, lo
     for i in range(n + 1):
         mu1 = min(lo + i * (hi - lo) / n, hi)
-        val = _mutual_info(hp, mu1, 2.0 * half_sum - mu1)
+        val = _rate(p, h, mu1, 2.0 * half_sum - mu1)
         if val > best_val:
             best_val, best_mu1 = val, mu1
     return best_val, DutyPair(best_mu1, 2.0 * half_sum - best_mu1)
@@ -294,7 +299,7 @@ def solve_symmetric(a: float, lambda0: float, tau: float) -> SymmetricReport:
     mu = _fixed_point(hp)
     if below:
         flip_level = flip(a)
-    capacity = _mutual_info(hp, mu, mu) / tau
+    capacity = _rate((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies, mu, mu) / tau
     return SymmetricReport(
         a=a,
         lambda0=lambda0,

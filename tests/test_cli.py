@@ -499,6 +499,18 @@ class TestExitCodes:
             err,
         ), err
 
+    def test_noise_flip_level_names_itself(self, capsys):
+        # The flip level is below its target already at a = lambda0: exit 4
+        # with a message that names it.
+        argv = ("symmetric", "--a", "10", "--lambda0", "1.0883405665963555", "--tau", "4.5800758862051256e-17")
+        assert main(list(argv)) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: numerical failure (ArithmeticError: the flip level -1.05802e+15 at a = 1.08834"
+            " is already below the target 37.5376: it is rounding noise)\n"
+        )
+
     def test_continuous_rounding_noise_names_its_floor(self, tmp_path, capsys):
         code, text = run(tmp_path, "sweep-peak", "--a1", "1e-20", "--a2", "1e-20", "--tau", "0")
         assert (code, text) == (4, "")

@@ -122,8 +122,8 @@ def _old_entropy_arr(q):
 
 
 def _old_rate_grid(hp, tau, m1, m2):
-    """gridsearch._rate_grid as it was before it ran siso._rate_many: entropy
-    0 where the slot probability rounds outside (0, 1)."""
+    """gridsearch._rate_grid as it was before it ran the batch solver's rate
+    (now channel._rate): entropy 0 where the slot probability rounds outside (0, 1)."""
     h1, h2, h3, h4 = hp.entropies
     w = _weights(m1, m2)
     ph = w[0] * hp.p1 + w[1] * hp.p2 + w[2] * hp.p3 + w[3] * hp.p4

@@ -153,6 +153,20 @@ class TestPeakThreshold:
         with pytest.raises(ArithmeticError, match=r"peak-threshold residual 5\.6\d*e\+15 above 1e-09 of the target 37\.8"):
             peak_threshold(0.0029339146239736333, 1.2741161428746491e-14)
 
+    def test_flip_level_below_the_target_at_the_start_is_an_error(self):
+        # The flip level lies ~1/p4 above the target at small a and falls as a
+        # grows, so one already below it at a = lambda0 is rounding noise: at
+        # tau ~ 5e-17 its second differences cancel.
+        lambda0, tau = 1.0883405665963555, 4.5800758862051256e-17
+        message = (
+            r"^the flip level -1\.05802e\+15 at a = 1\.08834 is already below the target 37\.5376:"
+            r" it is rounding noise$"
+        )
+        for call in (lambda: peak_threshold(lambda0, tau), lambda: solve_symmetric(10.0, lambda0, tau)):
+            with pytest.raises(ArithmeticError, match=message) as info:
+                call()
+            assert info.type is ArithmeticError
+
     def test_threshold_between_known_sides(self):
         thr = peak_threshold(LAMBDA0, TAU)
         # At peak 10 the flip level 9.51 already sits below the dark log-odds
