@@ -20,15 +20,17 @@ problem:
 In tie order (interior points, user 2 alone, user 1 alone), the first candidate
 rated >= 0 and within TIE_TOL of the best is the capacity; if every rate is
 below zero (rounding noise), solve raises ArithmeticError.  Out of the stated
-regime the convexity guarantee lapses, so the pass runs to its width; the solver
-flags the report and checks the candidates against the profile maximum and a
-coarse grid.  At every tau and mu1, the hit probability and the entropy mixture
-are affine in mu2, so I(mu1, .) is concave and peaks at clip(g(mu1), 0, 1): the
-capacity is the maximum over mu1 of that profile (_profile_of: the batch's g
-and channel._rate on numpy's exp, log and log1p), found by _profile_max_many,
-which maximises lanes of profiles at once; solve runs one lane.  The
-continuous reference (continuous.cont_capacity) needs no profile: its g - f
-is convex at every parameter, so _intersections enumerates its candidates.
+regime the convexity guarantee lapses and g - f may have more roots, so it is
+scanned at SCAN_POINTS equispaced points, one bisection per sign change, and
+the report is flagged.  The enumeration still holds there: at every tau the
+hit probability and the entropy mixture are affine in each duty, so I(mu1, .)
+and I(., mu2) are each concave, and the maximum over the box is an interior
+root of g - f or the best point of one of its four edges, each a one-user
+problem with a closed-form duty.  Two edges are the solo candidates; solve
+checks the two where one user is always on after its tie rule, beside a
+coarse grid witness.  The continuous reference (continuous.cont_capacity)
+runs the in-regime search: its g - f is convex at every parameter, so
+_intersections enumerates its candidates.
 
 solve builds a channel's set-up once for private cores; find_intersections
 and single_user_duty are wrappers over the same cores.  The strategy screens
@@ -80,7 +82,8 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-12
-TOP_CELLS = 5  # incumbents refined by _profile_max and gridsearch._grid_max
+TOP_CELLS = 5  # incumbents refined by gridsearch._grid_max
+SCAN_POINTS = 33  # equispaced samples of g - f on [0, 1] out of regime
 
 
 class Strategy(Enum):
@@ -290,24 +293,36 @@ def find_intersections(params: ChannelParams) -> IntersectionSearch:
 
     Exploits strict convexity of g - f: golden-section samples towards its
     minimum until one sample is <= 0, then one bisection per side recovers
-    each sign change.  Out of regime the pass runs to its width, and the
-    result is flagged unreliable.
+    each sign change.  Out of regime g - f is scanned at SCAN_POINTS points
+    instead, one bisection per sign change, and the result is flagged
+    unreliable.
     """
     g, make_d = _curves_of(hit_probs(params))
     return _intersections(g, make_d(), params.in_regime)
 
 
 def _intersections(g: Callable, d: Callable, reliable: bool) -> IntersectionSearch:
-    m_star, d_m = _golden_min(d, 0.0, 1.0, 1e-14, stop=reliable)  # d is convex where reliable
-    d_m = d(m_star) if d_m is None else d_m
     roots: list[float] = []
-    if d_m <= 0.0:
-        if (d_0 := d(0.0)) >= 0.0:
-            roots.append(_bisect_root(d, 0.0, m_star, d_0))
-        if d(1.0) >= 0.0:
-            roots.append(_bisect_root(d, m_star, 1.0, d_m))
-    if len(roots) == 2 and abs(roots[0] - roots[1]) < 1e-9:
-        roots = roots[:1]
+    if reliable:  # d is convex
+        m_star, d_m = _golden_min(d, 0.0, 1.0, 1e-14, stop=True)
+        d_m = d(m_star) if d_m is None else d_m
+        if d_m <= 0.0:
+            if (d_0 := d(0.0)) >= 0.0:
+                roots.append(_bisect_root(d, 0.0, m_star, d_0))
+            if d(1.0) >= 0.0:
+                roots.append(_bisect_root(d, m_star, 1.0, d_m))
+        if len(roots) == 2 and abs(roots[0] - roots[1]) < 1e-9:
+            roots = roots[:1]
+    else:
+        xs = [i / (SCAN_POINTS - 1) for i in range(SCAN_POINTS)]
+        ds = [d(x) for x in xs]
+        if any(v != v for v in ds):
+            raise ArithmeticError("g - f is NaN at a scan point")
+        for i, (x, v) in enumerate(zip(xs, ds)):
+            if v == 0.0:
+                roots.append(x)
+            elif i + 1 < SCAN_POINTS and (v < 0.0) != (ds[i + 1] < 0.0) and ds[i + 1] != 0.0:
+                roots.append(_bisect_root(d, x, xs[i + 1], v))
 
     points: list[DutyPair] = []
     rejected: list[DutyPair] = []
@@ -351,69 +366,25 @@ def sufficiency_tests(params: ChannelParams) -> SufficiencyRecord:
 
 
 def _strategy_at(duty: DutyPair) -> Strategy:
-    """Who transmits at a duty pair; the profile and the grid reach 0 exactly."""
+    """Who transmits at a duty pair; the always-on edges and the grid reach 0 exactly."""
     if duty.mu1 == 0.0:
         return Strategy.ONLY_USER2
     return Strategy.ONLY_USER1 if duty.mu2 == 0.0 else Strategy.BOTH_ACTIVE
-
-
-def _profile_max_many(profile: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], lanes: int) -> tuple:
-    """Largest rate over mu1 in [0, 1] of each lane (row) of profile(mu1) ->
-    (rate, mu2) on a (lanes, n) mu1 array, where mu2 is the inner maximiser:
-    per-lane arrays of whether any rate was finite (if none was, the rest is
-    meaningless), the rate, mu1 and mu2.  One pass at step 1e-3 keeps
-    TOP_CELLS incumbents per lane at least three steps apart, so close rival
-    maxima cannot shake the search off the global one.  Six rounds each scan
-    1.5 old steps around every incumbent (all in one call) at a tenth of the
-    step, down to 1e-9; an incumbent moves only to a strictly better point,
-    a NaN rate never wins, and of equal final values the earliest wins."""
-    step, x, offsets = 1e-3, np.arange(1001) * 1e-3, np.arange(-15, 16) / 10.0  # x is linspace(0, 1, 1001)
-    rate, mu2 = profile(x[None].repeat(lanes, 0))
-    finite = np.isfinite(rate).any(axis=1)
-    rate = np.fmax(rate, -np.inf)  # a NaN rate never wins
-    masked, picks = rate.copy(), np.empty((lanes, TOP_CELLS), dtype=np.intp)
-    for c in range(TOP_CELLS):
-        pick = picks[:, c] = masked.argmax(axis=1)
-        np.putmask(masked, np.abs(x - x[pick, None]) < 3.0 * step, -np.inf)
-    # The incumbents of all lanes as flat rows, lane by lane.
-    lane = np.arange(lanes)[:, None]
-    best, mu1, mu2 = rate[lane, picks].ravel(), x[picks].ravel(), mu2[lane, picks].ravel()
-    rows = np.arange(best.size)
-    for _ in range(6):
-        window = np.minimum(np.maximum(mu1[:, None] + offsets * step, 0.0), 1.0)
-        rate, inner = (v.reshape(window.shape) for v in profile(window.reshape(lanes, -1)))
-        k = np.argmax(np.fmax(rate, -np.inf), axis=1)
-        top = rate[rows, k]
-        better = top > best
-        best = np.where(better, top, best)
-        mu1 = np.where(better, window[rows, k], mu1)
-        mu2 = np.where(better, inner[rows, k], mu2)
-        step /= 10.0
-    k = np.argmax(best.reshape(lanes, TOP_CELLS), axis=1) + np.arange(0, best.size, TOP_CELLS)
-    return finite, best[k], mu1[k], mu2[k]
-
-
-def _profile_max(profile: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> tuple[float, DutyPair]:
-    """_profile_max_many on one lane; ArithmeticError if no rate is finite."""
-    (finite,), (rate,), (mu1,), (mu2,) = (v.tolist() for v in _profile_max_many(profile, 1))
-    if not finite:
-        raise ArithmeticError("the profile has no finite rate")
-    return rate, DutyPair(mu1, mu2)
 
 
 def solve(params: ChannelParams) -> SolveReport:
     """Sum-rate capacity with the optimal duty pair and strategy.
 
     In regime the enumeration is exact.  Out of regime the report carries
-    regime_ok=False, and the enumerated result gives way to the profile
-    maximum (see _profile_max) and then to one unrefined step-1e-2 pass of
-    gridsearch.grid_capacity, each only when higher by more than TIE_TOL.
-    The profile takes numpy's exp, log and log1p (_profile_of), which can
-    differ from math's in the last bit.  On one x86-64 host (AVX-512, numpy
-    2.4), 3,000 random out-of-regime channels with peaks up to 100 kept every
-    bit they had with math's.  At capacities in the thousands, where TIE_TOL
-    is a few ulps, the profile can win by rounding noise, and its duty then
-    rests on those last bits; another CPU may differ there.
+    regime_ok=False, the interior roots come from the scan of g - f, and the
+    enumerated result gives way to an edge where one user is always on (at
+    the other's solo duty against that constant light) and then to one
+    unrefined step-1e-2 pass of gridsearch.grid_capacity, each only when
+    higher by more than TIE_TOL.  The constant light is independent noise, so
+    an always-on edge is never above its solo edge but by rounding; the grid
+    is a brute-force witness.  Every rate is on math's exp and logs but the
+    grid's, which are on numpy's and can differ in the last bit; a lattice
+    point away from the optimum wins only by a real margin.
     """
     hp = hit_probs(params)
     g, make_d = _curves_of(hp)
@@ -421,7 +392,7 @@ def solve(params: ChannelParams) -> SolveReport:
         inter = _intersections(g, make_d(), params.in_regime)
     except (ArithmeticError, ValueError):
         # Saturated hit levels break the curve algebra; that only happens far
-        # out of regime, where the profile below carries the result.
+        # out of regime, where the edges and the grid below carry the result.
         if params.in_regime:
             raise
         inter = IntersectionSearch(points=(), rejected=(), reliable=False)
@@ -445,15 +416,18 @@ def solve(params: ChannelParams) -> SolveReport:
     grid_checked = False
 
     if not params.in_regime:
-        # Convexity of g may fail here, so the enumeration can miss the
-        # optimum.  The profile cannot; the grid is a brute-force witness.
         from .gridsearch import GridSpec, grid_capacity
 
-        with np.errstate(all="ignore"):
-            peak = _profile_max(_profile_of(hp, params.tau))
+        edges = []
+        for k in (1, 2):  # user 1 against user 2's constant light, then user 2 against user 1's
+            try:
+                x = _solo_duty(p[0], p[k], h[0], h[k])
+            except ArithmeticError:  # a peak far below the other's light cancels the chord
+                continue
+            edges.append(DutyPair(x, 1.0) if k == 1 else DutyPair(1.0, x))
         grid = grid_capacity(params, GridSpec(step=1e-2, refine_rounds=0))
         grid_checked = True
-        for rate, duty in (peak, (grid.capacity, grid.duty)):
+        for rate, duty in [(_rate(p, h, e.mu1, e.mu2) / params.tau, e) for e in edges] + [(grid.capacity, grid.duty)]:
             if rate > capacity + TIE_TOL:
                 capacity, optimum, strategy = rate, duty, _strategy_at(duty)
 
@@ -479,7 +453,7 @@ def solve(params: ChannelParams) -> SolveReport:
 # any step after the one that fixes a pass's result (in the golden-section
 # pass, its first sample with g - f <= 0), where the lane leaves it.
 # g and the entropy take xp, the module of their exp and logs (math by
-# default, see _call); the profile and the grid and MISO oracles pass numpy.
+# default, see _call); the grid and MISO oracles and the tests' profile pass numpy.
 # The rate is channel._rate, on the entropy it is given.
 
 
@@ -534,20 +508,6 @@ def _curves_many(p: tuple[np.ndarray, ...], h: tuple[np.ndarray, ...]) -> _Curve
     h1, h2, h3, h4 = h
     u, v, w = _line(p, h)
     return _CurvesMany(u / v, w / v, p1 - p3, p2 - p4, h1 - h3, h2 - h4, p3, p4)
-
-
-def _profile_of(hp: HitProbs, tau: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """mu1 -> (I/tau at (mu1, mu2), mu2) with mu2 = clip(g(mu1), 0, 1), over an array:
-    the batch's g and channel._rate on numpy's exp and logs.  The coefficients are numpy doubles, so a
-    line's v of 0, which g never reads, gives inf or NaN under the caller's errstate, not an error."""
-    p, h = tuple(np.array((hp.p1, hp.p2, hp.p3, hp.p4))), tuple(np.array(hp.entropies))
-    curves = _curves_many(p, h)
-
-    def profile(mu1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mu2 = np.fmin(np.fmax(curves.g(mu1, np), 0.0), 1.0)  # 0 where g is NaN: den = 0, and I is flat in mu2
-        return _rate(p, h, mu1, mu2, lambda q: _entropy_many(q, np)) / tau, mu2
-
-    return profile
 
 
 def _solo_duty_many(p_on: np.ndarray, p_off: np.ndarray, h_on: np.ndarray, h_off: np.ndarray) -> np.ndarray:
@@ -692,7 +652,7 @@ def solve_many(
     lanes where g - f >= 0 at an end of [0, 1], and one bisection pass over
     the lanes with a root.  Lanes out of regime, whose curve algebra is not
     finite, or with no candidate rate >= 0 go through solve() one at a time,
-    which keeps the profile, the grid cross-check and the errors in one place.
+    which keeps the scan, the edges, the grid witness and the errors in one place.
     An invalid input raises the ValueError of ChannelParams for its first lane.
     """
     lanes = tuple(np.ravel(x).astype(float) for x in np.broadcast_arrays(a1, a2, lambda0, tau))

@@ -147,7 +147,11 @@ def _flip_of(lambda0: float, tau: float) -> Callable[[float], float]:
         p2 = -math.expm1(-(a + lambda0) * tau)
         h1 = 0.0 if p1 == 0.0 or p1 == 1.0 else -p1 * math.log(p1) - (1.0 - p1) * math.log1p(-p1)
         h2 = 0.0 if p2 == 0.0 or p2 == 1.0 else -p2 * math.log(p2) - (1.0 - p2) * math.log1p(-p2)
-        return (2.0 * h2 - h1 - h4) / (2.0 * p2 - p1 - p4)
+        try:
+            return (2.0 * h2 - h1 - h4) / (2.0 * p2 - p1 - p4)
+        except ZeroDivisionError:  # the second differences cancel at weak signals
+            msg = f"the flip level's denominator 2 p2 - p1 - p4 rounds to 0 at a = {a:.6g}, "
+            raise ArithmeticError(msg + f"lambda0 = {lambda0:.6g}, tau = {tau:.6g}") from None
 
     return flip
 
@@ -259,7 +263,12 @@ def _fixed_point(hp: HitProbs) -> float:
     def resid(mu: float) -> float:
         return mu - g(mu)
 
-    mu = _bisect_root(resid, 0.0, 1.0, resid(0.0))
+    try:
+        mu = _bisect_root(resid, 0.0, 1.0, resid(0.0))
+    except ZeroDivisionError:  # the hit levels are one double
+        levels = ", ".join(f"{x:.6g}" for x in (hp.p1, hp.p2, hp.p3, hp.p4))
+        msg = "the fixed point's g divides by mu (p1 - p3) + (1 - mu) (p2 - p4), which rounds to 0"
+        raise ArithmeticError(f"{msg} at the hit levels {levels}") from None
     if abs(resid(mu)) > FIXED_POINT_TOL:
         raise ArithmeticError(
             f"fixed-point residual {resid(mu):.3e} above {FIXED_POINT_TOL}"

@@ -50,16 +50,17 @@ CASES = [
         "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
         "1000,1000,0.001,1,0.689199149677,0,0.501479646135,OnlyUser2,false\n",
     ),
-    # Out of regime, where the profile kernel runs: a capacity in the
-    # thousands, where the profile beats the enumeration (by rounding noise,
-    # as TIE_TOL is a few ulps there) and reports its own duty; ~25x the
-    # bound; user 1 alone; a background far above both peaks.
+    # Out of regime: a capacity in the thousands, where TIE_TOL is a few
+    # ulps, and user 1's closed-form solo duty wins (the profile that solve
+    # once ran beat it by rounding noise and printed its lattice duty
+    # 0.400339442; 50-digit mpmath rates the closed-form duty 4.6e-13 higher);
+    # ~25x the bound; user 1 alone; a background far above both peaks.
     (
         "solve --a1 8850 --a2 4010 --tau 7.92e-05",
         0,
         "# command=solve a1=8850 a2=4010 lambda0=0.001 tau=7.92e-05 intersections=0\n"
         "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
-        "8850,4010,0.001,7.92e-05,2844.62304245,0.400339442,0,OnlyUser1,false\n",
+        "8850,4010,0.001,7.92e-05,2844.62304245,0.400339442215,0,OnlyUser1,false\n",
     ),
     (
         "solve --a1 3 --a2 4 --tau 2.5",

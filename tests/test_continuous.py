@@ -18,7 +18,9 @@ from poisson_mac.continuous import (
     convergence_report,
 )
 from poisson_mac.gridsearch import GridSpec, _grid_max
-from poisson_mac.siso import _profile_max_many, f_mac, g_mac, single_user_duty, solve
+from poisson_mac.siso import f_mac, g_mac, single_user_duty, solve
+
+from oracles import profile_max_many
 
 CP = ContinuousParams(10.0, 12.0, 0.001)
 
@@ -31,7 +33,7 @@ def rate_grid(cp):
 
 def profile_max(cp):
     """The largest rate over mu1 of R(mu1, clip(cont_g(mu1), 0, 1)), R being
-    concave in mu2, by siso's profile maximiser (resolution 1e-9 in mu1):
+    concave in mu2, by the tests' profile maximiser (resolution 1e-9 in mu1):
     the rate and its duty."""
     levels = continuous._levels(cp.a1, cp.a2, cp.lambda0)
 
@@ -40,7 +42,7 @@ def profile_max(cp):
         return continuous._rate(levels, mu1, mu2, np), mu2
 
     with np.errstate(all="ignore"):
-        finite, rate, mu1, mu2 = (v.item() for v in _profile_max_many(profile, 1))
+        finite, rate, mu1, mu2 = (v.item() for v in profile_max_many(profile, 1))
     assert finite, cp
     return rate, DutyPair(mu1, mu2)
 

@@ -1,6 +1,6 @@
-"""Property tests of the shared kernels (the profile maximiser, the gradient
-algebra and the bisection behind the symmetric analysis), of the continuous
-reference under a label swap and at equal peaks, of solve on
+"""Property tests of the shared kernels (the gradient algebra and the
+bisection behind the symmetric analysis), of the continuous reference under
+a label swap and at equal peaks, of solve on
 either side of the regime bound, of the in-regime search's early exit
 against the full golden-section pass, of solve_many against solve, of solve
 on weak signals (a capacity at or above zero, or ArithmeticError), and of
@@ -39,7 +39,7 @@ duties = st.floats(0.01, 0.99)
 # Fraction of the regime bound ln2/(a1+a2+lambda0).
 fractions = st.floats(0.01, 1.0)
 # From 0.01x to 30x the regime bound.  About half of the draws are out of
-# regime, where solve runs its profile and grid checks (~2 ms each).
+# regime, where solve runs its scan, edges and grid check (~0.5 ms each).
 solve_fractions = st.floats(0.01, 30.0)
 SOLVE_SETTINGS = settings(derandomize=True, deadline=None, max_examples=15, database=None)
 

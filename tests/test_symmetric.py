@@ -32,6 +32,7 @@ from poisson_mac.symmetric import (
 
 LAMBDA0 = 0.001
 TAU = 0.02
+FLIP_DENOMINATOR = r"the flip level's denominator 2 p2 - p1 - p4 rounds to 0 "
 
 
 def dark_log_odds(lambda0: float, tau: float) -> float:
@@ -40,10 +41,13 @@ def dark_log_odds(lambda0: float, tau: float) -> float:
 
 def flip_three_calls(a: float, lambda0: float, tau: float) -> float:
     """The flip level as three hit_prob and three binary_entropy calls: the
-    reference the one-closure level must match to the last bit."""
+    reference the one-closure level must match to the last bit, and a named
+    ArithmeticError where the denominator rounds to 0."""
     p1, p2, p4 = hit_prob(2.0 * a + lambda0, tau), hit_prob(a + lambda0, tau), hit_prob(lambda0, tau)
     num = 2.0 * binary_entropy(p2) - binary_entropy(p1) - binary_entropy(p4)
-    return num / (2.0 * p2 - p1 - p4)
+    if (den := 2.0 * p2 - p1 - p4) == 0.0:
+        raise ArithmeticError("the denominator rounds to 0")
+    return num / den
 
 
 def outcome(fn, *args):
@@ -415,3 +419,27 @@ class TestSolveSymmetric:
             assert got == want, (a, lambda0, tau)
             sides[report.boundary is None] += 1
         assert min(sides.values()) >= 50, sides
+
+    @pytest.mark.parametrize(
+        "a, lambda0, tau, message",
+        [
+            # At the threshold's first bracket point, a = lambda0.
+            (1.0, 6.280771786715331e-08, 4.563502066759421e-13, FLIP_DENOMINATOR + r"at a = 6\.28077e-08, "),
+            # At flip(a), after a threshold was found.
+            (3.805159936651471e-08, 0.0007564414133609078, 3.198604937848736e-11, FLIP_DENOMINATOR + r"at a = 3\.80516e-08, "),
+            # In the fixed point's g: a + lambda0 rounds to lambda0, so the four hit levels are one double.
+            (1e-20, 0.001, 0.02, r"the fixed point's g divides by mu \(p1 - p3\) \+ \(1 - mu\) \(p2 - p4\), which rounds to 0 "),
+        ],
+        ids=["threshold-bracket", "flip-at-a", "fixed-point-g"],
+    )
+    def test_denominator_rounding_to_zero_is_named(self, capsys, a, lambda0, tau, message):
+        from poisson_mac.cli import main
+
+        with pytest.raises(ArithmeticError, match=f"^{message}") as raised:
+            solve_symmetric(a, lambda0, tau)
+        assert type(raised.value) is ArithmeticError
+        argv = ["symmetric", "--a", repr(a), "--lambda0", repr(lambda0), "--tau", repr(tau)]
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.match(rf"error: numerical failure \(ArithmeticError: {message}", err), err
