@@ -12,8 +12,10 @@ problem:
   tau <= ln2/(a1+a2+lambda0).  An affine curve meets a strictly convex one at
   most twice, so any point where g - f <= 0 lies between the two meetings: a
   golden-section pass towards the minimum of g - f ends at its first such
-  sample, and a bisection on each side finds every interior candidate, both
-  on one closure d (_curves_of), g - f to the last bit in one Python call a step.
+  sample, and one bracketed root search (_root: regula falsi with the
+  Anderson-Bjorck weight and a bisection safeguard) on each side finds every
+  interior candidate, both on one closure d (_curves_of), g - f to the last
+  bit in one Python call a step.
 * the two edge candidates put one user at its closed-form solo duty cycle and
   silence the other.
 
@@ -21,16 +23,18 @@ In tie order (interior points, user 2 alone, user 1 alone), the first candidate
 rated >= 0 and within TIE_TOL of the best is the capacity; if every rate is
 below zero (rounding noise), solve raises ArithmeticError.  Out of the stated
 regime the convexity guarantee lapses and g - f may have more roots, so it is
-scanned at SCAN_POINTS equispaced points, one bisection per sign change, and
+scanned at SCAN_POINTS equispaced points, one root search per sign change, and
 the report is flagged.  The enumeration still holds there: at every tau the
 hit probability and the entropy mixture are affine in each duty, so I(mu1, .)
 and I(., mu2) are each concave, and the maximum over the box is an interior
 root of g - f or the best point of one of its four edges, each a one-user
-problem with a closed-form duty.  Two edges are the solo candidates; solve
-checks the two where one user is always on after its tie rule, beside a
-coarse grid witness.  The continuous reference (continuous.cont_capacity)
-runs the in-regime search: its g - f is convex at every parameter, so
-_intersections enumerates its candidates.
+problem with a closed-form duty.  Two edges are the solo candidates; on the
+other two one user is always on, and its light is noise independent of the
+other's input (a slot is a hit when any photon arrives), so by data
+processing neither is above its solo edge.  solve keeps a coarse grid
+witness.  The continuous reference (continuous.cont_capacity) runs the
+in-regime search: its g - f is convex at every parameter, so _intersections
+enumerates its candidates.
 
 solve builds a channel's set-up once for private cores; find_intersections
 and single_user_duty are wrappers over the same cores.  The strategy screens
@@ -267,34 +271,47 @@ def _golden_min(fn: Callable, lo: float, hi: float, tol: float, stop: bool = Fal
     return 0.5 * (a + b), None
 
 
-def _bisect_root(fn: Callable[[float], float], lo: float, hi: float, flo: float) -> float:
-    """Root of a continuous function with flo = fn(lo) >= 0 >= fn(hi) (or reversed)."""
-    if flo == 0.0:
-        return lo
-    sign_lo = flo > 0.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # no step can shrink the bracket or move mid again
+_REL_WIDTH = 4.5e-16  # a bracket this narrow, relative to its upper end, is ~2 ulps wide
+
+
+def _root(fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float) -> float:
+    """Root of a continuous function on [lo, hi], 0 <= lo < hi, with flo =
+    fn(lo) and fhi = fn(hi) of opposite signs: regula falsi with the
+    Anderson-Bjorck weight, the midpoint when the secant point is off the
+    bracket or three steps have not halved it, and a step of at least ~1 ulp
+    from each end, without which a secant point beside a root one ulp from an
+    end rounds onto that end.  Ends at an exact zero, or at the midpoint of a
+    bracket ~2 ulps wide or whose midpoint rounds onto an end."""
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    x0, f0, x1, f1, width, stale = lo, flo, hi, fhi, hi - lo, 0  # x1 is the newest point
+    while True:
+        a, b = min(x0, x1), max(x0, x1)
+        mid = 0.5 * (a + b)
+        if b - a <= _REL_WIDTH * b or mid == a or mid == b:
             return mid
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == sign_lo:
-            lo = mid
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        tiny = 0.5 * _REL_WIDTH * b
+        x = min(max(x, a + tiny), b - tiny) if stale < 3 and a <= x <= b else mid
+        if (fx := fn(x)) == 0.0:
+            return x
+        if (fx < 0.0) == (f1 < 0.0):
+            m = 1.0 - fx / f1
+            f0 *= m if m > 0.0 else 0.5
         else:
-            hi = mid
-        if hi - lo <= 1e-16:
-            break
-    return 0.5 * (lo + hi)
+            x0, f0 = x1, f1
+        x1, f1 = x, fx
+        halved = abs(x1 - x0) <= 0.5 * width
+        width, stale = (abs(x1 - x0), 0) if halved else (width, stale + 1)
 
 
 def find_intersections(params: ChannelParams) -> IntersectionSearch:
     """All stationary pairs where the affine and convex curves meet on [0, 1].
 
     Exploits strict convexity of g - f: golden-section samples towards its
-    minimum until one sample is <= 0, then one bisection per side recovers
+    minimum until one sample is <= 0, then one _root search per side recovers
     each sign change.  Out of regime g - f is scanned at SCAN_POINTS points
-    instead, one bisection per sign change, and the result is flagged
+    instead, one _root search per sign change, and the result is flagged
     unreliable.
     """
     g, make_d = _curves_of(hit_probs(params))
@@ -308,9 +325,9 @@ def _intersections(g: Callable, d: Callable, reliable: bool) -> IntersectionSear
         d_m = d(m_star) if d_m is None else d_m
         if d_m <= 0.0:
             if (d_0 := d(0.0)) >= 0.0:
-                roots.append(_bisect_root(d, 0.0, m_star, d_0))
-            if d(1.0) >= 0.0:
-                roots.append(_bisect_root(d, m_star, 1.0, d_m))
+                roots.append(_root(d, 0.0, m_star, d_0, d_m))
+            if (d_1 := d(1.0)) >= 0.0:
+                roots.append(_root(d, m_star, 1.0, d_m, d_1))
         if len(roots) == 2 and abs(roots[0] - roots[1]) < 1e-9:
             roots = roots[:1]
     else:
@@ -322,7 +339,7 @@ def _intersections(g: Callable, d: Callable, reliable: bool) -> IntersectionSear
             if v == 0.0:
                 roots.append(x)
             elif i + 1 < SCAN_POINTS and (v < 0.0) != (ds[i + 1] < 0.0) and ds[i + 1] != 0.0:
-                roots.append(_bisect_root(d, x, xs[i + 1], v))
+                roots.append(_root(d, x, xs[i + 1], v, ds[i + 1]))
 
     points: list[DutyPair] = []
     rejected: list[DutyPair] = []
@@ -366,7 +383,7 @@ def sufficiency_tests(params: ChannelParams) -> SufficiencyRecord:
 
 
 def _strategy_at(duty: DutyPair) -> Strategy:
-    """Who transmits at a duty pair; the always-on edges and the grid reach 0 exactly."""
+    """Who transmits at a duty pair; the grid's lattice reaches 0 exactly."""
     if duty.mu1 == 0.0:
         return Strategy.ONLY_USER2
     return Strategy.ONLY_USER1 if duty.mu2 == 0.0 else Strategy.BOTH_ACTIVE
@@ -377,14 +394,11 @@ def solve(params: ChannelParams) -> SolveReport:
 
     In regime the enumeration is exact.  Out of regime the report carries
     regime_ok=False, the interior roots come from the scan of g - f, and the
-    enumerated result gives way to an edge where one user is always on (at
-    the other's solo duty against that constant light) and then to one
-    unrefined step-1e-2 pass of gridsearch.grid_capacity, each only when
-    higher by more than TIE_TOL.  The constant light is independent noise, so
-    an always-on edge is never above its solo edge but by rounding; the grid
-    is a brute-force witness.  Every rate is on math's exp and logs but the
-    grid's, which are on numpy's and can differ in the last bit; a lattice
-    point away from the optimum wins only by a real margin.
+    enumerated result gives way to one unrefined step-1e-2 pass of
+    gridsearch.grid_capacity only when that is higher by more than TIE_TOL.
+    The grid is a brute-force witness.  Every rate is on math's exp and logs
+    but the grid's, which are on numpy's and can differ in the last bit; a
+    lattice point away from the optimum wins only by a real margin.
     """
     hp = hit_probs(params)
     g, make_d = _curves_of(hp)
@@ -392,7 +406,7 @@ def solve(params: ChannelParams) -> SolveReport:
         inter = _intersections(g, make_d(), params.in_regime)
     except (ArithmeticError, ValueError):
         # Saturated hit levels break the curve algebra; that only happens far
-        # out of regime, where the edges and the grid below carry the result.
+        # out of regime, where the solo candidates and the grid below carry the result.
         if params.in_regime:
             raise
         inter = IntersectionSearch(points=(), rejected=(), reliable=False)
@@ -418,18 +432,10 @@ def solve(params: ChannelParams) -> SolveReport:
     if not params.in_regime:
         from .gridsearch import GridSpec, grid_capacity
 
-        edges = []
-        for k in (1, 2):  # user 1 against user 2's constant light, then user 2 against user 1's
-            try:
-                x = _solo_duty(p[0], p[k], h[0], h[k])
-            except ArithmeticError:  # a peak far below the other's light cancels the chord
-                continue
-            edges.append(DutyPair(x, 1.0) if k == 1 else DutyPair(1.0, x))
         grid = grid_capacity(params, GridSpec(step=1e-2, refine_rounds=0))
         grid_checked = True
-        for rate, duty in [(_rate(p, h, e.mu1, e.mu2) / params.tau, e) for e in edges] + [(grid.capacity, grid.duty)]:
-            if rate > capacity + TIE_TOL:
-                capacity, optimum, strategy = rate, duty, _strategy_at(duty)
+        if grid.capacity > capacity + TIE_TOL:
+            capacity, optimum, strategy = grid.capacity, grid.duty, _strategy_at(grid.duty)
 
     return SolveReport(
         capacity=capacity,
@@ -549,34 +555,36 @@ def _golden_min_many(curves: _CurvesMany, tol: float) -> tuple[np.ndarray, np.nd
         x = np.where(lt, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
 
 
-def _bisect_many(curves: _CurvesMany, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray) -> np.ndarray:
-    """_bisect_root of g - f per lane, given its value flo at lo.  A lane
-    leaves at the step where the scalar loop returns or breaks, so g - f is
-    evaluated only at the midpoints that loop evaluates."""
-    root = lo.copy()  # where flo == 0
-    lane = np.flatnonzero(flo != 0.0)
-    curves, lo, hi, sign_lo = curves.take(lane), lo[lane], hi[lane], flo[lane] > 0.0
-    mid = 0.5 * (lo + hi)
-    # A midpoint that rounds onto an end cannot shrink the bracket: the
-    # scalar loop returns it unevaluated.
-    done = (mid == lo) | (mid == hi)
-    for _ in range(120):
+def _root_many(curves: _CurvesMany, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray) -> np.ndarray:
+    """_root of g - f per lane, given its values at lo and hi.  A lane leaves
+    at the step where the scalar loop returns, so g - f is evaluated only at
+    the points that loop evaluates."""
+    root = np.where(flo == 0.0, lo, hi)  # where an end is a zero
+    lane = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    curves, x0, f0, x1, f1 = curves.take(lane), lo[lane], flo[lane], hi[lane], fhi[lane]
+    width, stale = x1 - x0, np.zeros(lane.size, int)
+    while True:
+        a, b = np.minimum(x0, x1), np.maximum(x0, x1)
+        mid = 0.5 * (a + b)
+        done = (b - a <= _REL_WIDTH * b) | (mid == a) | (mid == b)
         if done.any():
             root[lane[done]] = mid[done]
-            lane, lo, hi, mid, sign_lo = (v[~done] for v in (lane, lo, hi, mid, sign_lo))
+            state = (lane, x0, f0, x1, f1, width, stale, a, b, mid)
+            lane, x0, f0, x1, f1, width, stale, a, b, mid = (v[~done] for v in state)
             curves = curves.take(~done)
         if not lane.size:
-            break
-        fm = curves.d(mid)
-        up = (fm > 0.0) == sign_lo
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-        # The scalar loop returns mid at a zero of g - f; otherwise its result
-        # is the next midpoint once the bracket is within 1e-16 or stuck.
-        zero = fm == 0.0
-        mid = np.where(zero, mid, 0.5 * (lo + hi))
-        done = zero | (hi - lo <= 1e-16) | (mid == lo) | (mid == hi)
-    root[lane] = mid
-    return root
+            return root
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        tiny = 0.5 * _REL_WIDTH * b
+        x = np.where((stale < 3) & (a <= x) & (x <= b), np.minimum(np.maximum(x, a + tiny), b - tiny), mid)
+        fx = curves.d(x)
+        m = 1.0 - fx / f1
+        same = (fx < 0.0) == (f1 < 0.0)
+        f0 = np.where(same, f0 * np.where(m > 0.0, m, 0.5), f1)
+        x0, x1, f1 = np.where(same, x0, x1), x, fx
+        halved = np.abs(x1 - x0) <= 0.5 * width
+        width, stale = np.where(halved, np.abs(x1 - x0), width), np.where(halved, 0, stale + 1)
+        x0[fx == 0.0] = x[fx == 0.0]  # a zero ends the lane at x: its bracket is [x, x]
 
 
 def _enumerate_many(
@@ -605,11 +613,12 @@ def _enumerate_many(
     left = np.flatnonzero(crosses & (d_0 >= 0.0))
     right = np.flatnonzero(crosses & (d_1 >= 0.0))
     # Both sides in one pass: left roots on [0, m*], right roots on [m*, 1].
-    roots = _bisect_many(
+    roots = _root_many(
         curves.take(np.concatenate((left, right))),
         np.concatenate((zeros[left], m_star[right])),
         np.concatenate((m_star[left], ones[right])),
         np.concatenate((d_0[left], d_m[right])),
+        np.concatenate((d_m[left], d_1[right])),
     )
     root_l, root_r = np.full(n, np.nan), np.full(n, np.nan)
     root_l[left], root_r[right] = roots[: left.size], roots[left.size :]
@@ -649,10 +658,10 @@ def solve_many(
 
     Inputs broadcast against each other.  In-regime lanes run the enumeration
     and solve's tie rule as array operations: one golden-section pass over the
-    lanes where g - f >= 0 at an end of [0, 1], and one bisection pass over
-    the lanes with a root.  Lanes out of regime, whose curve algebra is not
+    lanes where g - f >= 0 at an end of [0, 1], and one root pass over the
+    lanes with a root.  Lanes out of regime, whose curve algebra is not
     finite, or with no candidate rate >= 0 go through solve() one at a time,
-    which keeps the scan, the edges, the grid witness and the errors in one place.
+    which keeps the scan, the grid witness and the errors in one place.
     An invalid input raises the ValueError of ChannelParams for its first lane.
     """
     lanes = tuple(np.ravel(x).astype(float) for x in np.broadcast_arrays(a1, a2, lambda0, tau))

@@ -54,7 +54,7 @@ from .channel import (
     hit_probs,
     _rate,
 )
-from .siso import _bisect_root, _curves_of
+from .siso import _curves_of, _root
 
 __all__ = [
     "SchurRegion",
@@ -159,8 +159,9 @@ def _flip_of(lambda0: float, tau: float) -> Callable[[float], float]:
 def peak_threshold(lambda0: float, tau: float) -> ThresholdSearch:
     """Peak rate at which the flip level meets the all-off log-odds.
 
-    The bracket grows geometrically from a = lambda0 and is capped at the
-    in-regime bound a <= (ln2/tau - lambda0)/2; if the flip level is still
+    The bracket grows geometrically from a = lambda0 up to the in-regime cap
+    a <= (ln2/tau - lambda0)/2, and siso._root finds the root in it from the
+    values at both ends; if the flip level is still
     above the target at the cap, the threshold lies outside the searched
     regime and value is reported as +inf.  A dark slot whose hit
     probability underflows to 0 below a positive cap is an ArithmeticError,
@@ -196,7 +197,7 @@ def _threshold(flip: Callable[[float], float], lambda0: float, tau: float) -> Th
             break
     if d_hi >= 0.0:
         return ThresholdSearch(value=math.inf, found=False, search_cap=cap, residual=math.nan)
-    value = _bisect_root(delta, lo, hi, d_lo)
+    value = _root(delta, lo, hi, d_lo, d_hi)
     residual = abs(delta(value))
     if not residual <= THRESHOLD_RTOL * abs(target):
         msg = f"peak-threshold residual {residual:.3e} above {THRESHOLD_RTOL} of the target {target:.6g}"
@@ -252,7 +253,7 @@ def symmetric_fixed_point(a: float, lambda0: float, tau: float) -> float:
     """The unique mu in (0, 1) with mu = g(mu); the balanced optimum coordinate.
 
     Existence and uniqueness follow from g(0) > 0, g(1) < 1 and convexity;
-    solved by bisection to a residual below 1e-12.
+    solved by siso._root on mu - g(mu) to a residual below 1e-12.
     """
     return _fixed_point(hit_probs(ChannelParams(a, a, lambda0, tau)))
 
@@ -264,7 +265,7 @@ def _fixed_point(hp: HitProbs) -> float:
         return mu - g(mu)
 
     try:
-        mu = _bisect_root(resid, 0.0, 1.0, resid(0.0))
+        mu = _root(resid, 0.0, 1.0, resid(0.0), resid(1.0))
     except ZeroDivisionError:  # the hit levels are one double
         levels = ", ".join(f"{x:.6g}" for x in (hp.p1, hp.p2, hp.p3, hp.p4))
         msg = "the fixed point's g divides by mu (p1 - p3) + (1 - mu) (p2 - p4), which rounds to 0"

@@ -76,12 +76,17 @@ CASES = [
         "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
         "20,5,0.001,0.05,6.04425417978,0.413127985386,0,OnlyUser1,false\n",
     ),
+    # Peaks 0.025 of the background: the capacity's 12th digit is rounding
+    # of the rate formula.  50-digit mpmath rates the printed duty, and the
+    # earlier bisection's 1.6e-15 away, 0.000635456524343748 (they differ by
+    # 1e-28 relative); the printed capacity is 5.4e-12 above that, the
+    # bisection's was 1.6e-12 below it.
     (
         "solve --a1 0.5 --a2 0.3 --lambda0 20 --tau 0.1",
         0,
         "# command=solve a1=0.5 a2=0.3 lambda0=20 tau=0.1 intersections=1\n"
         "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
-        "0.5,0.3,20,0.1,0.000635456524343,0.499187321943,0.489090987405,BothActive,false\n",
+        "0.5,0.3,20,0.1,0.000635456524347,0.499187321943,0.489090987405,BothActive,false\n",
     ),
     (
         "solve --a1 10 --a2 12 --tau 0.02 --out {out}",
@@ -595,8 +600,32 @@ CASES = [
         "0.383037731088,0,false\n",
     ),
     # Rates that are rounding noise around zero: one below zero never wins.
-    # The interior rate is -4.28e-20, so user 2 alone at +4.28e-20 wins, in
-    # one solve and in a batch.
+    # The interior rate is -3.74e-19, so user 2 alone at +3.74e-19 wins, in
+    # one solve and in a batch (draw 188 of random.Random(27): equal peaks
+    # 10^U(-13, -10), lambda0 10^U(-6, -3), tau 10^U(-2, 0) of the bound).
+    (
+        "solve --a1 9.214327078764215e-12 --a2 9.214327078764215e-12"
+        " --lambda0 0.0005371271793470366 --tau 74.13653442952071",
+        0,
+        "# command=solve a1=9.21432707876e-12 a2=9.21432707876e-12 lambda0=0.000537127179347"
+        " tau=74.1365344295 intersections=1\n"
+        "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
+        "9.21432707876e-12,9.21432707876e-12,0.000537127179347,74.1365344295,3.74384584189e-19,0,"
+        "0.779782449003,OnlyUser2,true\n",
+    ),
+    (
+        "sweep-peak --a1 9.214327078764215e-12 --a2 9.214327078764215e-12"
+        " --lambda0 0.0005371271793470366 --tau 74.13653442952071",
+        0,
+        "# command=sweep-peak a1=9.21432707876e-12 lambda0=0.000537127179347 a2=9.214327078764215e-12"
+        " tau=74.13653442952071\n"
+        "a2,tau,mu1,mu2,capacity\n"
+        "9.21432707876e-12,74.1365344295,0,0.779782449003,3.74384584189e-19\n",
+    ),
+    # All three rates are 4.28e-20 of rounding noise, so the interior point
+    # wins by tie order (with the earlier bisection it rated -4.28e-20 and
+    # user 2 alone won).  50-digit mpmath rates this duty 2.37e-20 and user
+    # 2's solo duty 8.26e-21.
     (
         "solve --a1 1.1012280661550147e-12 --a2 1.1012280661550147e-12"
         " --lambda0 1.157995945307093e-05 --tau 1.5085142237072597e-07",
@@ -604,8 +633,8 @@ CASES = [
         "# command=solve a1=1.10122806616e-12 a2=1.10122806616e-12 lambda0=1.15799594531e-05"
         " tau=1.50851422371e-07 intersections=1\n"
         "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
-        "1.10122806616e-12,1.10122806616e-12,1.15799594531e-05,1.50851422371e-07,4.28391620975e-20,0,"
-        "0.196406624734,OnlyUser2,true\n",
+        "1.10122806616e-12,1.10122806616e-12,1.15799594531e-05,1.50851422371e-07,4.28391620975e-20,"
+        "0.653045765824,0.653045729281,BothActive,true\n",
     ),
     (
         "sweep-peak --a1 1.1012280661550147e-12 --a2 1.1012280661550147e-12"
@@ -614,7 +643,7 @@ CASES = [
         "# command=sweep-peak a1=1.10122806616e-12 lambda0=1.15799594531e-05 a2=1.1012280661550147e-12"
         " tau=1.5085142237072597e-07\n"
         "a2,tau,mu1,mu2,capacity\n"
-        "1.10122806616e-12,1.50851422371e-07,0,0.196406624734,4.28391620975e-20\n",
+        "1.10122806616e-12,1.50851422371e-07,0.653045765824,0.653045729281,4.28391620975e-20\n",
     ),
 ]
 

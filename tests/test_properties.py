@@ -1,5 +1,5 @@
 """Property tests of the shared kernels (the gradient algebra and the
-bisection behind the symmetric analysis), of the continuous reference under
+root finder behind the symmetric analysis), of the continuous reference under
 a label swap and at equal peaks, of solve on
 either side of the regime bound, of the in-regime search's early exit
 against the full golden-section pass, of solve_many against solve, of solve
@@ -153,7 +153,7 @@ def _log_uniform(lo, hi):
 @given(_log_uniform(1e-2, 1e3), _log_uniform(1e-2, 1e3), _log_uniform(1e-4, 10.0), fractions)
 def test_early_exit_finds_the_full_pass_roots(a1, a2, lambda0, fraction):
     # In regime g - f is convex, so its first sample <= 0 splits its roots as
-    # well as the minimum does.  The bisections start from other brackets, so
+    # well as the minimum does.  The root searches start from other brackets, so
     # their roots may differ within the rounding noise of g - f (~1e-13).
     params = _channel(a1, a2, lambda0, fraction)
     with pytest.MonkeyPatch.context() as patch:

@@ -152,9 +152,9 @@ class TestPeakThreshold:
 
     def test_root_of_rounding_noise_is_an_error(self):
         # At tau ~ 1e-14 the flip level's second differences cancel and delta
-        # changes sign on noise: the bisection's root has a residual of 5.6e15
-        # against a target of 37.8.
-        with pytest.raises(ArithmeticError, match=r"peak-threshold residual 5\.6\d*e\+15 above 1e-09 of the target 37\.8"):
+        # changes sign on noise: the root search's root has a residual of
+        # 6.0e15 against a target of 37.8.
+        with pytest.raises(ArithmeticError, match=r"peak-threshold residual 6\.0\d*e\+15 above 1e-09 of the target 37\.8"):
             peak_threshold(0.0029339146239736333, 1.2741161428746491e-14)
 
     def test_flip_level_below_the_target_at_the_start_is_an_error(self):
@@ -370,7 +370,9 @@ class TestSolveSymmetric:
 
     def test_flip_evaluations_per_report(self, monkeypatch):
         # The threshold's bracket reuses each end's value, and the report
-        # evaluates flip(a) once for the half-sums and itself.
+        # evaluates flip(a) once for the half-sums and itself: 15 bracket
+        # points (a = 0.001 doubled 14 times to 16.384), 12 steps of the root
+        # search, the residual check at its root and flip(10).
         calls, flip_of = [], symmetric._flip_of
 
         def counted_flip_of(lambda0, tau):
@@ -380,7 +382,7 @@ class TestSolveSymmetric:
         monkeypatch.setattr(symmetric, "_flip_of", counted_flip_of)
         report = solve_symmetric(10.0, LAMBDA0, TAU)
         assert report.schur_mode is SchurMode.SPLIT_REGIONS
-        assert len(calls) == 67 and calls.count(10.0) == 1
+        assert len(calls) == 29 and calls.count(10.0) == 1
 
     @staticmethod
     def channels():
