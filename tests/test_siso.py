@@ -273,9 +273,33 @@ class TestIntersections:
             (lambda x: 3.0 - x, 1.0, 5.0),
         ],
     )
-    def test_root_is_a_zero_or_within_two_ulps_of_a_sign_change(self, fn, lo, hi):
+    def test_bisect_root_matches_the_plain_loop(self, fn, lo, hi):
+        # The plain loop is the full 120-step bisection that _root replaced.
+        # _root stops on a bracket ~2 ulps wide, so its root is an exact zero
+        # or has a sign change among the five doubles within 2 ulps of it,
+        # and ends within 2 ulps of the loop's double (on the same double in
+        # six cases, one ulp across the sign change for x**3 - 0.7).
+        def plain(lo, hi):
+            flo = fn(lo)
+            if flo == 0.0:
+                return lo
+            for _ in range(120):
+                mid = 0.5 * (lo + hi)
+                fm = fn(mid)
+                if fm == 0.0:
+                    return mid
+                if (fm > 0.0) == (flo > 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo <= 1e-16:
+                    break
+            return 0.5 * (lo + hi)
+
         root = siso._root(fn, lo, hi, fn(lo), fn(hi))
         assert lo <= root <= hi
+        want = plain(lo, hi)
+        assert abs(root - want) <= 2.0 * math.ulp(want), (root.hex(), want.hex())
         if fn(root) == 0.0:
             return
         # The five doubles from 2 ulps below the root to 2 ulps above it.
@@ -611,6 +635,34 @@ class TestSolve:
             assert search == solve(params).search
             kinds[len(roots)] += 1
         assert set(kinds) == {0, 1}, kinds
+
+    @pytest.mark.parametrize("edge", [0, 1])
+    def test_always_on_edge_above_the_rest_replaces_them(self, monkeypatch, edge):
+        # solve rates no always-on edge (the property below), but out of
+        # regime its grid witness covers them: the lattice ends on 1.0
+        # exactly.  No channel has an edge win by more than rounding, so the
+        # grid's rate is raised by hand on each edge: user 1 against user 2's
+        # light (mu2 = 1), then user 2 against user 1's.
+        params = ChannelParams(10.0, 30.0, 0.001, 0.02)
+        assert not params.in_regime
+        hp = hit_probs(params)
+        p, h = (hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies
+        k = (1, 2)[edge]
+        duty = siso._solo_duty(p[0], p[k], h[0], h[k])
+        rate_grid = gridsearch._rate_grid
+
+        def raised(hp, tau, m1, m2):
+            return rate_grid(hp, tau, m1, m2) + np.where((m2, m1)[edge] == 1.0, 1.0 / tau, 0.0)
+
+        monkeypatch.setattr(gridsearch, "_rate_grid", raised)
+        report = solve(params)
+        assert report.grid_checked and report.strategy is Strategy.BOTH_ACTIVE
+        on, free = ((report.optimum.mu2, report.optimum.mu1), (report.optimum.mu1, report.optimum.mu2))[edge]
+        # The rate is concave along the edge, so the lattice's best point is
+        # within one step of the closed-form duty.
+        assert on == 1.0 and abs(free - duty) <= 1e-2
+        assert report.capacity == pytest.approx(mutual_info_rate(params, report.optimum) + 1.0 / params.tau, rel=1e-12)
+        assert report.capacity > max(c.rate for c in report.candidates) + 1.0
 
     def test_always_on_edges_never_beat_the_solo_candidates(self):
         # A slot is a hit when any photon arrives, so the light of a user who
