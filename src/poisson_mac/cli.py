@@ -40,8 +40,9 @@ Exit status: 0 on success, 2 on a validation error (the message names the
 offending field), 3 when --strict is set and an instance is out of regime
 (checked before anything is solved), 4 when the arithmetic breaks down (hit
 probabilities that round to 1 far out of regime, rates and dead times so
-small that the arithmetic underflows, a continuous reference with no finite
-candidate rate, or every candidate rate below zero: no capacity printed is
+small that the arithmetic underflows, a hit-level difference that rounds to
+0, a continuous reference with no finite candidate rate, or every candidate
+rate, or an equal-peak balanced rate, below zero: no capacity printed is
 negative), 141 (128 + SIGPIPE) when the reader of the output goes away
 first, as in `... | head`; that case prints nothing on stderr.
 """

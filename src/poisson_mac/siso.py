@@ -36,9 +36,10 @@ witness.  The continuous reference (continuous.cont_capacity) runs the
 in-regime search: its g - f is convex at every parameter, so _intersections
 enumerates its candidates.
 
-solve builds a channel's set-up once for private cores; find_intersections
-and single_user_duty are wrappers over the same cores.  The strategy screens
-are sufficiency_tests' alone: they settle the strategy without the solve.
+solve builds a channel's set-up once for private cores; find_intersections,
+single_user_duty and the equal-peak fixed point call the same cores (the curve
+search is _search).  The strategy screens are sufficiency_tests' alone: they
+settle the strategy without the solve.
 
 solve_many runs the same enumeration over arrays of channels at once, with
 results identical to solve lane by lane, because its in-regime lanes call the
@@ -244,21 +245,21 @@ def _curves_of(hp: HitProbs) -> tuple[Callable[[float], float], Callable[[], Cal
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(fn: Callable, lo: float, hi: float, tol: float, stop: bool = False) -> tuple[float, float | None]:
-    """Abscissa of the minimum of a strictly unimodal function on [lo, hi],
-    with no value.  With stop, the first sample where fn <= 0 instead, with
-    its value; past the first, a sample counts only if the width test after
-    it passes, so the pass reads the samples _golden_min_many takes."""
+def _golden_min(fn: Callable, lo: float, hi: float, tol: float) -> tuple[float, float | None]:
+    """The first sample of a golden-section pass towards the minimum of a
+    strictly unimodal fn on [lo, hi] with fn <= 0, and its value, else the
+    midpoint of the final bracket and None.  Past the first, a sample counts
+    only if the width test after it passes, as in _golden_min_many."""
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc = fn(c)
-    if stop and fc <= 0.0:
+    if fc <= 0.0:
         return c, fc
     x, fx = d, fn(d)  # the newest sample
     fd = fx
     while b - a > tol:
-        if stop and fx <= 0.0:
+        if fx <= 0.0:
             return x, fx
         if fc < fd:
             b, d, fd = d, c, fc
@@ -309,19 +310,29 @@ def find_intersections(params: ChannelParams) -> IntersectionSearch:
     """All stationary pairs where the affine and convex curves meet on [0, 1].
 
     Exploits strict convexity of g - f: golden-section samples towards its
-    minimum until one sample is <= 0, then one _root search per side recovers
-    each sign change.  Out of regime g - f is scanned at SCAN_POINTS points
-    instead, one _root search per sign change, and the result is flagged
-    unreliable.
+    minimum until one sample is <= 0, then one _root search per side.  Out of
+    regime g - f is scanned at SCAN_POINTS points instead, one _root search
+    per sign change, and the result is flagged unreliable.
     """
-    g, make_d = _curves_of(hit_probs(params))
-    return _intersections(g, make_d(), params.in_regime)
+    return _search(hit_probs(params), params.in_regime)
+
+
+def _search(hp: HitProbs, reliable: bool) -> IntersectionSearch:
+    """_intersections on one set-up of the curves: the search of solve,
+    find_intersections and the equal-peak fixed point."""
+    g, make_d = _curves_of(hp)
+    try:
+        return _intersections(g, make_d(), reliable)
+    except ZeroDivisionError:
+        levels = ", ".join(f"{x:.6g}" for x in (hp.p1, hp.p2, hp.p3, hp.p4))
+        msg = "g - f divides by a hit-level difference that rounds to 0"
+        raise ArithmeticError(f"{msg} at the hit levels {levels}") from None
 
 
 def _intersections(g: Callable, d: Callable, reliable: bool) -> IntersectionSearch:
     roots: list[float] = []
     if reliable:  # d is convex
-        m_star, d_m = _golden_min(d, 0.0, 1.0, 1e-14, stop=True)
+        m_star, d_m = _golden_min(d, 0.0, 1.0, 1e-14)
         d_m = d(m_star) if d_m is None else d_m
         if d_m <= 0.0:
             if (d_0 := d(0.0)) >= 0.0:
@@ -401,9 +412,8 @@ def solve(params: ChannelParams) -> SolveReport:
     lattice point away from the optimum wins only by a real margin.
     """
     hp = hit_probs(params)
-    g, make_d = _curves_of(hp)
     try:
-        inter = _intersections(g, make_d(), params.in_regime)
+        inter = _search(hp, params.in_regime)
     except (ArithmeticError, ValueError):
         # Saturated hit levels break the curve algebra; that only happens far
         # out of regime, where the solo candidates and the grid below carry the result.
@@ -523,11 +533,10 @@ def _solo_duty_many(p_on: np.ndarray, p_off: np.ndarray, h_on: np.ndarray, h_off
 
 
 def _golden_min_many(curves: _CurvesMany, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """_golden_min of g - f on [0, 1] per lane, with stop: per-lane arrays of
-    the result and its value, NaN where there is none.  A lane leaves at its
-    first sample with g - f <= 0, else at the scalar loop's width test (a NaN
-    width fails it too), without the scalar loop's last evaluation, which that
-    result never reads.  The other lanes evaluate their pending point and step on."""
+    """_golden_min of g - f on [0, 1] per lane, as arrays (NaN for None).  A
+    lane leaves at its first sample with g - f <= 0, else at the width test (a
+    NaN width fails it too), without the scalar loop's last evaluation, which
+    its result never reads.  The other lanes evaluate their pending point."""
     n = curves.slope.size
     m_star, d_m, lane = np.empty(n), np.full(n, np.nan), np.arange(n)
     a, b = np.zeros(n), np.ones(n)

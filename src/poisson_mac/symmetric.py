@@ -29,7 +29,7 @@ sit wholly on the convex side, so their maximum is the one-user split
 the balanced (s, s) wins; in the sliver between, both ends compete.
 
 The balanced optimum itself is the unique fixed point mu = g(mu) of the
-convex curve from the general solver.
+convex curve: f is the diagonal to the bit, so it is solve's interior root.
 
 solve_symmetric builds its set-up once: one closure of the flip level over
 a (_flip_of) and one hit_probs, which run the cores of the threshold search,
@@ -54,7 +54,7 @@ from .channel import (
     hit_probs,
     _rate,
 )
-from .siso import _curves_of, _root
+from .siso import _root, _search
 
 __all__ = [
     "SchurRegion",
@@ -250,31 +250,18 @@ def schur_classify(
 
 
 def symmetric_fixed_point(a: float, lambda0: float, tau: float) -> float:
-    """The unique mu in (0, 1) with mu = g(mu); the balanced optimum coordinate.
-
-    Existence and uniqueness follow from g(0) > 0, g(1) < 1 and convexity;
-    solved by siso._root on mu - g(mu) to a residual below 1e-12.
-    """
-    return _fixed_point(hit_probs(ChannelParams(a, a, lambda0, tau)))
+    """The unique mu in (0, 1) with mu = g(mu), the balanced optimum: solve's interior
+    root, the first in-box point of siso._search (out of regime, the scan's first),
+    whose mu1 - mu2 (mu - g(mu), as f is the diagonal) is within FIXED_POINT_TOL."""
+    return _fixed_point(hit_probs(params := ChannelParams(a, a, lambda0, tau)), params.in_regime)
 
 
-def _fixed_point(hp: HitProbs) -> float:
-    g = _curves_of(hp)[0]
-
-    def resid(mu: float) -> float:
-        return mu - g(mu)
-
-    try:
-        mu = _root(resid, 0.0, 1.0, resid(0.0), resid(1.0))
-    except ZeroDivisionError:  # the hit levels are one double
-        levels = ", ".join(f"{x:.6g}" for x in (hp.p1, hp.p2, hp.p3, hp.p4))
-        msg = "the fixed point's g divides by mu (p1 - p3) + (1 - mu) (p2 - p4), which rounds to 0"
-        raise ArithmeticError(f"{msg} at the hit levels {levels}") from None
-    if abs(resid(mu)) > FIXED_POINT_TOL:
-        raise ArithmeticError(
-            f"fixed-point residual {resid(mu):.3e} above {FIXED_POINT_TOL}"
-        )
-    return mu
+def _fixed_point(hp: HitProbs, reliable: bool) -> float:
+    points = _search(hp, reliable).points
+    resid = points[0].mu1 - points[0].mu2 if points else math.nan
+    if not abs(resid) <= FIXED_POINT_TOL:
+        raise ArithmeticError(f"fixed-point residual {resid:.3e} above {FIXED_POINT_TOL}")
+    return points[0].mu1
 
 
 def line_constrained_max(a: float, lambda0: float, tau: float, half_sum: float) -> tuple[float, DutyPair]:
@@ -302,14 +289,15 @@ def solve_symmetric(a: float, lambda0: float, tau: float) -> SymmetricReport:
     The cores run in the public helpers' order, so each input raises what they would."""
     flip = _flip_of(lambda0, tau)
     threshold = _threshold(flip, lambda0, tau)
-    hp = hit_probs(ChannelParams(a, a, lambda0, tau))  # a is positive and finite from here on
+    hp = hit_probs(params := ChannelParams(a, a, lambda0, tau))  # a is positive and finite from here on
     below = a < threshold.value
     # flip(a) runs once, where the helpers first read it: before the half-sums, else after the fixed point.
     boundary = None if below else _half_sums(hp, flip_level := flip(a))
-    mu = _fixed_point(hp)
+    mu = _fixed_point(hp, params.in_regime)
     if below:
         flip_level = flip(a)
-    capacity = _rate((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies, mu, mu) / tau
+    if (rate := _rate((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies, mu, mu)) < 0.0:
+        raise ArithmeticError(f"the balanced rate {rate:.3g} is rounding noise below zero")
     return SymmetricReport(
         a=a,
         lambda0=lambda0,
@@ -318,6 +306,6 @@ def solve_symmetric(a: float, lambda0: float, tau: float) -> SymmetricReport:
         threshold=threshold,
         boundary=boundary,
         fixed_point=mu,
-        capacity=capacity,
+        capacity=rate / tau,
         schur_mode=SchurMode.GLOBALLY_SCHUR_CONCAVE if below else SchurMode.SPLIT_REGIONS,
     )

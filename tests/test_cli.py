@@ -456,6 +456,9 @@ class TestExitCodes:
              "--lambda0", "1879.047957630584", "--tau", "4.792461863126556e-08"),
             ("sweep-region", "--a1", "4.999922800686578e-05", "--a2", "4.999922800686578e-05",
              "--lambda0", "1879.047957630584", "--tau", "4.792461863126556e-08"),
+            # Out of regime, the equal-peak balanced rate is -2.08e-16 of rounding noise.
+            ("symmetric", "--a", "9.285456520672362e-08", "--lambda0", "1.4561527182693683",
+             "--tau", "3.3934506191014346"),
         ],
     )
     def test_underflow_is_numerical_error(self, tmp_path, capsys, argv):
@@ -465,6 +468,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical failure") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *((command, "--a1", "1e-20", "--a2", a2, "--tau", "0.02")
+              for command in ("solve", "intersections", "sweep-peak", "sweep-region") for a2 in ("1e-20", "1")),
+            ("symmetric", "--a", "1e-20", "--tau", "0.02"),
+        ],
+    )
+    def test_hit_level_difference_rounding_to_zero_is_named(self, capsys, argv):
+        # a1 vanishes beside lambda0 and a2, so p1 - p2 and p3 - p4 round to 0
+        # and the curve search divides by 0: a named error on every command.
+        assert main(list(argv)) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "ZeroDivisionError" not in err
+        assert err.startswith(
+            "error: numerical failure (ArithmeticError: g - f divides by a hit-level difference that rounds to 0 "
+        ), err
 
     @pytest.mark.parametrize("command", ["solve", "sweep-region"])
     def test_rate_below_zero_is_never_printed(self, tmp_path, capsys, command):

@@ -126,7 +126,7 @@ def test_solve_label_swap(a1, a2, lambda0, fraction):
     assert swapped == pytest.approx(capacity, rel=1e-12, abs=0.0)
 
 
-def _full_golden_min(fn, lo, hi, tol, stop=False):
+def _full_golden_min(fn, lo, hi, tol):
     """The golden-section pass as it ran before its early exit: always to a
     width of tol, returning the midpoint and no value."""
     a, b = lo, hi

@@ -321,7 +321,7 @@ class TestIntersections:
                 continue
             channels += 1
             d = siso._curves_of(hit_probs(ChannelParams(a1, a2, lam0, tau)))[1]()
-            m_star, d_m = siso._golden_min(d, 0.0, 1.0, 1e-14, stop=True)
+            m_star, d_m = siso._golden_min(d, 0.0, 1.0, 1e-14)
             d_m = d(m_star) if d_m is None else d_m
             if d_m <= 0.0:
                 d_0, d_1 = d(0.0), d(1.0)
@@ -1196,7 +1196,7 @@ class TestSolveMany:
         curves, fns = curves_of(channels)
         samples = collections.Counter()
         counted = [lambda x, i=i, fn=fn: samples.update([i]) or fn(x) for i, fn in enumerate(fns)]
-        scalar = [siso._golden_min(fn, 0.0, 1.0, 1e-14, stop=True) for fn in counted]
+        scalar = [siso._golden_min(fn, 0.0, 1.0, 1e-14) for fn in counted]
         assert [samples[i] for i in range(4)] == [1, 2, 14, 69]
         m_star, d_m = siso._golden_min_many(curves, 1e-14)
         assert [x.hex() for x in m_star.tolist()] == [x.hex() for x, _ in scalar]
@@ -1218,11 +1218,10 @@ class TestSolveMany:
         curves, fns = curves_of([FIG1, FIG2, SYM, second])
         with wall_bound(30.0):
             m_star, d_m = siso._golden_min_many(curves, math.nan)
-        scalar = [siso._golden_min(fn, 0.0, 1.0, math.nan, stop=True) for fn in fns]
+        scalar = [siso._golden_min(fn, 0.0, 1.0, math.nan) for fn in fns]
         assert m_star.tolist() == [x for x, _ in scalar]
         assert d_m[:3].tolist() == [v for _, v in scalar[:3]]
         assert (m_star[3], scalar[3][1]) == (0.5, None) and math.isnan(d_m[3])
-        assert [siso._golden_min(fn, 0.0, 1.0, math.nan) for fn in fns] == [(0.5, None)] * 4
 
     def test_lane_evaluations_on_the_readme_grid(self, monkeypatch):
         # The cells of sweep-region --a1 1:30 --a2 1:30 --cells 30 at the

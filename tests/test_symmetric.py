@@ -309,6 +309,18 @@ class TestFixedPoint:
             assert report.optimum.mu1 == pytest.approx(mu, abs=1e-9)
             assert report.optimum.mu2 == pytest.approx(mu, abs=1e-9)
 
+    def test_is_the_root_of_solve_to_the_bit(self):
+        # At equal peaks the line f is the diagonal to the bit, so the fixed
+        # point is solve's interior root, from the same search.
+        rng = random.Random(31)
+        for _ in range(2000):
+            lambda0 = 10 ** rng.uniform(-4, 1)
+            a = lambda0 * 10 ** rng.uniform(0, 4)
+            tau = rng.uniform(0.01, 1) * math.log(2) / (2 * a + lambda0)
+            want = solve(ChannelParams(a, a, lambda0, tau)).optimum.mu1.hex()
+            got = symmetric_fixed_point(a, lambda0, tau).hex(), solve_symmetric(a, lambda0, tau).fixed_point.hex()
+            assert got == (want, want), (a, lambda0, tau)
+
     def test_small_tau_matches_continuous_grid(self):
         a, lam0, tau = 10.0, 1e-5, 1e-7
         mu = symmetric_fixed_point(a, lam0, tau)
@@ -422,6 +434,23 @@ class TestSolveSymmetric:
             sides[report.boundary is None] += 1
         assert min(sides.values()) >= 50, sides
 
+    def test_no_capacity_below_zero(self):
+        # Weak equal-peak channels, ~30 % of them out of regime: a balanced
+        # rate of rounding noise below zero is an ArithmeticError.
+        rng, errors, values = random.Random(29), 0, 0
+        for _ in range(3000):
+            a, lambda0 = 10 ** rng.uniform(-12, -2), 10 ** rng.uniform(-4, 1)
+            factor = 10 ** rng.uniform(-3, 0) if rng.random() < 0.7 else 10 ** rng.uniform(0, 1.5)
+            tau = factor * math.log(2) / (2 * a + lambda0)
+            try:
+                capacity = solve_symmetric(a, lambda0, tau).capacity
+            except ArithmeticError:
+                errors += 1
+                continue
+            values += 1
+            assert not capacity < 0.0, (a, lambda0, tau)
+        assert min(errors, values) >= 300, (errors, values)
+
     @pytest.mark.parametrize(
         "a, lambda0, tau, message",
         [
@@ -429,8 +458,8 @@ class TestSolveSymmetric:
             (1.0, 6.280771786715331e-08, 4.563502066759421e-13, FLIP_DENOMINATOR + r"at a = 6\.28077e-08, "),
             # At flip(a), after a threshold was found.
             (3.805159936651471e-08, 0.0007564414133609078, 3.198604937848736e-11, FLIP_DENOMINATOR + r"at a = 3\.80516e-08, "),
-            # In the fixed point's g: a + lambda0 rounds to lambda0, so the four hit levels are one double.
-            (1e-20, 0.001, 0.02, r"the fixed point's g divides by mu \(p1 - p3\) \+ \(1 - mu\) \(p2 - p4\), which rounds to 0 "),
+            # In the fixed point's search: a + lambda0 rounds to lambda0, so the four hit levels are one double.
+            (1e-20, 0.001, 0.02, r"g - f divides by a hit-level difference that rounds to 0 at the hit levels "),
         ],
         ids=["threshold-bracket", "flip-at-a", "fixed-point-g"],
     )
