@@ -13,9 +13,10 @@ symmetric      equal-peak report: flip level, threshold, fixed point
 converge       capacity gap to the continuous reference over dead times
 
 Every CSV starts with a '#' metadata line echoing all input parameters
-(including defaulted ones), then a header row.  Numbers are written with 12
-significant digits so identical inputs give byte-identical files.  Inputs
-can come from a flat key=value config file; command-line flags win.
+(including defaulted ones), then a header row.  Each row is a tuple written
+by one % template per header (_row_template), numbers with 12 significant
+digits, so identical inputs give byte-identical files.  Inputs can come from
+a flat key=value config file; command-line flags win.
 
 Each command is declared once, in COMMANDS.  main reads a well-formed command
 line, `command (--flag value | --strict)...` with every flag one of the
@@ -59,7 +60,7 @@ from itertools import islice
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .channel import ChannelParams
-from .siso import find_intersections, regime_fraction_rule, solve, solve_many, sweep_strategy_region
+from .siso import Strategy, find_intersections, regime_fraction_rule, solve, solve_many, sweep_strategy_region
 
 __all__ = ["main"]
 
@@ -80,6 +81,13 @@ def _fmt(x: object) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     return str(x)
+
+
+@functools.cache
+def _row_template(header: tuple[str, ...]) -> str:
+    """A CSV row's % template: %s for the text columns (bools as true/false), %.12g for the floats."""
+    text = ("strategy", "schur_mode", "regime_ok", "valid")
+    return ",".join("%s" if name in text else "%.12g" for name in header) + "\n"
 
 
 def _number(text: object, name: str, kind: Callable[[Any], Any] = float) -> Any:
@@ -202,7 +210,7 @@ def _channel(args: argparse.Namespace) -> ChannelParams:
 # A handler is a generator of two steps.  It reads and validates its inputs,
 # then yields a regime predicate, which main calls before the next step only
 # under --strict; then it solves and yields (meta, header, rows) for main to
-# write, where rows may be a generator over values already solved.  It
+# write, where each row is a tuple and rows may be a generator.  It
 # reaches channel and siso through this module's globals and the other
 # library modules through an import inside the handler, so that a command
 # loads only the modules it calls.  Either way it reads each name at call
@@ -223,8 +231,8 @@ def _cmd_solve(args: argparse.Namespace) -> Steps:
     report = solve(params)
     inputs = vars(params)  # the fields in order, read only: asdict would deep-copy each
     meta = {**inputs, "intersections": len(report.search.points)}
-    row = [*inputs.values(), report.capacity, report.optimum.mu1, report.optimum.mu2]
-    yield meta, SOLVE_HEADER, [row + [report.strategy.value, report.regime_ok]]
+    row = (*inputs.values(), report.capacity, report.optimum.mu1, report.optimum.mu2, report.strategy.value)
+    yield meta, SOLVE_HEADER, [(*row, "true" if report.regime_ok else "false")]
 
 
 def _cmd_solve_miso(args: argparse.Namespace) -> Steps:
@@ -245,16 +253,16 @@ def _cmd_solve_miso(args: argparse.Namespace) -> Steps:
         "lambda0": config.lambda0,
         "tau": config.tau,
     }
-    row = [*vars(config.as_siso()).values(), report.capacity, report.duty_user1, report.duty_user2]
-    yield meta, SOLVE_HEADER, [row + [report.siso.strategy.value, report.regime_ok]]
+    row = (*vars(config.as_siso()).values(), report.capacity, report.duty_user1, report.duty_user2)
+    yield meta, SOLVE_HEADER, [(*row, report.siso.strategy.value, "true" if report.regime_ok else "false")]
 
 
 def _cmd_intersections(args: argparse.Namespace) -> Steps:
     params = _channel(args)
     yield lambda: params.in_regime
     inter = find_intersections(params)
-    rows = [[pt.mu1, pt.mu2, True] for pt in inter.points]
-    rows += [[pt.mu1, pt.mu2, False] for pt in inter.rejected]
+    rows = [(pt.mu1, pt.mu2, "true") for pt in inter.points]
+    rows += [(pt.mu1, pt.mu2, "false") for pt in inter.rejected]
     yield {**vars(params), "reliable": inter.reliable}, ("mu1", "mu2", "valid"), rows
 
 
@@ -271,16 +279,16 @@ def _cmd_sweep_peak(args: argparse.Namespace) -> Steps:
     if lanes:  # with no finite-tau lane, numpy is never loaded
         batch = solve_many(a1, [a2 for a2, _ in lanes], lambda0, [tau for _, tau in lanes])
         solved = zip(lanes, batch.mu1.tolist(), batch.mu2.tolist(), batch.capacity.tolist())
-        solved_rows = iter([[a2, tau, mu1, mu2, capacity] for (a2, tau), mu1, mu2, capacity in solved])
+        solved_rows = iter([(a2, tau, mu1, mu2, capacity) for (a2, tau), mu1, mu2, capacity in solved])
     # The continuous rows, solved once each in row order and reused for a repeated 0.
-    cont_rows: list[list[object]] = []
+    cont_rows: list[tuple[float, ...]] = []
     if 0.0 in taus:
         import poisson_mac.continuous as continuous
 
         for a2 in a2_values:
             rate, duty = continuous.cont_capacity(continuous.ContinuousParams(a1, a2, lambda0))
-            cont_rows.append([a2, 0.0, duty.mu1, duty.mu2, rate])
-    rows: list[list[object]] = []
+            cont_rows.append((a2, 0.0, duty.mu1, duty.mu2, rate))
+    rows: list[tuple[float, ...]] = []
     for tau in taus:
         rows += cont_rows if tau == 0.0 else islice(solved_rows, len(a2_values))
     meta = {"a1": a1, "lambda0": lambda0, "a2": _require(args, "a2"), "tau": _require(args, "tau")}
@@ -306,7 +314,8 @@ def _cmd_sweep_region(args: argparse.Namespace) -> Steps:
     )
     labels = sweep_strategy_region(a1_values, a2_values, lambda0, rule)
     meta = {"a1": _require(args, "a1"), "a2": _require(args, "a2"), "lambda0": lambda0, "tau": tau_meta}
-    rows = ((a1, a2, label.value) for a1, line in zip(a1_values, labels) for a2, label in zip(a2_values, line))
+    text = {id(s): s.value for s in Strategy}  # by identity: an Enum member hashes in Python code
+    rows = ((a1, a2, text[id(label)]) for a1, line in zip(a1_values, labels) for a2, label in zip(a2_values, line))
     yield meta, ("a1", "a2", "strategy"), rows
 
 
@@ -330,9 +339,8 @@ def _cmd_symmetric(args: argparse.Namespace) -> Steps:
     report = symmetric.solve_symmetric(a, lambda0, tau)
     meta = {"a": a, "lambda0": lambda0, "tau": tau}
     boundary = (report.boundary.axis, report.boundary.diagonal) if report.boundary else (math.nan, math.nan)
-    row = [*meta.values(), report.flip_level, report.threshold.value, *boundary]
-    row += [report.fixed_point, report.capacity, report.schur_mode.value]
-    yield meta, SYMMETRIC_HEADER, [row]
+    row = (*meta.values(), report.flip_level, report.threshold.value, *boundary)
+    yield meta, SYMMETRIC_HEADER, [(*row, report.fixed_point, report.capacity, report.schur_mode.value)]
 
 
 def _cmd_converge(args: argparse.Namespace) -> Steps:
@@ -346,7 +354,7 @@ def _cmd_converge(args: argparse.Namespace) -> Steps:
     yield lambda: all(ChannelParams(a1, a2, lambda0, tau).in_regime for tau in taus)
     report = continuous.convergence_report(a1, a2, lambda0, taus)
     meta = {"a1": a1, "a2": a2, "lambda0": lambda0, "taus": _require(args, "taus")}
-    rows = [[r.tau, r.capacity, r.cont_capacity, r.gap, r.duty.mu1, r.duty.mu2] for r in report]
+    rows = [(r.tau, r.capacity, r.cont_capacity, r.gap, r.duty.mu1, r.duty.mu2) for r in report]
     yield meta, ("tau", "capacity", "cont_capacity", "gap", "mu1", "mu2"), rows
 
 
@@ -469,8 +477,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             meta_line = " ".join(f"{k}={_fmt(v)}" for k, v in {"command": args.command, **meta}.items())
             out.write(f"# {meta_line}\n")
             out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(_fmt(v) for v in row) + "\n")
+            out.writelines(map(_row_template(header).__mod__, rows))
             out.flush()  # a closed pipe shows up here, not at interpreter exit
         return EXIT_OK
     except BrokenPipeError:

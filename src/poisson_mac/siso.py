@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from types import ModuleType
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from ._numpy import np
 from .channel import (
@@ -202,13 +202,15 @@ def _line(p: tuple, h: tuple) -> tuple:
 
 def f_mac(params: ChannelParams, mu1: float) -> float:
     """mu2 on the affine stationarity line at the given mu1."""
-    line = uvw(params)
-    return (line.u / line.v) * mu1 + line.w / line.v
+    hp = hit_probs(params)
+    u, v, w = _line((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies)
+    return _named_zero_division(hp, lambda: (u / v) * mu1 + w / v)
 
 
 def g_mac(params: ChannelParams, mu1: float) -> float:
     """mu2 solving d I/d mu2 = 0 at the given mu1; strictly convex in regime."""
-    return _curves_of(hit_probs(params))[0](mu1)
+    hp = hit_probs(params)
+    return _named_zero_division(hp, lambda: _curves_of(hp)[0](mu1))
 
 
 def _curves_of(hp: HitProbs) -> tuple[Callable[[float], float], Callable[[], Callable[[float], float]]]:
@@ -321,8 +323,13 @@ def _search(hp: HitProbs, reliable: bool) -> IntersectionSearch:
     """_intersections on one set-up of the curves: the search of solve,
     find_intersections and the equal-peak fixed point."""
     g, make_d = _curves_of(hp)
+    return _named_zero_division(hp, lambda: _intersections(g, make_d(), reliable))
+
+
+def _named_zero_division(hp: HitProbs, compute: Callable[[], Any]) -> Any:
+    """compute(), with a division by a hit-level difference that rounds to 0 named."""
     try:
-        return _intersections(g, make_d(), reliable)
+        return compute()
     except ZeroDivisionError:
         levels = ", ".join(f"{x:.6g}" for x in (hp.p1, hp.p2, hp.p3, hp.p4))
         msg = "g - f divides by a hit-level difference that rounds to 0"
@@ -383,7 +390,7 @@ def _solo_duty(p_on: float, p_off: float, h_on: float, h_off: float) -> float:
 def sufficiency_tests(params: ChannelParams) -> SufficiencyRecord:
     """Screens that settle the transmission strategy without the full solve."""
     hp = hit_probs(params)
-    d = _curves_of(hp)[1]()
+    d = _named_zero_division(hp, _curves_of(hp)[1])
     p, h = (hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies
     mu1_solo, mu2_solo = _solo_duty(p[2], p[3], h[2], h[3]), _solo_duty(p[1], p[3], h[1], h[3])
     return SufficiencyRecord(

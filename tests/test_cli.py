@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from poisson_mac import cli, continuous, miso, symmetric
+from poisson_mac import cli, continuous, miso, siso, symmetric
+from poisson_mac.channel import DutyPair
 from poisson_mac.cli import main
 
 GOLDEN_CASES = runpy.run_path(str(Path(__file__).with_name("test_cli_golden.py")))["CASES"]
@@ -203,6 +204,16 @@ class TestIntersections:
         assert len(rows) == 1
         assert rows[0]["valid"] == "true"
         assert 0.0 <= float(rows[0]["mu1"]) <= 1.0
+
+    def test_bool_column_past_the_first_row(self, tmp_path, monkeypatch):
+        # No golden case prints a bool after a command's first row.
+        found = siso.IntersectionSearch(
+            points=(DutyPair(0.1, 0.2), DutyPair(0.3, 0.4)), rejected=(DutyPair(0.5, 1.0),), reliable=True
+        )
+        monkeypatch.setattr(cli, "find_intersections", lambda params: found)
+        code, text = run(tmp_path, "intersections", "--a1", "10", "--a2", "12", "--tau", "0.02")
+        assert code == 0
+        assert text.splitlines()[1:] == ["mu1,mu2,valid", "0.1,0.2,true", "0.3,0.4,true", "0.5,1,false"]
 
 
 class TestSolveMiso:

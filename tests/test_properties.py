@@ -3,26 +3,28 @@ root finder behind the symmetric analysis), of the continuous reference under
 a label swap and at equal peaks, of solve on
 either side of the regime bound, of the in-regime search's early exit
 against the full golden-section pass, of solve_many against solve, of solve
-on weak signals (a capacity at or above zero, or ArithmeticError), and of
-solve_miso under regroupings of the same antenna peaks.
+on weak signals (a capacity at or above zero, or ArithmeticError), of
+solve_miso under regroupings of the same antenna peaks, and of the CSV row
+template's float field against the f-string format.
 
 Needs hypothesis (the `test` extra); without it the module is skipped.
 Examples are derandomized, so every run checks the same cases.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from poisson_mac.channel import ChannelParams, DutyPair, entropy_slope, grad_mutual_info, hit_prob, hit_probs  # noqa: E402
 from poisson_mac.continuous import ContinuousParams, cont_capacity  # noqa: E402
 from poisson_mac.gridsearch import _grad_norm_grid, _rate_grid  # noqa: E402
 from poisson_mac.miso import MisoConfig, solve_miso  # noqa: E402
-from poisson_mac import siso  # noqa: E402
+from poisson_mac import cli, siso  # noqa: E402
 from poisson_mac.siso import TIE_TOL, find_intersections, g_mac, solve, solve_many  # noqa: E402
 from poisson_mac.symmetric import (  # noqa: E402
     FIXED_POINT_TOL,
@@ -241,3 +243,22 @@ def test_solve_miso_antenna_partition_invariance(user1, user2, lambda0, fraction
     assert capacities[1] == pytest.approx(capacities[0], rel=1e-12, abs=0.0)
     for config, capacity in zip(configs, capacities):
         assert capacity == solve(config.as_siso()).capacity
+
+
+# Every double: hypothesis' own float draws, and raw bit patterns.
+all_doubles = st.one_of(
+    st.floats(), st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=2000, database=None)
+@given(all_doubles)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(-0.0)
+@example(5e-324)
+@example(1e-320)
+def test_row_template_writes_a_float_as_the_f_string_does(x):
+    assert "%.12g" % x == f"{x:.12g}"
+    assert cli._row_template(("mu1", "strategy")) % (x, "BothActive") == f"{x:.12g},BothActive\n"

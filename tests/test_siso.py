@@ -152,7 +152,9 @@ class TestScalarKernel:
         points = [0.0, 1.0, 0.5, 1e-300, 1.0 - 2**-53, math.nan, math.inf, -math.inf]
         for params in self.channels():
             for x in points + [rng.random() for _ in range(8)]:
-                assert outcome(self.d_at, params, x) == outcome(
+                # d's division by 0 named as _search names it, and as g_mac and f_mac do.
+                named_d = outcome(siso._named_zero_division, hit_probs(params), lambda: self.d_at(params, x))
+                assert named_d == outcome(
                     lambda x: g_mac(params, x) - f_mac(params, x), x
                 ), (params, x)
 
@@ -173,6 +175,23 @@ class TestScalarKernel:
         for x in (0.0, 0.3, 1.0):
             assert math.isnan(g(x)) and math.isnan(make_d()(x))
             assert outcome(make_d(), x) == outcome(lambda x: g(x) - (u / v * x + w / v), x)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sufficiency_tests(ChannelParams(1e-20, 1, 0.001, 0.02)),
+            lambda: f_mac(ChannelParams(1e-20, 1, 0.001, 0.02), 0.3),
+            lambda: g_mac(ChannelParams(1e-20, 1e-20, 0.001, 0.02), 0.3),
+        ],
+        ids=["sufficiency_tests", "f_mac", "g_mac"],
+    )
+    def test_public_curves_name_a_division_by_a_flat_hit_level(self, call):
+        # a1 (and a2 for g_mac) vanish beside lambda0: the line's v, or g's
+        # den, is a hit-level difference that rounds to 0.
+        msg = r"^g - f divides by a hit-level difference that rounds to 0 at the hit levels \S+, \S+, \S+, \S+$"
+        with pytest.raises(ArithmeticError, match=msg) as exc:
+            call()
+        assert not isinstance(exc.value, ZeroDivisionError)
 
     def test_single_user_screen_reads_g_below_f(self):
         screens = []
