@@ -187,10 +187,14 @@ def mutual_info(params: ChannelParams, duty: DutyPair) -> float:
 
 
 def _rate(p: tuple, h: tuple, mu1, mu2, entropy=binary_entropy):
-    """I at (mu1, mu2) from the four hit levels p and their entropies h: the
-    only definition of the slot rate.  On floats, or on broadcast arrays with
+    """I at (mu1, mu2): _weighted_rate at the weights _weights(mu1, mu2)."""
+    return _weighted_rate(p, h, _weights(mu1, mu2), entropy)
+
+
+def _weighted_rate(p: tuple, h: tuple, w: tuple, entropy=binary_entropy):
+    """I at the duty weights w from the four hit levels p and their entropies h:
+    the only definition of the slot rate.  On floats, or on broadcast arrays with
     an array entropy (siso._entropy_many); divide by tau for a rate per unit time."""
-    w = _weights(mu1, mu2)
     ph = w[0] * p[0] + w[1] * p[1] + w[2] * p[2] + w[3] * p[3]
     return entropy(ph) - (w[0] * h[0] + w[1] * h[1] + w[2] * h[2] + w[3] * h[3])
 

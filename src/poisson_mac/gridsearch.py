@@ -10,7 +10,8 @@ marginals (two antennas per user), which brackets the staircase construction.
 
 The grid maximiser, _grid_max, takes any vectorized objective (the tests
 run it on the continuous rate too).  The grid rates its cells with
-channel._rate, and it and the PMF enumeration take entropies from
+channel._weighted_rate, its full pass on duty weights that _lattice builds
+once per step, and it and the PMF enumeration take entropies from
 siso._entropy_many on numpy's logs, so a cell whose slot probability rounds
 outside [0, 1] is NaN, which never wins a maximum.
 """
@@ -19,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 from ._numpy import np
-from .channel import ChannelParams, DutyPair, HitProbs, _grad_terms, _rate, hit_probs, mutual_info
+from .channel import ChannelParams, DutyPair, HitProbs, _grad_terms, _weighted_rate, _weights, hit_probs, mutual_info
 from .miso import MisoConfig, subset_rates
 from .siso import TOP_CELLS, _entropy_many
 
@@ -91,11 +92,12 @@ class GridResult:
         return self.gradient_bound * self.final_step
 
 
-def _rate_grid(hp: HitProbs, tau: float, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """I/tau over broadcastable duty arrays: channel._rate on numpy's logs,
-    NaN where the slot probability rounds outside [0, 1] (on saturated
-    channels, ChannelParams(1, 0.1, 10, 5), it rounds an ulp above 1)."""
-    return _rate((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies, m1, m2, lambda q: _entropy_many(q, np)) / tau
+def _rate_grid(hp: HitProbs, tau: float, m1: np.ndarray, m2: np.ndarray, w: tuple | None = None) -> np.ndarray:
+    """I/tau over broadcastable duty arrays, at their _weights w if given, on
+    numpy's logs: NaN where the slot probability rounds outside [0, 1] (on
+    saturated channels, ChannelParams(1, 0.1, 10, 5), it rounds an ulp above 1)."""
+    w = _weights(m1, m2) if w is None else w
+    return _weighted_rate((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies, w, lambda q: _entropy_many(q, np)) / tau
 
 
 def _grad_norm_grid(hp: HitProbs, tau: float, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -112,6 +114,16 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     lo, hi = max(lo, 0.0), min(hi, 1.0)
     n = max(1, int(round((hi - lo) / step)))
     return np.linspace(lo, hi, n + 1)
+
+
+@lru_cache(maxsize=1)
+def _lattice(step: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The full pass's axis at step and the _weights of its column and row, read-only."""
+    g = _axis(0.0, 1.0, step)
+    w = _weights(g[:, None], g[None, :])
+    for a in (g, *w):
+        a.flags.writeable = False
+    return g, w
 
 
 def _local_peaks(values: np.ndarray, g: np.ndarray, sep: float, count: int) -> list[tuple[float, float, float]]:
@@ -132,7 +144,7 @@ def _local_peaks(values: np.ndarray, g: np.ndarray, sep: float, count: int) -> l
 
 
 def _grid_max(
-    rate: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: GridSpec
+    rate: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: GridSpec, values: np.ndarray | None = None
 ) -> tuple[float, DutyPair]:
     """Largest rate(mu1, mu2) on the duty square, by grid search with refinement.
 
@@ -140,12 +152,13 @@ def _grid_max(
     of mu2; a NaN cell never wins.  The full pass at spec.step is one call,
     and keeps TOP_CELLS separated incumbents (only the best cell when there
     is nothing to refine), so close rival maxima cannot shake the search off
-    the global one.  Each of the spec.refine_rounds rounds scans 1.5 old steps around
-    every incumbent at a tenth of the step, and an incumbent moves only to a
-    strictly better cell.  Of equal final values the earliest incumbent wins.
+    the global one; values, if given, is its result.  Each of the
+    spec.refine_rounds rounds scans 1.5 old steps around every incumbent at a
+    tenth of the step, and an incumbent moves only to a strictly better cell.
+    Of equal final values the earliest incumbent wins.
     """
     g = _axis(0.0, 1.0, spec.step)
-    values = np.fmax(rate(g[:, None], g[None, :]), -np.inf)
+    values = np.fmax(rate(g[:, None], g[None, :]) if values is None else values, -np.inf)
     count = TOP_CELLS if spec.refine_rounds else 1
     incumbents = _local_peaks(values, g, 3.0 * spec.step, count)
     step = spec.step
@@ -165,8 +178,9 @@ def _grid_max(
 def grid_capacity(params: ChannelParams, spec: GridSpec = GridSpec()) -> GridResult:
     """Best I/tau over a refined grid on the duty square (see _grid_max), with
     its error bound from the largest gradient norm on the coarse grid."""
-    hp, tau = hit_probs(params), params.tau
-    capacity, duty = _grid_max(lambda m1, m2: _rate_grid(hp, tau, m1, m2), spec)
+    g, w = _lattice(spec.step)
+    rate = partial(_rate_grid, hit_probs(params), params.tau)
+    capacity, duty = _grid_max(rate, spec, rate(g[:, None], g[None, :], w))
     return GridResult(capacity, duty, params, spec)
 
 

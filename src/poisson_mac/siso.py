@@ -414,7 +414,8 @@ def solve(params: ChannelParams) -> SolveReport:
     regime_ok=False, the interior roots come from the scan of g - f, and the
     enumerated result gives way to one unrefined step-1e-2 pass of
     gridsearch.grid_capacity only when that is higher by more than TIE_TOL.
-    The grid is a brute-force witness.  Every rate is on math's exp and logs
+    The grid is a brute-force witness that rates its 101x101 cells on duty
+    weights built once per process.  Every rate is on math's exp and logs
     but the grid's, which are on numpy's and can differ in the last bit; a
     lattice point away from the optimum wins only by a real margin.
     """

@@ -257,12 +257,13 @@ class TestSweeps:
         assert code == 0
         a2_values = [0.05 + (40.0 - 0.05) * i / 8 for i in range(9)]
         assert solved == [continuous.ContinuousParams(7.5, a2, 0.001) for a2 in a2_values]
-        _, rows = rows_of(text)
+        header = ("a2", "tau", "mu1", "mu2", "capacity")
+        assert rows_of(text)[0] == list(header)
         expected = []
         for a2 in a2_values:
             rate, duty = cont_capacity(continuous.ContinuousParams(7.5, a2, 0.001))
-            expected.append([cli._fmt(v) for v in (a2, duty.mu1, duty.mu2, rate)])
-        cont = [[r[k] for k in ("a2", "mu1", "mu2", "capacity")] for r in rows if r["tau"] == "0"]
+            expected.append(cli._row_template(header) % (a2, 0.0, duty.mu1, duty.mu2, rate))
+        cont = [line for line in text.splitlines(keepends=True)[2:] if line.split(",")[1] == "0"]
         assert cont == expected + expected
 
     def test_sweep_region_labels(self, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from poisson_mac import gridsearch, siso
-from poisson_mac.channel import ChannelParams, DutyPair, _weights, grad_mutual_info, mutual_info
+from poisson_mac.channel import ChannelParams, DutyPair, _rate, _weights, grad_mutual_info, hit_probs, mutual_info
 from poisson_mac.gridsearch import (
     GridSpec,
     _grid_max,
@@ -20,6 +20,15 @@ from poisson_mac.siso import solve
 from poisson_mac.symmetric import symmetric_fixed_point
 
 FIG2 = ChannelParams(10.0, 12.0, 0.001, 0.02)
+# Channels whose hit levels round to 1 or an ulp or so below it; on
+# ChannelParams(1, 0.1, 10, 5) the slot probability rounds an ulp above 1.
+SATURATED = (
+    ChannelParams(1000.0, 1000.0, 0.001, 1.0),  # every hit level rounds to 1
+    ChannelParams(1.0, 0.1, 10.0, 5.0),
+    ChannelParams(1000.0, 10.0, 0.001, 0.1),
+    # At step 3e-2 a refinement window holds NaN cells beside a better one.
+    ChannelParams(0.06680523841052471, 0.5131909992854794, 15.838569506565392, 2.293482078800965),
+)
 
 
 class TestGridSpec:
@@ -121,9 +130,11 @@ def _old_entropy_arr(q):
     return out
 
 
-def _old_rate_grid(hp, tau, m1, m2):
+def _old_rate_grid(hp, tau, m1, m2, w=None):
     """gridsearch._rate_grid as it was before it ran the batch solver's rate
-    (now channel._rate): entropy 0 where the slot probability rounds outside (0, 1)."""
+    (now channel._rate): entropy 0 where the slot probability rounds outside
+    (0, 1), and the weights broadcast from m1 and m2 on every call, whatever
+    cached weights w it is handed."""
     h1, h2, h3, h4 = hp.entropies
     w = _weights(m1, m2)
     ph = w[0] * hp.p1 + w[1] * hp.p2 + w[2] * hp.p3 + w[3] * hp.p4
@@ -174,14 +185,7 @@ class TestWitnessHelpers:
     @pytest.mark.parametrize("spec", [GridSpec(1e-2, 0), GridSpec(), GridSpec(3e-2, 2)])
     def test_grid_capacity_is_unchanged(self, monkeypatch, spec):
         rng = random.Random(31)
-        channels = [
-            ChannelParams(1000.0, 1000.0, 0.001, 1.0),  # every hit level rounds to 1
-            ChannelParams(1.0, 0.1, 10.0, 5.0),
-            ChannelParams(1000.0, 10.0, 0.001, 0.1),
-            # Hit levels an ulp or so below 1: at step 3e-2 a refinement
-            # window holds NaN cells beside a better one.
-            ChannelParams(0.06680523841052471, 0.5131909992854794, 15.838569506565392, 2.293482078800965),
-        ]
+        channels = list(SATURATED)
         for _ in range(12):
             a1, a2 = math.exp(rng.uniform(-3.0, 4.0)), math.exp(rng.uniform(-3.0, 4.0))
             lambda0 = math.exp(rng.uniform(-7.0, 2.0))
@@ -192,6 +196,71 @@ class TestWitnessHelpers:
         for params, new in zip(channels, results):
             old = grid_capacity(params, spec)
             assert (new.capacity, new.duty) == (old.capacity, old.duty), params
+
+
+class TestLattice:
+    """grid_capacity rates its full pass on the weights gridsearch._lattice
+    caches: the bits of the weights broadcast afresh on every call."""
+
+    def test_cached_pass_has_the_broadcast_bits(self, monkeypatch):
+        rng = random.Random(30)
+        channels = list(SATURATED)
+        for k in range(2000):
+            a1, a2, lam0 = 10 ** rng.uniform(-3, 4), 10 ** rng.uniform(-3, 4), 10 ** rng.uniform(-5, 1)
+            # Half in regime, half at 1-300x the bound.
+            factor = rng.uniform(0.05, 1.0) if k % 2 else 10 ** rng.uniform(0.0, 2.5)
+            channels.append(ChannelParams(a1, a2, lam0, factor * math.log(2) / (a1 + a2 + lam0)))
+        passes, grid_max = [], gridsearch._grid_max
+
+        def recording(rate, spec, values):
+            passes.append(values)
+            return grid_max(rate, spec, values)
+
+        monkeypatch.setattr(gridsearch, "_grid_max", recording)
+        nan_planes = 0
+        for params in channels:
+            hp = hit_probs(params)
+            p, h = (hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies
+
+            def broadcast(m1, m2):
+                return _rate(p, h, m1, m2, lambda q: siso._entropy_many(q, np)) / params.tau
+
+            # 1e-2, 5e-2, 1e-2, ...: each step evicts the other's lattice.
+            for step in (1e-2, 5e-2):
+                g = np.linspace(0.0, 1.0, round(1.0 / step) + 1)
+                result = grid_capacity(params, GridSpec(step, 0))
+                expected = broadcast(g[:, None], g[None, :])
+                assert passes[-1].tobytes() == expected.tobytes(), (params, step)
+                assert (result.capacity, result.duty) == grid_max(broadcast, GridSpec(step, 0)), (params, step)
+                nan_planes += bool(np.isnan(expected).any())
+        assert nan_planes >= 2  # ChannelParams(1, 0.1, 10, 5) at both steps
+
+    def test_cached_lattice_is_read_only(self, monkeypatch):
+        grid_capacity(FIG2, GridSpec(5e-2, 0))
+        lattice = gridsearch._lattice(1e-2)
+        assert gridsearch._lattice.cache_info().currsize == 1
+        g, w = lattice
+        assert g.tobytes() == np.linspace(0.0, 1.0, 101).tobytes()
+        for a in (g, *w):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+            with pytest.raises(ValueError):
+                a *= 2.0
+        # A witness that scribbles over its full pass leaves the next solve as it was.
+        local_peaks = gridsearch._local_peaks
+
+        def scribbling(values, g, sep, count):
+            picked = local_peaks(values, g, sep, count)
+            values[...] = np.inf
+            return picked
+
+        monkeypatch.setattr(gridsearch, "_local_peaks", scribbling)
+        params = ChannelParams(10.0, 30.0, 0.001, 0.02)
+        first, second = solve(params), solve(params)
+        assert not params.in_regime and first.grid_checked
+        assert first == second
+        assert gridsearch._lattice(1e-2) is lattice
 
 
 class TestFiniteDifferences:

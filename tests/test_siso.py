@@ -670,8 +670,8 @@ class TestSolve:
         duty = siso._solo_duty(p[0], p[k], h[0], h[k])
         rate_grid = gridsearch._rate_grid
 
-        def raised(hp, tau, m1, m2):
-            return rate_grid(hp, tau, m1, m2) + np.where((m2, m1)[edge] == 1.0, 1.0 / tau, 0.0)
+        def raised(hp, tau, m1, m2, w=None):
+            return rate_grid(hp, tau, m1, m2, w) + np.where((m2, m1)[edge] == 1.0, 1.0 / tau, 0.0)
 
         monkeypatch.setattr(gridsearch, "_rate_grid", raised)
         report = solve(params)
