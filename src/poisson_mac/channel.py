@@ -22,8 +22,7 @@ logarithms throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 __all__ = [
     "ChannelParams",
@@ -101,67 +100,82 @@ def _require_positive(record: object, names: tuple[str, ...], lambda0_hint: str 
             raise ValueError(f"{name} must be positive, got {value}{lambda0_hint if name == 'lambda0' else ''}")
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """One two-user problem instance: peak rates, background rate, dead time."""
-
+class _ChannelFields(NamedTuple):
     a1: float
     a2: float
     lambda0: float
     tau: float
 
-    def __post_init__(self) -> None:
+
+class ChannelParams(_ChannelFields):
+    """One two-user problem instance: peak rates, background rate, dead time."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace and _make check too
+
+    def __new__(cls, a1: float, a2: float, lambda0: float, tau: float) -> ChannelParams:
+        self = tuple.__new__(cls, (a1, a2, lambda0, tau))
         # A zero background makes the log-odds of the all-off slot singular.
         dark = "; for a dark-current-free study use lambda0 = 1e-9 * (a1 + a2)"
         _require_positive(self, ("a1", "a2", "lambda0", "tau"), lambda0_hint=dark)
+        return self
 
     @property
     def in_regime(self) -> bool:
         """Whether tau <= ln2 / (a1 + a2 + lambda0), where the solver's guarantees hold."""
         return self.tau <= math.log(2.0) / (self.a1 + self.a2 + self.lambda0)
 
-    def swapped(self) -> "ChannelParams":
+    def swapped(self) -> ChannelParams:
         """The same channel with the user labels exchanged."""
         return ChannelParams(self.a2, self.a1, self.lambda0, self.tau)
 
 
-@dataclass(frozen=True)
-class HitProbs:
-    """The four conditional hit probabilities: both on, user 2 only, user 1 only, none."""
-
+class _HitFields(NamedTuple):
     p1: float
     p2: float
     p3: float
     p4: float
 
-    @cached_property
-    def entropies(self) -> tuple[float, float, float, float]:
-        """binary_entropy of p1..p4, computed once per instance."""
-        return tuple(map(binary_entropy, (self.p1, self.p2, self.p3, self.p4)))
+
+class HitProbs(_HitFields):
+    """The four conditional hit probabilities: both on, user 2 only, user 1 only,
+    none.  entropies, binary_entropy of each, is computed once, by the constructor."""
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace recomputes the entropies
+
+    def __new__(cls, p1: float, p2: float, p3: float, p4: float) -> HitProbs:
+        self = tuple.__new__(cls, (p1, p2, p3, p4))
+        object.__setattr__(self, "entropies", tuple(map(binary_entropy, self)))
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
 
 
-@dataclass(frozen=True)
-class DutyPair:
-    """A point (mu1, mu2) in the unit square of per-slot on-probabilities."""
-
+class _DutyFields(NamedTuple):
     mu1: float
     mu2: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mu1 <= 1.0:
-            raise ValueError(f"mu1 must lie in [0, 1], got {self.mu1}")
-        if not 0.0 <= self.mu2 <= 1.0:
-            raise ValueError(f"mu2 must lie in [0, 1], got {self.mu2}")
+
+class DutyPair(_DutyFields):
+    """A point (mu1, mu2) in the unit square of per-slot on-probabilities."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, mu1: float, mu2: float) -> DutyPair:
+        if not 0.0 <= mu1 <= 1.0:
+            raise ValueError(f"mu1 must lie in [0, 1], got {mu1}")
+        if not 0.0 <= mu2 <= 1.0:
+            raise ValueError(f"mu2 must lie in [0, 1], got {mu2}")
+        return tuple.__new__(cls, (mu1, mu2))
 
 
 def hit_probs(params: ChannelParams) -> HitProbs:
     """Conditional hit probabilities for the four joint on/off states."""
-    return HitProbs(
-        p1=hit_prob(params.a1 + params.a2 + params.lambda0, params.tau),
-        p2=hit_prob(params.a2 + params.lambda0, params.tau),
-        p3=hit_prob(params.a1 + params.lambda0, params.tau),
-        p4=hit_prob(params.lambda0, params.tau),
-    )
+    a1, a2, lambda0, tau = params
+    p1, p2 = hit_prob(a1 + a2 + lambda0, tau), hit_prob(a2 + lambda0, tau)
+    return HitProbs(p1, p2, hit_prob(a1 + lambda0, tau), hit_prob(lambda0, tau))
 
 
 def _weights(mu1: float, mu2: float) -> tuple[float, float, float, float]:
@@ -183,7 +197,7 @@ def p_hat(params: ChannelParams, duty: DutyPair) -> float:
 def mutual_info(params: ChannelParams, duty: DutyPair) -> float:
     """Per-slot mutual information in nats between the user pair and the slot bit."""
     hp = hit_probs(params)
-    return _rate((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies, duty.mu1, duty.mu2)
+    return _rate(hp, hp.entropies, duty.mu1, duty.mu2)
 
 
 def _rate(p: tuple, h: tuple, mu1, mu2, entropy=binary_entropy):

@@ -21,21 +21,24 @@ a flat key=value config file; command-line flags win.
 Each command is declared once, in COMMANDS.  main reads a well-formed command
 line, `command (--flag value | --strict)...` with every flag one of the
 command's own, spelled in full, and no value that begins with '-', straight
-from that table (_read_table), into the namespace argparse would give.  Any
-other command line, --help, a usage error, an abbreviated flag, --flag=value
-or a value such as -1e-3, goes to the argparse parser, which is built from
-the same table on first need and kept for the process.  Either way main then
+from that table (_read_table), into a SimpleNamespace of the attributes
+argparse would set.  Any other command line, --help, a usage error, an
+abbreviated flag, --flag=value or a value such as -1e-3, goes to the argparse
+parser, which is imported and built from the same table on first need, kept
+for the process, and fills a SimpleNamespace too.  Either way main then
 applies --strict and writes the CSV.  A sweep grid of more than MAX_GRID
 values, in one range or in all its rows, is refused before it is built.
 
 Importing this module runs only the package, _numpy, channel, siso and this
-module, and does not import numpy (see _numpy.py).  The other library
-modules load when a command first needs them: symmetric for symmetric, miso
-for solve-miso, continuous for converge and sweep-peak's tau = 0 rows, and
-gridsearch (with miso) for solve's out-of-regime check.  In regime, solve,
-intersections, symmetric, solve-miso and converge run on the math module
-alone, so a process that runs only those never loads numpy; the sweeps and
-the out-of-regime checks load it on first use.
+module, and imports neither numpy (see _numpy.py) nor dataclasses (the
+records of channel and siso are NamedTuples) nor argparse (see above).  The
+other library modules load when a command first needs them: symmetric for
+symmetric, miso for solve-miso, continuous for converge and sweep-peak's
+tau = 0 rows, and gridsearch (with miso, numpy and dataclasses) for solve's
+out-of-regime check.  In regime, solve, intersections, symmetric, solve-miso
+and converge run on the math module alone, so a process that runs only those
+never loads numpy or dataclasses; the sweeps and the out-of-regime checks
+load numpy on first use.
 
 Exit status: 0 on success, 2 on a validation error (the message names the
 offending field), 3 when --strict is set and an instance is out of regime
@@ -50,17 +53,20 @@ first, as in `... | head`; that case prints nothing on stderr.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
 import sys
 from contextlib import nullcontext, suppress
 from itertools import islice
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
 from .channel import ChannelParams
 from .siso import Strategy, find_intersections, regime_fraction_rule, solve, solve_many, sweep_strategy_region
+
+if TYPE_CHECKING:  # else argparse loads with the parser (_build_parser)
+    import argparse
 
 __all__ = ["main"]
 
@@ -98,7 +104,7 @@ def _number(text: object, name: str, kind: Callable[[Any], Any] = float) -> Any:
         raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got '{text}'") from None
 
 
-def _parse_range(args: argparse.Namespace, name: str) -> list[float]:
+def _parse_range(args: SimpleNamespace, name: str) -> list[float]:
     """A bare number, lo:hi (needs --cells), or lo:hi:step, all finite."""
     text = _require(args, name)
     parts = text.split(":")
@@ -135,7 +141,7 @@ def _check_size(name: str, count: float) -> None:
         raise ValueError(f"{name} has {count:.12g} values, more than the limit of {MAX_GRID}")
 
 
-def _parse_floats(args: argparse.Namespace, name: str) -> list[float]:
+def _parse_floats(args: SimpleNamespace, name: str) -> list[float]:
     """A required comma-separated list of at least one number."""
     text = _require(args, name)
     if not (values := [_number(p, name) for p in text.split(",") if p != ""]):
@@ -151,7 +157,7 @@ def _check_positive(name: str, values: list[float], text: str) -> None:
         raise ValueError(f"{name} must be positive, got '{text}'")
 
 
-def _parse_peaks(args: argparse.Namespace, name: str, max_antennas: int) -> tuple[float, ...]:
+def _parse_peaks(args: SimpleNamespace, name: str, max_antennas: int) -> tuple[float, ...]:
     """A list of at most max_antennas peaks, each finite and positive, with a finite sum."""
     peaks = _parse_floats(args, name)
     text = _require(args, name)
@@ -177,7 +183,7 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _merged(args: argparse.Namespace, key: str, default: object = None) -> object:
+def _merged(args: SimpleNamespace, key: str, default: object = None) -> object:
     """Flag value if given, else config-file value, else default."""
     cli_value = getattr(args, key.replace("-", "_"), None)
     if cli_value is not None:
@@ -187,23 +193,23 @@ def _merged(args: argparse.Namespace, key: str, default: object = None) -> objec
     return default
 
 
-def _require(args: argparse.Namespace, key: str) -> str:
+def _require(args: SimpleNamespace, key: str) -> str:
     value = _merged(args, key)
     if value is None:
         raise ValueError(f"missing required parameter '{key}'")
     return str(value)
 
 
-def _flag(args: argparse.Namespace, key: str, default: object = None, kind: Callable[[Any], Any] = float) -> Any:
+def _flag(args: SimpleNamespace, key: str, default: object = None, kind: Callable[[Any], Any] = float) -> Any:
     """A numeric parameter, required when it has no default."""
     return _number(_require(args, key) if default is None else _merged(args, key, default), key, kind)
 
 
-def _lambda0(args: argparse.Namespace) -> float:
+def _lambda0(args: SimpleNamespace) -> float:
     return _flag(args, "lambda0", DEFAULT_LAMBDA0)
 
 
-def _channel(args: argparse.Namespace) -> ChannelParams:
+def _channel(args: SimpleNamespace) -> ChannelParams:
     return ChannelParams(_flag(args, "a1"), _flag(args, "a2"), _lambda0(args), _flag(args, "tau"))
 
 
@@ -225,17 +231,16 @@ SYMMETRIC_HEADER = ("a", "lambda0", "tau", "flip_level", "peak_threshold", "axis
 SYMMETRIC_HEADER += ("diagonal_half_sum", "fixed_point", "capacity", "schur_mode")
 
 
-def _cmd_solve(args: argparse.Namespace) -> Steps:
+def _cmd_solve(args: SimpleNamespace) -> Steps:
     params = _channel(args)
     yield lambda: params.in_regime
     report = solve(params)
-    inputs = vars(params)  # the fields in order, read only: asdict would deep-copy each
-    meta = {**inputs, "intersections": len(report.search.points)}
-    row = (*inputs.values(), report.capacity, report.optimum.mu1, report.optimum.mu2, report.strategy.value)
+    meta = {**params._asdict(), "intersections": len(report.search.points)}
+    row = (*params, report.capacity, report.optimum.mu1, report.optimum.mu2, report.strategy.value)
     yield meta, SOLVE_HEADER, [(*row, "true" if report.regime_ok else "false")]
 
 
-def _cmd_solve_miso(args: argparse.Namespace) -> Steps:
+def _cmd_solve_miso(args: SimpleNamespace) -> Steps:
     import poisson_mac.miso as miso
 
     # MisoConfig would name peaks_user1 and peaks_user2, not the flags.
@@ -253,20 +258,20 @@ def _cmd_solve_miso(args: argparse.Namespace) -> Steps:
         "lambda0": config.lambda0,
         "tau": config.tau,
     }
-    row = (*vars(config.as_siso()).values(), report.capacity, report.duty_user1, report.duty_user2)
+    row = (*config.as_siso(), report.capacity, report.duty_user1, report.duty_user2)
     yield meta, SOLVE_HEADER, [(*row, report.siso.strategy.value, "true" if report.regime_ok else "false")]
 
 
-def _cmd_intersections(args: argparse.Namespace) -> Steps:
+def _cmd_intersections(args: SimpleNamespace) -> Steps:
     params = _channel(args)
     yield lambda: params.in_regime
     inter = find_intersections(params)
     rows = [(pt.mu1, pt.mu2, "true") for pt in inter.points]
     rows += [(pt.mu1, pt.mu2, "false") for pt in inter.rejected]
-    yield {**vars(params), "reliable": inter.reliable}, ("mu1", "mu2", "valid"), rows
+    yield {**params._asdict(), "reliable": inter.reliable}, ("mu1", "mu2", "valid"), rows
 
 
-def _cmd_sweep_peak(args: argparse.Namespace) -> Steps:
+def _cmd_sweep_peak(args: SimpleNamespace) -> Steps:
     a1 = _flag(args, "a1")
     lambda0 = _lambda0(args)
     a2_values = _parse_range(args, "a2")
@@ -295,7 +300,7 @@ def _cmd_sweep_peak(args: argparse.Namespace) -> Steps:
     yield meta, ("a2", "tau", "mu1", "mu2", "capacity"), rows
 
 
-def _cmd_sweep_region(args: argparse.Namespace) -> Steps:
+def _cmd_sweep_region(args: SimpleNamespace) -> Steps:
     lambda0 = _lambda0(args)
     a1_values = _parse_range(args, "a1")
     a2_values = _parse_range(args, "a2")
@@ -319,7 +324,7 @@ def _cmd_sweep_region(args: argparse.Namespace) -> Steps:
     yield meta, ("a1", "a2", "strategy"), rows
 
 
-def _cmd_symmetric(args: argparse.Namespace) -> Steps:
+def _cmd_symmetric(args: SimpleNamespace) -> Steps:
     import poisson_mac.symmetric as symmetric
 
     a = _flag(args, "a")
@@ -343,7 +348,7 @@ def _cmd_symmetric(args: argparse.Namespace) -> Steps:
     yield meta, SYMMETRIC_HEADER, [(*row, report.fixed_point, report.capacity, report.schur_mode.value)]
 
 
-def _cmd_converge(args: argparse.Namespace) -> Steps:
+def _cmd_converge(args: SimpleNamespace) -> Steps:
     import poisson_mac.continuous as continuous
 
     a1 = _flag(args, "a1")
@@ -361,7 +366,7 @@ def _cmd_converge(args: argparse.Namespace) -> Steps:
 class Command(NamedTuple):
     """One subcommand: its handler, its help line and its own flags (flag -> help)."""
 
-    handler: Callable[[argparse.Namespace], Steps]
+    handler: Callable[[SimpleNamespace], Steps]
     help: str
     flags: dict[str, str]
 
@@ -409,12 +414,13 @@ _DESTS = {
 }
 
 
-def _read_table(argv: Sequence[str]) -> argparse.Namespace | None:
-    """The namespace argparse would give for argv when it is well formed:
-    `command (--flag value | --strict)...`, every flag one of the command's
-    own in full and no value beginning with '-' (argparse takes -3 as a value
-    but rejects -1e-3).  None for any other argv, which is argparse's to read,
-    help and usage errors included."""
+def _read_table(argv: Sequence[str]) -> SimpleNamespace | None:
+    """A SimpleNamespace of the attributes argparse would set for argv when it
+    is well formed: `command (--flag value | --strict)...`, every flag one of
+    the command's own in full and no value beginning with '-' (argparse takes
+    -3 as a value but rejects -1e-3).  None for any other argv, which is
+    argparse's to read, help and usage errors included; so a well-formed
+    command line never imports argparse."""
     if not argv or (dests := _DESTS.get(argv[0])) is None:
         return None
     values: dict[str, str | None] = dict.fromkeys(dests.values())
@@ -427,7 +433,7 @@ def _read_table(argv: Sequence[str]) -> argparse.Namespace | None:
             return None  # a flag at the end reads as a '-' value, and so goes to argparse too
         else:
             values[dest] = value  # the last occurrence wins, as in argparse
-    return argparse.Namespace(command=argv[0], strict=strict, **values)
+    return SimpleNamespace(command=argv[0], strict=strict, **values)
 
 
 @functools.cache
@@ -435,7 +441,10 @@ def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command, for the command lines _read_table leaves
     to it: help, usage errors, abbreviations, --flag=value and values that
     begin with '-'.  Built on the first such call, not at import, and kept
-    for the process: building it costs more than an in-regime solve."""
+    for the process: building it, and importing argparse, each cost more than
+    an in-regime solve."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="poisson-mac",
         description="Sum-rate capacity of the two-user dead-time-limited photon-counting channel",
@@ -463,7 +472,7 @@ def _drop_stdout() -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if (args := _read_table(argv)) is None:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(argv, SimpleNamespace())
     try:
         args.config_values = _read_config(args.config) if args.config else {}
         steps = COMMANDS[args.command].handler(args)

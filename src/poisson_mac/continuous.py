@@ -25,9 +25,8 @@ are gapped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import ModuleType
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._numpy import np
 from .channel import ChannelParams, DutyPair, _require_positive, phi
@@ -44,16 +43,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ContinuousParams:
-    """Peak and background rates of the zero-dead-time reference channel."""
-
+class _ContinuousFields(NamedTuple):
     a1: float
     a2: float
     lambda0: float
 
-    def __post_init__(self) -> None:
+
+class ContinuousParams(_ContinuousFields):
+    """Peak and background rates of the zero-dead-time reference channel."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, a1: float, a2: float, lambda0: float) -> ContinuousParams:
+        self = tuple.__new__(cls, (a1, a2, lambda0))
         _require_positive(self, ("a1", "a2", "lambda0"))
+        return self
 
 
 def cont_mutual_info_rate(cp: ContinuousParams, duty: DutyPair) -> float:
@@ -138,8 +143,7 @@ def cont_capacity(cp: ContinuousParams) -> tuple[float, DutyPair]:
     return rate, DutyPair(mu1, mu2)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One dead-time point of a convergence study."""
 
     tau: float

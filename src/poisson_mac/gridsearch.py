@@ -97,7 +97,7 @@ def _rate_grid(hp: HitProbs, tau: float, m1: np.ndarray, m2: np.ndarray, w: tupl
     numpy's logs: NaN where the slot probability rounds outside [0, 1] (on
     saturated channels, ChannelParams(1, 0.1, 10, 5), it rounds an ulp above 1)."""
     w = _weights(m1, m2) if w is None else w
-    return _weighted_rate((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies, w, lambda q: _entropy_many(q, np)) / tau
+    return _weighted_rate(hp, hp.entropies, w, lambda q: _entropy_many(q, np)) / tau
 
 
 def _grad_norm_grid(hp: HitProbs, tau: float, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:

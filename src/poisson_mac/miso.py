@@ -24,8 +24,7 @@ for direct evaluation and for oracle-style verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._numpy import np
 from .channel import ChannelParams, _require_positive, binary_entropy
@@ -46,17 +45,21 @@ PMF_TOL = 1e-9
 MAX_ANTENNAS = 16
 
 
-@dataclass(frozen=True)
-class MisoConfig:
-    """Per-antenna peak rates for both users plus background and dead time."""
-
+class _MisoFields(NamedTuple):
     peaks_user1: tuple[float, ...]
     peaks_user2: tuple[float, ...]
     lambda0: float
     tau: float
 
-    def __post_init__(self) -> None:
-        for name, peaks in (("peaks_user1", self.peaks_user1), ("peaks_user2", self.peaks_user2)):
+
+class MisoConfig(_MisoFields):
+    """Per-antenna peak rates for both users plus background and dead time."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, peaks_user1: tuple, peaks_user2: tuple, lambda0: float, tau: float) -> MisoConfig:
+        for name, peaks in (("peaks_user1", peaks_user1), ("peaks_user2", peaks_user2)):
             if len(peaks) == 0:
                 raise ValueError(f"{name} must list at least one antenna")
             if len(peaks) > MAX_ANTENNAS:
@@ -65,7 +68,9 @@ class MisoConfig:
                 raise ValueError(f"every peak in {name} must be positive")
             if not all(math.isfinite(a) for a in peaks):
                 raise ValueError(f"every peak in {name} must be finite")
+        self = tuple.__new__(cls, (peaks_user1, peaks_user2, lambda0, tau))
         _require_positive(self, ("lambda0", "tau"))
+        return self
 
     @property
     def total_peak(self) -> float:
@@ -77,25 +82,28 @@ class MisoConfig:
 
     def as_siso(self) -> ChannelParams:
         """The equivalent one-antenna-per-user channel at the summed peaks."""
-        return ChannelParams(
-            sum(self.peaks_user1), sum(self.peaks_user2), self.lambda0, self.tau
-        )
+        return ChannelParams(sum(self.peaks_user1), sum(self.peaks_user2), self.lambda0, self.tau)
 
 
-@dataclass(frozen=True)
-class JointPmf:
-    """PMF over antenna subsets of one user; index bit j set means antenna j on."""
-
+class _JointFields(NamedTuple):
     masses: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.masses)
+
+class JointPmf(_JointFields):
+    """PMF over antenna subsets of one user; index bit j set means antenna j on."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, masses: tuple[float, ...]) -> JointPmf:
+        n = len(masses)
         if n == 0 or n & (n - 1):
             raise ValueError(f"masses length must be a power of two, got {n}")
-        if any(m < -PMF_TOL for m in self.masses):
+        if any(m < -PMF_TOL for m in masses):
             raise ValueError("PMF masses must be nonnegative")
-        if abs(sum(self.masses) - 1.0) > PMF_TOL:
-            raise ValueError(f"PMF masses must sum to 1, got {sum(self.masses)}")
+        if abs(sum(masses) - 1.0) > PMF_TOL:
+            raise ValueError(f"PMF masses must sum to 1, got {sum(masses)}")
+        return tuple.__new__(cls, (masses,))
 
     @property
     def n_antennas(self) -> int:
@@ -106,8 +114,7 @@ class JointPmf:
         return sum(m for i, m in enumerate(self.masses) if i >> j & 1)
 
 
-@dataclass(frozen=True)
-class NuPmf:
+class NuPmf(NamedTuple):
     """Staircase PMF: nested on-sets in decreasing-duty order.
 
     order lists antenna indices by descending duty (ties by index); support
@@ -184,8 +191,7 @@ def miso_mutual_info(
     return binary_entropy(ph) - mix
 
 
-@dataclass(frozen=True)
-class MisoReport:
+class MisoReport(NamedTuple):
     """Reduction outcome: the equivalent one-antenna solve plus the expansion."""
 
     capacity: float
@@ -206,13 +212,6 @@ def solve_miso(config: MisoConfig) -> MisoReport:
     the equivalence is not guaranteed and the report is flagged.
     """
     siso_report = solve(config.as_siso())
-    mu1, mu2 = siso_report.optimum.mu1, siso_report.optimum.mu2
-    return MisoReport(
-        capacity=siso_report.capacity,
-        duty_user1=mu1,
-        duty_user2=mu2,
-        pmf_user1=nu_pmf([mu1] * len(config.peaks_user1)),
-        pmf_user2=nu_pmf([mu2] * len(config.peaks_user2)),
-        siso=siso_report,
-        regime_ok=config.in_regime,
-    )
+    mu1, mu2 = siso_report.optimum
+    pmfs = nu_pmf([mu1] * len(config.peaks_user1)), nu_pmf([mu2] * len(config.peaks_user2))
+    return MisoReport(siso_report.capacity, mu1, mu2, *pmfs, siso_report, config.in_regime)

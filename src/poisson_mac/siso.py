@@ -49,7 +49,6 @@ math module lane by lane for every exp and log; the sweeps are built on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from types import ModuleType
 from typing import Any, Callable, NamedTuple, Sequence
@@ -104,8 +103,7 @@ class Strategy(Enum):
 _BY_RANK = (Strategy.BOTH_ACTIVE, Strategy.ONLY_USER2, Strategy.ONLY_USER1)
 
 
-@dataclass(frozen=True)
-class LineCoefficients:
+class LineCoefficients(NamedTuple):
     """Coefficients of the affine stationarity locus mu1*u - mu2*v + w = 0.
 
     Signs follow the chord-difference forms, which make u and v positive for
@@ -117,8 +115,7 @@ class LineCoefficients:
     w: float
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One evaluated optimum candidate; solve lists them in tie order."""
 
     duty: DutyPair
@@ -126,8 +123,7 @@ class Candidate:
     rate: float
 
 
-@dataclass(frozen=True)
-class SufficiencyRecord:
+class SufficiencyRecord(NamedTuple):
     """Outcomes of the cheap strategy screens.
 
     single_user_sufficient: g stays below f across [0, 1], so no interior
@@ -142,8 +138,7 @@ class SufficiencyRecord:
     adding_user1_helps: bool
 
 
-@dataclass(frozen=True)
-class IntersectionSearch:
+class IntersectionSearch(NamedTuple):
     """Roots of g - f on [0, 1].  points carry the in-box stationary pairs;
     rejected carries roots whose mu2 coordinate left the unit interval.
     reliable is False out of regime, where g may fail to be convex."""
@@ -153,8 +148,7 @@ class IntersectionSearch:
     reliable: bool
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     capacity: float
     optimum: DutyPair
     strategy: Strategy
@@ -167,8 +161,7 @@ class SolveReport:
     grid_checked: bool = False
 
 
-@dataclass(frozen=True)
-class SolveBatch:
+class SolveBatch(NamedTuple):
     """Per-channel results of solve_many, as parallel arrays.  code holds the
     strategy's tie-break rank; strategies() maps it back."""
 
@@ -185,7 +178,7 @@ class SolveBatch:
 def uvw(params: ChannelParams) -> LineCoefficients:
     """Line coefficients of the both-active stationarity locus."""
     hp = hit_probs(params)
-    return LineCoefficients(*_line((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies))
+    return LineCoefficients(*_line(hp, hp.entropies))
 
 
 def _line(p: tuple, h: tuple) -> tuple:
@@ -203,7 +196,7 @@ def _line(p: tuple, h: tuple) -> tuple:
 def f_mac(params: ChannelParams, mu1: float) -> float:
     """mu2 on the affine stationarity line at the given mu1."""
     hp = hit_probs(params)
-    u, v, w = _line((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies)
+    u, v, w = _line(hp, hp.entropies)
     return _named_zero_division(hp, lambda: (u / v) * mu1 + w / v)
 
 
@@ -331,7 +324,7 @@ def _named_zero_division(hp: HitProbs, compute: Callable[[], Any]) -> Any:
     try:
         return compute()
     except ZeroDivisionError:
-        levels = ", ".join(f"{x:.6g}" for x in (hp.p1, hp.p2, hp.p3, hp.p4))
+        levels = ", ".join(f"{x:.6g}" for x in hp)
         msg = "g - f divides by a hit-level difference that rounds to 0"
         raise ArithmeticError(f"{msg} at the hit levels {levels}") from None
 
@@ -391,7 +384,7 @@ def sufficiency_tests(params: ChannelParams) -> SufficiencyRecord:
     """Screens that settle the transmission strategy without the full solve."""
     hp = hit_probs(params)
     d = _named_zero_division(hp, _curves_of(hp)[1])
-    p, h = (hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies
+    p, h = hp, hp.entropies
     mu1_solo, mu2_solo = _solo_duty(p[2], p[3], h[2], h[3]), _solo_duty(p[1], p[3], h[1], h[3])
     return SufficiencyRecord(
         single_user_sufficient=d(0.0) < 0.0 and d(1.0) < 0.0,  # g < f, as d = g - f exactly
@@ -430,7 +423,7 @@ def solve(params: ChannelParams) -> SolveReport:
         inter = IntersectionSearch(points=(), rejected=(), reliable=False)
 
     # In tie order: the in-box interior points, then user 2 alone, then user 1 alone.
-    p, h = (hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies
+    p, h = hp, hp.entropies
     candidates = [Candidate(pt, Strategy.BOTH_ACTIVE, _rate(p, h, pt.mu1, pt.mu2) / params.tau) for pt in inter.points]
     mu1_solo, mu2_solo = _solo_duty(p[2], p[3], h[2], h[3]), _solo_duty(p[1], p[3], h[1], h[3])
     solos = ((DutyPair(0.0, mu2_solo), Strategy.ONLY_USER2), (DutyPair(mu1_solo, 0.0), Strategy.ONLY_USER1))
@@ -455,16 +448,8 @@ def solve(params: ChannelParams) -> SolveReport:
         if grid.capacity > capacity + TIE_TOL:
             capacity, optimum, strategy = grid.capacity, grid.duty, _strategy_at(grid.duty)
 
-    return SolveReport(
-        capacity=capacity,
-        optimum=optimum,
-        strategy=strategy,
-        candidates=tuple(candidates),
-        near_ties=tuple(near) if len(near) > 1 else (),
-        regime_ok=params.in_regime,
-        search=inter,
-        grid_checked=grid_checked,
-    )
+    near_ties = tuple(near) if len(near) > 1 else ()
+    return SolveReport(capacity, optimum, strategy, tuple(candidates), near_ties, params.in_regime, inter, grid_checked)
 
 
 # Batched enumeration.  Every helper below repeats, lane by lane, the

@@ -40,9 +40,8 @@ symmetric_fixed_point are each their own set-up plus a call to that core.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .channel import (
     ChannelParams,
@@ -93,8 +92,7 @@ class SchurMode(Enum):
     SPLIT_REGIONS = "SplitRegions"
 
 
-@dataclass(frozen=True)
-class ThresholdSearch:
+class ThresholdSearch(NamedTuple):
     """Outcome of the peak-threshold root search.
 
     value is +inf when no sign change occurs below the in-regime cap
@@ -108,16 +106,14 @@ class ThresholdSearch:
     residual: float
 
 
-@dataclass(frozen=True)
-class BoundaryHalfSums:
+class BoundaryHalfSums(NamedTuple):
     """Duty-sum endpoints (as half-sums) of the critical curve; axis <= diagonal."""
 
     axis: float
     diagonal: float
 
 
-@dataclass(frozen=True)
-class SymmetricReport:
+class SymmetricReport(NamedTuple):
     a: float
     lambda0: float
     tau: float
@@ -271,7 +267,7 @@ def line_constrained_max(a: float, lambda0: float, tau: float, half_sum: float) 
     step LINE_STEP over the mu1 >= mu2 half of the segment.
     """
     hp = hit_probs(ChannelParams(a, a, lambda0, tau))
-    p, h = (hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies
+    p, h = hp, hp.entropies
     lo = max(half_sum, 2.0 * half_sum - 1.0)
     hi = min(1.0, 2.0 * half_sum)
     n = max(1, int(round((hi - lo) / LINE_STEP)))
@@ -296,16 +292,7 @@ def solve_symmetric(a: float, lambda0: float, tau: float) -> SymmetricReport:
     mu = _fixed_point(hp, params.in_regime)
     if below:
         flip_level = flip(a)
-    if (rate := _rate((hp.p1, hp.p2, hp.p3, hp.p4), hp.entropies, mu, mu)) < 0.0:
+    if (rate := _rate(hp, hp.entropies, mu, mu)) < 0.0:
         raise ArithmeticError(f"the balanced rate {rate:.3g} is rounding noise below zero")
-    return SymmetricReport(
-        a=a,
-        lambda0=lambda0,
-        tau=tau,
-        flip_level=flip_level,
-        threshold=threshold,
-        boundary=boundary,
-        fixed_point=mu,
-        capacity=rate / tau,
-        schur_mode=SchurMode.GLOBALLY_SCHUR_CONCAVE if below else SchurMode.SPLIT_REGIONS,
-    )
+    mode = SchurMode.GLOBALLY_SCHUR_CONCAVE if below else SchurMode.SPLIT_REGIONS
+    return SymmetricReport(a, lambda0, tau, flip_level, threshold, boundary, mu, rate / tau, mode)

@@ -960,3 +960,54 @@ class TestLazyModules:
         assert out["import"] == self.CLI_IMPORT
         assert [tuple(run) for run in out["runs"]] == [GOLDEN[argv] for argv in argvs]
         assert out["added"] == [f"poisson_mac.{m}" for m in added]
+
+
+# Imports the CLI in a fresh interpreter, then runs each argv through main (a
+# SystemExit counts as its code); prints a JSON object with each run's exit
+# code and stdout, the modules the import and each run added to sys.modules
+# (so that site's own imports do not count), and the parser cache's misses
+# after each run.
+FRESH_ADDED = """
+import contextlib, io, json, sys
+
+seen = set(sys.modules)
+
+def added():
+    global seen
+    new, seen = sorted(set(sys.modules) - seen), set(sys.modules)
+    return new
+
+import poisson_mac.cli
+steps, runs, misses = [added()], [], []
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runs.append((poisson_mac.cli.main(argv.split()), out.getvalue()))
+        except SystemExit as exc:
+            runs.append((exc.code, out.getvalue()))
+    steps.append(added())
+    misses.append(poisson_mac.cli._build_parser.cache_info().misses)
+print(json.dumps({"runs": runs, "added": steps, "misses": misses}))
+"""
+
+
+class TestLeanStart:
+    HEAVY = {"dataclasses", "inspect", "argparse"}
+    COMMANDS = (*TestLazyNumpy.IN_REGIME, "converge --a1 10 --a2 12 --taus 1e-3,1e-4,1e-5")
+
+    def test_import_and_in_regime_commands_load_no_dataclasses_or_argparse(self):
+        out = json.loads(fresh_python(FRESH_ADDED, *self.COMMANDS).stdout)
+        assert [tuple(run) for run in out["runs"]] == [GOLDEN[argv] for argv in self.COMMANDS]
+        assert "poisson_mac.cli" in out["added"][0]
+        assert [sorted(self.HEAVY & set(step)) for step in out["added"]] == [[]] * (1 + len(self.COMMANDS))
+        assert out["misses"] == [0] * len(self.COMMANDS)
+
+    @pytest.mark.parametrize("argv, code", [("solve --help", 0), ("solve --a1 10 --no-such-flag 1", 2)])
+    def test_help_or_a_usage_error_builds_the_parser_on_first_need(self, argv, code):
+        solve = "solve --a1 10 --a2 12 --lambda0 0.001 --tau 0.02"
+        out = json.loads(fresh_python(FRESH_ADDED, solve, argv, argv, solve).stdout)
+        assert [run[0] for run in out["runs"]] == [0, code, code, 0]
+        assert out["runs"][3][1] == GOLDEN[solve][1]
+        assert (out["runs"][1][1].startswith("usage: poisson-mac solve")) == (code == 0)
+        assert ["argparse" in step for step in out["added"]] == [False, False, True, False, False]
+        assert out["misses"] == [0, 1, 1, 1]

@@ -357,7 +357,7 @@ def hexes(value):
     equal means bit for bit equal, NaN included."""
     if value is None:
         return None
-    fields = vars(value).values() if hasattr(value, "__dataclass_fields__") else (value,)
+    fields = value if hasattr(value, "_fields") else (value,)  # a record's fields, else the one value
     return tuple(float.hex(v) if isinstance(v, float) else v for v in fields)
 
 
@@ -413,6 +413,9 @@ class TestSolveSymmetric:
         return cases
 
     def test_report_agrees_with_the_public_helpers(self):
+        # hexes reads a record field by field: a report is not one opaque value
+        assert len(hexes(solve_symmetric(10.0, LAMBDA0, TAU))) == 9
+        assert len(hexes(peak_threshold(LAMBDA0, TAU))) == 4
         sides = {True: 0, False: 0}
         for a, lambda0, tau in self.channels():
             thr = peak_threshold(lambda0, tau)
