@@ -34,8 +34,10 @@ _HOMES = {
         "continuous": (
             "ContinuousParams ConvergenceRow cont_capacity cont_f cont_g cont_mutual_info_rate convergence_report"
         ),
-        "gridsearch": "GridResult GridSpec fd_gradient fd_hessian grid_capacity miso_pmf_enumeration",
-        "miso": "JointPmf MisoConfig MisoReport NuPmf miso_mutual_info nu_pmf solve_miso subset_rates",
+        "gridsearch": "GridResult GridSpec fd_gradient fd_hessian grid_capacity",
+        "miso": (
+            "JointPmf MisoConfig MisoReport NuPmf miso_mutual_info miso_pmf_enumeration nu_pmf solve_miso subset_rates"
+        ),
         "siso": (
             "Candidate IntersectionSearch LineCoefficients SolveBatch SolveReport Strategy"
             " SufficiencyRecord f_mac find_intersections g_mac regime_fraction_rule single_user_duty solve"

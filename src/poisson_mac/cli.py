@@ -30,15 +30,14 @@ applies --strict and writes the CSV.  A sweep grid of more than MAX_GRID
 values, in one range or in all its rows, is refused before it is built.
 
 Importing this module runs only the package, _numpy, channel, siso and this
-module, and imports neither numpy (see _numpy.py) nor dataclasses (the
-records of channel and siso are NamedTuples) nor argparse (see above).  The
-other library modules load when a command first needs them: symmetric for
-symmetric, miso for solve-miso, continuous for converge and sweep-peak's
-tau = 0 rows, and gridsearch (with miso, numpy and dataclasses) for solve's
-out-of-regime check.  In regime, solve, intersections, symmetric, solve-miso
-and converge run on the math module alone, so a process that runs only those
-never loads numpy or dataclasses; the sweeps and the out-of-regime checks
-load numpy on first use.
+module, and imports neither numpy (see _numpy.py) nor argparse (see above).
+The other library modules load when a command first needs them: symmetric
+for symmetric, miso for solve-miso, continuous for converge and sweep-peak's
+tau = 0 rows, and gridsearch (with numpy) for solve's out-of-regime check.
+No command loads dataclasses: every record is a NamedTuple.  In regime,
+solve, intersections, symmetric, solve-miso and converge run on the math
+module alone, so a process that runs only those never loads numpy; the
+sweeps and the out-of-regime checks load numpy on first use.
 
 Exit status: 0 on success, 2 on a validation error (the message names the
 offending field), 3 when --strict is set and an instance is out of regime

@@ -4,29 +4,24 @@ Brute-force baselines the closed-form solvers are checked against.
 Nothing here knows about stationarity curves: the capacity oracle is a plain
 vectorized grid over the duty square with local refinement, reported together
 with an error bound derived from an empirical gradient bound, and the
-derivative oracles are central finite differences.  The multi-antenna oracle
-exhaustively scans the one-parameter family of joint PMFs that share given
-marginals (two antennas per user), which brackets the staircase construction.
+derivative oracles are central finite differences.
 
 The grid maximiser, _grid_max, takes any vectorized objective (the tests
 run it on the continuous rate too).  The grid rates its cells with
 channel._weighted_rate, its full pass on duty weights that _lattice builds
-once per step, and it and the PMF enumeration take entropies from
-siso._entropy_many on numpy's logs, so a cell whose slot probability rounds
-outside [0, 1] is NaN, which never wins a maximum.
+once per step, and takes entropies from siso._entropy_many on numpy's logs,
+so a cell whose slot probability rounds outside [0, 1] is NaN, which never
+wins a maximum.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from typing import Callable
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 from ._numpy import np
 from .channel import ChannelParams, DutyPair, HitProbs, _grad_terms, _weighted_rate, _weights, hit_probs, mutual_info
-from .miso import MisoConfig, subset_rates
-from .siso import TOP_CELLS, _entropy_many
+from .siso import _entropy_many
 
 __all__ = [
     "GridSpec",
@@ -34,41 +29,47 @@ __all__ = [
     "grid_capacity",
     "fd_gradient",
     "fd_hessian",
-    "miso_pmf_enumeration",
 ]
 
 SAFETY_FACTOR = 1.5
+TOP_CELLS = 5  # incumbents _grid_max refines
 FD_GRADIENT_STEP = 1e-6  # fd_gradient's central-difference step
 FD_HESSIAN_STEP = 1e-4  # fd_hessian's
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class _GridFields(NamedTuple):
+    step: float
+    refine_rounds: int
+
+
+class GridSpec(_GridFields):
     """Initial step and number of tenfold local refinements."""
 
-    step: float = 1e-2
-    refine_rounds: int = 3
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace and _make check too
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.step <= 0.1:
-            raise ValueError(f"step must lie in (0, 0.1], got {self.step}")
-        if not 0 <= self.refine_rounds <= 6:
-            raise ValueError(f"refine_rounds must lie in [0, 6], got {self.refine_rounds}")
+    def __new__(cls, step: float = 1e-2, refine_rounds: int = 3) -> GridSpec:
+        if not 0.0 < step <= 0.1:
+            raise ValueError(f"step must lie in (0, 0.1], got {step}")
+        if not isinstance(refine_rounds, int):
+            raise ValueError(f"refine_rounds must be an integer, got {refine_rounds}")
+        if not 0 <= refine_rounds <= 6:
+            raise ValueError(f"refine_rounds must lie in [0, 6], got {refine_rounds}")
+        return tuple.__new__(cls, (step, refine_rounds))
 
     @property
     def final_step(self) -> float:
         return self.step / 10.0**self.refine_rounds
 
 
-@dataclass(frozen=True)
-class GridResult:
+class GridResult(NamedTuple):
     """Best grid value with its resolution-derived error bound.
 
-    error_bound = gradient_bound * final_step, where gradient_bound is the
-    largest gradient norm seen on the coarse grid inflated by a safety factor.
-    The true capacity lies in [capacity, capacity + error_bound].  The
-    gradient bound costs a second full pass, so it is computed on first read:
-    a caller that reads only capacity and duty never pays for it.
+    error_bound = gradient_bound * spec.final_step, where gradient_bound is
+    the largest gradient norm seen on the coarse grid inflated by a safety
+    factor.  The true capacity lies in [capacity, capacity + error_bound].
+    The gradient bound costs a second full pass on each read, so a caller
+    that reads only capacity and duty never pays for it.
     """
 
     capacity: float
@@ -77,10 +78,6 @@ class GridResult:
     spec: GridSpec
 
     @property
-    def final_step(self) -> float:
-        return self.spec.final_step
-
-    @cached_property
     def gradient_bound(self) -> float:
         """SAFETY_FACTOR times the largest gradient norm on the coarse grid."""
         hp, tau = hit_probs(self.params), self.params.tau
@@ -89,7 +86,7 @@ class GridResult:
 
     @property
     def error_bound(self) -> float:
-        return self.gradient_bound * self.final_step
+        return self.gradient_bound * self.spec.final_step
 
 
 def _rate_grid(hp: HitProbs, tau: float, m1: np.ndarray, m2: np.ndarray, w: tuple | None = None) -> np.ndarray:
@@ -217,50 +214,3 @@ def fd_hessian(params: ChannelParams, duty: DutyPair) -> tuple[tuple[float, floa
         + f(mu1 - h, mu2 - h)
     ) / (4.0 * h * h)
     return ((h11, h12), (h12, h22))
-
-
-def _marginal_family(duties: list[float], step: float) -> np.ndarray:
-    """All joint PMFs of one user with the given marginals, rows = PMFs.
-
-    One antenna pins the PMF; with two, the both-on mass t is free on
-    [max(0, mu_a + mu_b - 1), min(mu_a, mu_b)] and is scanned at the step.
-    """
-    if len(duties) == 1:
-        mu = duties[0]
-        return np.array([[1.0 - mu, mu]])
-    mu_a, mu_b = duties
-    lo = max(0.0, mu_a + mu_b - 1.0)
-    hi = min(mu_a, mu_b)
-    n = max(1, int(math.ceil((hi - lo) / step))) if hi > lo else 0
-    t = np.linspace(lo, hi, n + 1)
-    return np.column_stack([1.0 - mu_a - mu_b + t, mu_a - t, mu_b - t, t])
-
-
-def miso_pmf_enumeration(
-    config: MisoConfig,
-    duties_user1: list[float],
-    duties_user2: list[float],
-    step: float = 1e-3,
-) -> float:
-    """Best joint mutual information over every PMF pair with the given marginals.
-
-    Supports one or two antennas per user, where the feasible set given
-    marginals is at most one-dimensional per user.
-    """
-    if len(config.peaks_user1) > 2 or len(config.peaks_user2) > 2:
-        raise ValueError("enumeration supports at most two antennas per user")
-    if len(duties_user1) != len(config.peaks_user1) or len(duties_user2) != len(
-        config.peaks_user2
-    ):
-        raise ValueError("one duty per antenna is required")
-    q1 = _marginal_family(duties_user1, step)
-    q2 = _marginal_family(duties_user2, step)
-    rates = (
-        subset_rates(config.peaks_user1)[:, None]
-        + subset_rates(config.peaks_user2)[None, :]
-        + config.lambda0
-    )
-    hits = -np.expm1(-rates * config.tau)
-    ph = q1 @ hits @ q2.T
-    mix = q1 @ _entropy_many(hits, np) @ q2.T
-    return float(np.max(np.fmax(_entropy_many(ph, np) - mix, -np.inf)))  # a NaN cell never wins

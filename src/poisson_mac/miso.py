@@ -18,7 +18,10 @@ per-antenna duty cycles.  Two structural facts collapse the problem:
 
 Both hold when tau <= ln2 / (total peak + lambda0).  The solver below applies
 the reduction; the staircase construction and the joint objective are exposed
-for direct evaluation and for oracle-style verification.
+for direct evaluation and for oracle-style verification.  The oracle,
+miso_pmf_enumeration, scans every joint PMF with given marginals (at most two
+antennas per user), which brackets the staircase construction; it and
+miso_mutual_info rate PMF pairs through one kernel, _joint_terms.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "nu_pmf",
     "subset_rates",
     "miso_mutual_info",
+    "miso_pmf_enumeration",
     "solve_miso",
 ]
 
@@ -133,6 +137,14 @@ class NuPmf(NamedTuple):
         return JointPmf(masses=tuple(dense))
 
 
+def _unit_duties(duties: Sequence[float]) -> list[float]:
+    """duties as a list, or ValueError if one lies outside [0, 1] (or is NaN)."""
+    duties = list(duties)
+    if any(not 0.0 <= d <= 1.0 for d in duties):
+        raise ValueError(f"duties must lie in [0, 1], got {duties}")
+    return duties
+
+
 def nu_pmf(duties: Sequence[float]) -> NuPmf:
     """Best joint PMF for the given per-antenna duty cycles.
 
@@ -140,9 +152,7 @@ def nu_pmf(duties: Sequence[float]) -> NuPmf:
     nested chain empty set, {first}, {first, second}, ...; mass of each prefix
     is the duty gap it spans.  Ties are broken by ascending antenna index.
     """
-    duties = list(duties)
-    if any(not 0.0 <= d <= 1.0 for d in duties):
-        raise ValueError(f"duties must lie in [0, 1], got {duties}")
+    duties = _unit_duties(duties)
     order = sorted(range(len(duties)), key=lambda j: (-duties[j], j))
     support = [0]
     masses = [1.0 - (duties[order[0]] if order else 0.0)]
@@ -165,30 +175,66 @@ def subset_rates(peaks: Sequence[float]) -> np.ndarray:
 
 
 def _dense_masses(q: JointPmf | NuPmf, n_antennas: int) -> np.ndarray:
+    """The masses of q as a one-row matrix."""
     if isinstance(q, NuPmf):
         q = q.to_joint()
     if q.n_antennas != n_antennas:
-        raise ValueError(
-            f"PMF covers {q.n_antennas} antennas, config has {n_antennas}"
-        )
-    return np.asarray(q.masses)
+        raise ValueError(f"PMF covers {q.n_antennas} antennas, config has {n_antennas}")
+    return np.array([q.masses])
 
 
-def miso_mutual_info(
-    config: MisoConfig, q1: JointPmf | NuPmf, q2: JointPmf | NuPmf
-) -> float:
-    """Per-slot mutual information for arbitrary joint on/off PMFs of both users;
-    the hit levels' entropies come from siso's batch kernel on numpy's logs."""
-    m1 = _dense_masses(q1, len(config.peaks_user1))
-    m2 = _dense_masses(q2, len(config.peaks_user2))
-    r1 = subset_rates(config.peaks_user1)
-    r2 = subset_rates(config.peaks_user2)
-    rates = r1[:, None] + r2[None, :] + config.lambda0
+def _joint_terms(config: MisoConfig, q1_rows: np.ndarray, q2_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slot hit probability q1 @ hits @ q2.T and entropy mixture q1 @ H @ q2.T of every
+    pair of joint PMFs, one per row of q1_rows and q2_rows: hits holds the hit level of
+    every pair of on-sets, H their entropies from siso's batch kernel on numpy's logs."""
+    rates = subset_rates(config.peaks_user1)[:, None] + subset_rates(config.peaks_user2)[None, :] + config.lambda0
     hits = -np.expm1(-rates * config.tau)
-    weights = m1[:, None] * m2[None, :]
-    ph = float(np.sum(weights * hits))
-    mix = float(np.sum(weights * _entropy_many(hits, np)))
-    return binary_entropy(ph) - mix
+    return q1_rows @ hits @ q2_rows.T, q1_rows @ _entropy_many(hits, np) @ q2_rows.T
+
+
+def miso_mutual_info(config: MisoConfig, q1: JointPmf | NuPmf, q2: JointPmf | NuPmf) -> float:
+    """Per-slot mutual information for arbitrary joint on/off PMFs of both users."""
+    ph, mix = _joint_terms(
+        config, _dense_masses(q1, len(config.peaks_user1)), _dense_masses(q2, len(config.peaks_user2))
+    )
+    return binary_entropy(float(ph[0, 0])) - float(mix[0, 0])
+
+
+def _marginal_family(duties: Sequence[float], step: float) -> np.ndarray:
+    """All joint PMFs of one user with the given marginals, rows = PMFs.
+
+    One antenna pins the PMF; with two, the both-on mass t is free on
+    [max(0, mu_a + mu_b - 1), min(mu_a, mu_b)] and is scanned at the step.
+    """
+    duties = _unit_duties(duties)
+    if len(duties) == 1:
+        mu = duties[0]
+        return np.array([[1.0 - mu, mu]])
+    mu_a, mu_b = duties
+    lo = max(0.0, mu_a + mu_b - 1.0)
+    hi = min(mu_a, mu_b)
+    n = max(1, int(math.ceil((hi - lo) / step))) if hi > lo else 0
+    t = np.linspace(lo, hi, n + 1)
+    return np.column_stack([1.0 - mu_a - mu_b + t, mu_a - t, mu_b - t, t])
+
+
+def miso_pmf_enumeration(
+    config: MisoConfig, duties_user1: Sequence[float], duties_user2: Sequence[float], step: float = 1e-3
+) -> float:
+    """Best joint mutual information over every PMF pair with the given marginals.
+
+    Supports one or two antennas per user, where the feasible set given
+    marginals is at most one-dimensional per user; step in (0, 1] is the
+    scan's step of the both-on mass.
+    """
+    if len(config.peaks_user1) > 2 or len(config.peaks_user2) > 2:
+        raise ValueError("enumeration supports at most two antennas per user")
+    if (len(duties_user1), len(duties_user2)) != (len(config.peaks_user1), len(config.peaks_user2)):
+        raise ValueError("one duty per antenna is required")
+    if not 0.0 < step <= 1.0:
+        raise ValueError(f"step must lie in (0, 1], got {step}")
+    ph, mix = _joint_terms(config, _marginal_family(duties_user1, step), _marginal_family(duties_user2, step))
+    return float(np.max(np.fmax(_entropy_many(ph, np) - mix, -np.inf)))  # a NaN cell never wins
 
 
 class MisoReport(NamedTuple):

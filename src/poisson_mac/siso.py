@@ -86,7 +86,6 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-12
-TOP_CELLS = 5  # incumbents refined by gridsearch._grid_max
 SCAN_POINTS = 33  # equispaced samples of g - f on [0, 1] out of regime
 
 

@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from poisson_mac.channel import DutyPair, HitProbs, _rate
-from poisson_mac.siso import TOP_CELLS, _curves_many, _entropy_many
+from poisson_mac.gridsearch import TOP_CELLS
+from poisson_mac.siso import _curves_many, _entropy_many
 
 
 def profile_of(hp: HitProbs, tau: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:

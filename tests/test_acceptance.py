@@ -23,14 +23,8 @@ from poisson_mac.channel import (
     mutual_info,
 )
 from poisson_mac.continuous import ContinuousParams, cont_capacity
-from poisson_mac.gridsearch import (
-    GridSpec,
-    fd_gradient,
-    fd_hessian,
-    grid_capacity,
-    miso_pmf_enumeration,
-)
-from poisson_mac.miso import MisoConfig, miso_mutual_info, nu_pmf, solve_miso
+from poisson_mac.gridsearch import GridSpec, fd_gradient, fd_hessian, grid_capacity
+from poisson_mac.miso import MisoConfig, miso_mutual_info, miso_pmf_enumeration, nu_pmf, solve_miso
 from poisson_mac.siso import (
     Strategy,
     find_intersections,

@@ -952,7 +952,7 @@ class TestLazyModules:
             (("solve-miso --peaks1 5,5 --peaks2 6,6 --tau 0.02",), ["miso"]),
             (("converge --a1 10 --a2 12 --taus 1e-3,1e-4,1e-5",), ["continuous"]),
             (("sweep-peak --a1 10 --a2 5:10:5 --tau 0",), ["continuous"]),
-            (("solve --a1 10 --a2 30 --tau 0.02",), ["gridsearch", "miso"]),
+            (("solve --a1 10 --a2 30 --tau 0.02",), ["gridsearch"]),
         ],
     )
     def test_each_command_loads_only_the_modules_it_calls(self, argvs, added):
@@ -1001,6 +1001,14 @@ class TestLeanStart:
         assert "poisson_mac.cli" in out["added"][0]
         assert [sorted(self.HEAVY & set(step)) for step in out["added"]] == [[]] * (1 + len(self.COMMANDS))
         assert out["misses"] == [0] * len(self.COMMANDS)
+
+    def test_out_of_regime_solve_loads_the_grid_but_no_dataclasses_or_miso(self):
+        # numpy imports inspect itself, so only dataclasses is checked.
+        argv = "solve --a1 10 --a2 30 --tau 0.02"
+        out = json.loads(fresh_python(FRESH_ADDED, argv).stdout)
+        assert [tuple(run) for run in out["runs"]] == [GOLDEN[argv]]
+        assert "poisson_mac.gridsearch" in out["added"][1]
+        assert [sorted({"dataclasses", "poisson_mac.miso"} & set(step)) for step in out["added"]] == [[], []]
 
     @pytest.mark.parametrize("argv, code", [("solve --help", 0), ("solve --a1 10 --no-such-flag 1", 2)])
     def test_help_or_a_usage_error_builds_the_parser_on_first_need(self, argv, code):

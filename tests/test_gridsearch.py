@@ -2,20 +2,15 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from poisson_mac import gridsearch, siso
 from poisson_mac.channel import ChannelParams, DutyPair, _rate, _weights, grad_mutual_info, hit_probs, mutual_info
-from poisson_mac.gridsearch import (
-    GridSpec,
-    _grid_max,
-    fd_gradient,
-    grid_capacity,
-    miso_pmf_enumeration,
-)
-from poisson_mac.miso import MisoConfig, miso_mutual_info, nu_pmf
+from poisson_mac.gridsearch import GridSpec, _grid_max, fd_gradient, grid_capacity
+from poisson_mac.miso import MisoConfig, miso_mutual_info, miso_pmf_enumeration, nu_pmf
 from poisson_mac.siso import solve
 from poisson_mac.symmetric import symmetric_fixed_point
 
@@ -78,7 +73,7 @@ class TestGridCapacity:
     def test_error_bound_reported(self):
         result = grid_capacity(FIG2, GridSpec(step=1e-2, refine_rounds=2))
         assert result.error_bound == pytest.approx(
-            result.gradient_bound * result.final_step
+            result.gradient_bound * result.spec.final_step
         )
         assert result.error_bound > 0
 
@@ -276,6 +271,8 @@ class TestFiniteDifferences:
 
 
 class TestPmfEnumeration:
+    """miso.miso_pmf_enumeration, the multi-antenna oracle."""
+
     def test_matches_staircase_within_resolution(self):
         config = MisoConfig((5.0, 5.0), (6.0, 6.0), 0.001, 0.02)
         d1, d2 = [0.45, 0.6], [0.3, 0.8]
@@ -294,3 +291,21 @@ class TestPmfEnumeration:
         config = MisoConfig((1.0, 1.0, 1.0), (1.0,), 0.001, 0.01)
         with pytest.raises(ValueError):
             miso_pmf_enumeration(config, [0.1, 0.2, 0.3], [0.5])
+
+    @pytest.mark.parametrize(
+        "duties, message",
+        [
+            (([1.5], [0.3]), "duties must lie in [0, 1], got [1.5]"),
+            (([0.3], [-0.5]), "duties must lie in [0, 1], got [-0.5]"),
+            (([0.3], [math.nan]), "duties must lie in [0, 1], got [nan]"),
+        ],
+    )
+    def test_rejects_duties_outside_the_unit_interval(self, duties, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            miso_pmf_enumeration(MisoConfig((5.0,), (6.0,), 1e-3, 0.02), *duties)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, 1.5, math.inf, math.nan])
+    def test_rejects_a_step_outside_the_unit_interval(self, step):
+        config = MisoConfig((5.0, 5.0), (6.0,), 1e-3, 0.02)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'step must lie in (0, 1], got {step}')}$"):
+            miso_pmf_enumeration(config, [0.3, 0.4], [0.5], step=step)

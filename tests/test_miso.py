@@ -5,11 +5,11 @@ import random
 import pytest
 
 from poisson_mac.channel import ChannelParams, DutyPair, mutual_info
-from poisson_mac.gridsearch import miso_pmf_enumeration
 from poisson_mac.miso import (
     JointPmf,
     MisoConfig,
     miso_mutual_info,
+    miso_pmf_enumeration,
     nu_pmf,
     solve_miso,
     subset_rates,
@@ -168,30 +168,35 @@ class TestSolveMiso:
             on_mass = dense[-1]
             assert dense[0] + on_mass == pytest.approx(1.0, abs=1e-15)
 
-    def test_grid_over_duty_vectors_never_beats_reduction(self):
+    @pytest.mark.parametrize(
+        "config", [CFG_2X2, MisoConfig((5.0, 5.0), (6.0, 6.0), 0.001, 0.1)], ids=["in-regime", "out-of-regime"]
+    )
+    def test_grid_over_duty_vectors_never_beats_reduction(self, config):
         # Brute-force per-antenna duties (staircase inner PMF) on a coarse
-        # grid; the summed-peak reduction must dominate.  The objective is
-        # evaluated in batch: with masses Q stacked row-wise, the mixed hit
-        # probability for every PMF pair is Q1 @ hits @ Q2.T.
+        # grid; the summed-peak reduction must dominate, out of regime too
+        # (tau is 3.2 times the bound there).  The objective is evaluated in
+        # batch: with masses Q stacked row-wise, the mixed hit probability
+        # for every PMF pair is Q1 @ hits @ Q2.T.
         import numpy as np
 
-        report = solve_miso(CFG_2X2)
+        report = solve_miso(config)
+        assert report.regime_ok == (config is CFG_2X2)
         step = 0.05
         levels = [k * step for k in range(int(round(1 / step)) + 1)]
         stacked = np.array(
             [nu_pmf([d1, d2]).to_joint().masses for d1 in levels for d2 in levels]
         )
         rates = (
-            subset_rates(CFG_2X2.peaks_user1)[:, None]
-            + subset_rates(CFG_2X2.peaks_user2)[None, :]
-            + CFG_2X2.lambda0
+            subset_rates(config.peaks_user1)[:, None]
+            + subset_rates(config.peaks_user2)[None, :]
+            + config.lambda0
         )
-        hits = -np.expm1(-rates * CFG_2X2.tau)
+        hits = -np.expm1(-rates * config.tau)
         ent = -hits * np.log(hits) - (1 - hits) * np.log1p(-hits)
         ph = stacked @ hits @ stacked.T
         mix = stacked @ ent @ stacked.T
         best = float(np.max(-ph * np.log(ph) - (1 - ph) * np.log1p(-ph) - mix))
-        assert best / CFG_2X2.tau <= report.capacity + 1e-9
+        assert best / config.tau <= report.capacity + 1e-9
 
     def test_equal_duties_maximize_nu_family_at_fixed_sum(self):
         # Among duty vectors with the same per-user total, the aligned equal

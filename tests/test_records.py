@@ -10,6 +10,7 @@ import pytest
 from poisson_mac import channel
 from poisson_mac.channel import ChannelParams, DutyPair, HitProbs, binary_entropy, hit_probs
 from poisson_mac.continuous import ContinuousParams, ConvergenceRow, convergence_report
+from poisson_mac.gridsearch import GridResult, GridSpec, grid_capacity
 from poisson_mac.miso import JointPmf, MisoConfig, MisoReport, NuPmf, solve_miso
 from poisson_mac.siso import (
     Candidate,
@@ -26,7 +27,7 @@ from poisson_mac.symmetric import BoundaryHalfSums, SymmetricReport, ThresholdSe
 
 FIG2 = ChannelParams(10.0, 12.0, 0.001, 0.02)
 
-# Each record's fields in the order the dataclasses declared them.
+# Each record's fields, written out.
 FIELDS = {
     ChannelParams: ("a1", "a2", "lambda0", "tau"),
     HitProbs: ("p1", "p2", "p3", "p4"),
@@ -48,6 +49,8 @@ FIELDS = {
     MisoReport: ("capacity", "duty_user1", "duty_user2", "pmf_user1", "pmf_user2", "siso", "regime_ok"),
     ContinuousParams: ("a1", "a2", "lambda0"),
     ConvergenceRow: ("tau", "capacity", "duty", "cont_capacity", "cont_duty", "gap", "rel_gap", "report"),
+    GridSpec: ("step", "refine_rounds"),
+    GridResult: ("capacity", "duty", "params", "spec"),
 }
 
 
@@ -55,6 +58,7 @@ def samples():
     """One instance of each record, as the library builds it where it can."""
     report, sym = solve(FIG2), solve_symmetric(10.0, 0.001, 0.02)
     miso = solve_miso(MisoConfig((5.0, 5.0), (6.0, 6.0), 0.001, 0.02))
+    grid = grid_capacity(FIG2, GridSpec(1e-2, 0))
     assert sym.boundary is not None and report.search.points
     return [
         FIG2,
@@ -75,6 +79,8 @@ def samples():
         miso,
         ContinuousParams(10.0, 12.0, 0.001),
         convergence_report(10.0, 12.0, 0.001, [1e-3])[0],
+        grid.spec,
+        grid,
     ]
 
 
@@ -141,6 +147,10 @@ REJECTED = [
     (lambda: JointPmf((0.5, 0.25, 0.25)), "masses length must be a power of two, got 3"),
     (lambda: JointPmf(masses=(1.5, -0.5)), "PMF masses must be nonnegative"),
     (lambda: JointPmf((0.25, 0.25)), "PMF masses must sum to 1, got 0.5"),
+    (lambda: GridSpec(0.0), "step must lie in (0, 0.1], got 0.0"),
+    (lambda: GridSpec(step=math.nan), "step must lie in (0, 0.1], got nan"),
+    (lambda: GridSpec(refine_rounds=7), "refine_rounds must lie in [0, 6], got 7"),
+    (lambda: GridSpec(1e-2, 2.5), "refine_rounds must be an integer, got 2.5"),
 ]
 
 
@@ -158,6 +168,8 @@ def test_bad_input_is_rejected_with_the_same_message(build, message):
         (lambda: ContinuousParams(10.0, 12.0, 0.001)._replace(a2=0.0), "a2 must be positive, got 0.0"),
         (lambda: MisoConfig((5.0,), (6.0,), 0.001, 0.02)._replace(lambda0=math.inf), "lambda0 must be finite, got inf"),
         (lambda: JointPmf._make([(0.5, 0.25, 0.25)]), "masses length must be a power of two, got 3"),
+        (lambda: GridSpec()._replace(step=0.2), "step must lie in (0, 0.1], got 0.2"),
+        (lambda: GridSpec._make([1e-2, 2.5]), "refine_rounds must be an integer, got 2.5"),
     ],
 )
 def test_replace_and_make_check_as_the_constructor_does(build, message):
@@ -168,6 +180,10 @@ def test_replace_and_make_check_as_the_constructor_does(build, message):
 def test_replace_recomputes_the_entropies():
     hp = hit_probs(FIG2)._replace(p4=0.5)
     assert hp.entropies == (*hit_probs(FIG2).entropies[:3], binary_entropy(0.5))
+
+
+def test_grid_spec_defaults():
+    assert GridSpec() == GridSpec(step=1e-2, refine_rounds=3) == (1e-2, 3)
 
 
 def test_valid_edges_are_accepted():

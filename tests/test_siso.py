@@ -2,7 +2,6 @@
 
 import collections
 import contextlib
-import dataclasses
 import math
 import random
 import signal
@@ -586,7 +585,7 @@ class TestSolve:
 
         def above(params, spec):
             specs.append(spec)
-            return dataclasses.replace(real(params, spec), capacity=expected.capacity + margin)
+            return real(params, spec)._replace(capacity=expected.capacity + margin)
 
         monkeypatch.setattr(gridsearch, "grid_capacity", above)
         return expected, specs
