@@ -64,8 +64,10 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 from .channel import ChannelParams
 from .siso import Strategy, find_intersections, regime_fraction_rule, solve, solve_many, sweep_strategy_region
 
-if TYPE_CHECKING:  # else argparse loads with the parser (_build_parser)
-    import argparse
+if TYPE_CHECKING:
+    import argparse  # else argparse loads with the parser (_build_parser)
+
+    from .siso import SolveReport
 
 __all__ = ["main"]
 
@@ -230,13 +232,17 @@ SYMMETRIC_HEADER = ("a", "lambda0", "tau", "flip_level", "peak_threshold", "axis
 SYMMETRIC_HEADER += ("diagonal_half_sum", "fixed_point", "capacity", "schur_mode")
 
 
+def _solve_row(params: ChannelParams, report: SolveReport) -> tuple:
+    """The row of solve and solve-miso: the channel solved and its report."""
+    return (*params, report.capacity, *report.optimum, report.strategy.value, "true" if report.regime_ok else "false")
+
+
 def _cmd_solve(args: SimpleNamespace) -> Steps:
     params = _channel(args)
     yield lambda: params.in_regime
     report = solve(params)
     meta = {**params._asdict(), "intersections": len(report.search.points)}
-    row = (*params, report.capacity, report.optimum.mu1, report.optimum.mu2, report.strategy.value)
-    yield meta, SOLVE_HEADER, [(*row, "true" if report.regime_ok else "false")]
+    yield meta, SOLVE_HEADER, [_solve_row(params, report)]
 
 
 def _cmd_solve_miso(args: SimpleNamespace) -> Steps:
@@ -257,8 +263,7 @@ def _cmd_solve_miso(args: SimpleNamespace) -> Steps:
         "lambda0": config.lambda0,
         "tau": config.tau,
     }
-    row = (*config.as_siso(), report.capacity, report.duty_user1, report.duty_user2)
-    yield meta, SOLVE_HEADER, [(*row, report.siso.strategy.value, "true" if report.regime_ok else "false")]
+    yield meta, SOLVE_HEADER, [_solve_row(config.as_siso(), report)]
 
 
 def _cmd_intersections(args: SimpleNamespace) -> Steps:

@@ -2,26 +2,28 @@
 Multi-antenna users: joint on/off distributions and the reduction to one
 antenna per user.
 
-With J antennas per user the per-slot input is a subset of antennas switched
-on, so each user carries a PMF over 2^J subsets constrained to given
-per-antenna duty cycles.  Two structural facts collapse the problem:
+With J antennas per user the per-slot input is the subset S of antennas
+switched on, so each user carries a PMF over 2^J subsets.  The sum-rate
+capacity is the one-antenna-per-user capacity at the summed peaks
+(sum A_1j, sum A_2j), at every dead time, by the chord (Jensen) argument of
+Cover & Thomas, Elements of Information Theory, 2nd ed., section 2.6.  Fix
+user 2's PMF nu2.  A slot is empty with probability q0 E_nu1[q_S] E_nu2[q_T],
+where q_S = exp(-A_S tau) and q0 = exp(-lambda0 tau), so h(p_hat) depends on
+user 1's PMF nu1 only through m = E_nu1[q_S].  The rest of I is
+-E_nu1[phi(q_S)], where phi(q) = E_nu2[h(1 - q0 q q_T)] is concave: h is, and
+its argument is affine in q.  On [q_all, 1] a concave phi lies above its
+chord, so the all-on/all-off PMF with mean m keeps h(p_hat) and has the least
+E[phi]: collapsing nu1 to it never lowers I.  Doing the same for user 2
+leaves the one-antenna channel at the summed peaks.
 
-* For fixed duty cycles the best joint PMF is the staircase distribution
-  whose support is the nested chain of subsets obtained by switching antennas
-  on in order of decreasing duty cycle; its masses are the consecutive duty
-  differences.  (Whenever a lower-duty antenna is on, every higher-duty one is
-  on too.)
-* Across duty cycles, the optimum gives every antenna of a user the same
-  duty, making the staircase a two-point all-on/all-off PMF.  The receiver
-  then sees a single antenna at the summed peak rate, so the capacity equals
-  the one-antenna-per-user capacity at peaks (sum A_1j, sum A_2j).
-
-Both hold when tau <= ln2 / (total peak + lambda0).  The solver below applies
-the reduction; the staircase construction and the joint objective are exposed
-for direct evaluation and for oracle-style verification.  The oracle,
-miso_pmf_enumeration, scans every joint PMF with given marginals (at most two
-antennas per user), which brackets the staircase construction; it and
-miso_mutual_info rate PMF pairs through one kernel, _joint_terms.
+The argument does not use the paper's condition tau <= ln2 / (total peak +
+lambda0), under which g is convex and siso's curve search exact; solve_miso
+reports it as regime_ok.  For given per-antenna duties the best PMF is the
+staircase (nu_pmf), on the chain of on-sets that switch antennas on in order
+of decreasing duty, with the duty gaps as masses.  miso_mutual_info rates any
+PMF pair, and the oracle miso_pmf_enumeration every PMF pair with given
+marginals (at most two antennas per user), both through one kernel,
+_joint_terms.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from .siso import SolveReport, _entropy_many, solve
 __all__ = [
     "MisoConfig",
     "JointPmf",
-    "NuPmf",
-    "MisoReport",
     "nu_pmf",
     "subset_rates",
     "miso_mutual_info",
@@ -68,21 +68,20 @@ class MisoConfig(_MisoFields):
                 raise ValueError(f"{name} must list at least one antenna")
             if len(peaks) > MAX_ANTENNAS:
                 raise ValueError(f"{name} supports at most {MAX_ANTENNAS} antennas")
-            if any(a <= 0.0 for a in peaks):
-                raise ValueError(f"every peak in {name} must be positive")
             if not all(math.isfinite(a) for a in peaks):
                 raise ValueError(f"every peak in {name} must be finite")
+            if any(a <= 0.0 for a in peaks):
+                raise ValueError(f"every peak in {name} must be positive")
+            if not math.isfinite(total := sum(peaks)):  # the summed peak is the user's a1 or a2
+                raise ValueError(f"the sum of {name} must be finite, got {total}")
         self = tuple.__new__(cls, (peaks_user1, peaks_user2, lambda0, tau))
         _require_positive(self, ("lambda0", "tau"))
         return self
 
     @property
-    def total_peak(self) -> float:
-        return sum(self.peaks_user1) + sum(self.peaks_user2)
-
-    @property
     def in_regime(self) -> bool:
-        return self.tau <= math.log(2.0) / (self.total_peak + self.lambda0)
+        """Whether the summed-peak channel is in regime (ChannelParams.in_regime)."""
+        return self.as_siso().in_regime
 
     def as_siso(self) -> ChannelParams:
         """The equivalent one-antenna-per-user channel at the summed peaks."""
@@ -103,6 +102,8 @@ class JointPmf(_JointFields):
         n = len(masses)
         if n == 0 or n & (n - 1):
             raise ValueError(f"masses length must be a power of two, got {n}")
+        if not all(math.isfinite(m) for m in masses):
+            raise ValueError(f"PMF masses must be finite, got {masses}")
         if any(m < -PMF_TOL for m in masses):
             raise ValueError("PMF masses must be nonnegative")
         if abs(sum(masses) - 1.0) > PMF_TOL:
@@ -118,25 +119,6 @@ class JointPmf(_JointFields):
         return sum(m for i, m in enumerate(self.masses) if i >> j & 1)
 
 
-class NuPmf(NamedTuple):
-    """Staircase PMF: nested on-sets in decreasing-duty order.
-
-    order lists antenna indices by descending duty (ties by index); support
-    holds the cumulative subset indices, starting with the empty set; masses
-    are the consecutive duty differences and sum to one.
-    """
-
-    order: tuple[int, ...]
-    support: tuple[int, ...]
-    masses: tuple[float, ...]
-
-    def to_joint(self) -> JointPmf:
-        dense = [0.0] * (1 << len(self.order))
-        for idx, m in zip(self.support, self.masses):
-            dense[idx] += m
-        return JointPmf(masses=tuple(dense))
-
-
 def _unit_duties(duties: Sequence[float]) -> list[float]:
     """duties as a list, or ValueError if one lies outside [0, 1] (or is NaN)."""
     duties = list(duties)
@@ -145,24 +127,23 @@ def _unit_duties(duties: Sequence[float]) -> list[float]:
     return duties
 
 
-def nu_pmf(duties: Sequence[float]) -> NuPmf:
-    """Best joint PMF for the given per-antenna duty cycles.
+def nu_pmf(duties: Sequence[float]) -> JointPmf:
+    """Best joint PMF for the given per-antenna duty cycles: the staircase.
 
     Antennas switch on in order of decreasing duty, so the support is the
-    nested chain empty set, {first}, {first, second}, ...; mass of each prefix
-    is the duty gap it spans.  Ties are broken by ascending antenna index.
+    nested chain empty set, {first}, {first, second}, ...; the mass of each
+    on-set is the duty gap it spans.  Tied duties span a gap of 0, so the
+    order among them does not change the PMF.
     """
     duties = _unit_duties(duties)
-    order = sorted(range(len(duties)), key=lambda j: (-duties[j], j))
-    support = [0]
-    masses = [1.0 - (duties[order[0]] if order else 0.0)]
-    idx = 0
-    for k, j in enumerate(order):
+    masses = [0.0] * (1 << len(duties))
+    idx, prev = 0, 1.0
+    for j in sorted(range(len(duties)), key=lambda j: -duties[j]):
+        masses[idx] += prev - duties[j]
         idx |= 1 << j
-        nxt = duties[order[k + 1]] if k + 1 < len(order) else 0.0
-        support.append(idx)
-        masses.append(duties[j] - nxt)
-    return NuPmf(order=tuple(order), support=tuple(support), masses=tuple(masses))
+        prev = duties[j]
+    masses[idx] += prev
+    return JointPmf(tuple(masses))
 
 
 def subset_rates(peaks: Sequence[float]) -> np.ndarray:
@@ -174,10 +155,8 @@ def subset_rates(peaks: Sequence[float]) -> np.ndarray:
     return out
 
 
-def _dense_masses(q: JointPmf | NuPmf, n_antennas: int) -> np.ndarray:
+def _dense_masses(q: JointPmf, n_antennas: int) -> np.ndarray:
     """The masses of q as a one-row matrix."""
-    if isinstance(q, NuPmf):
-        q = q.to_joint()
     if q.n_antennas != n_antennas:
         raise ValueError(f"PMF covers {q.n_antennas} antennas, config has {n_antennas}")
     return np.array([q.masses])
@@ -192,7 +171,7 @@ def _joint_terms(config: MisoConfig, q1_rows: np.ndarray, q2_rows: np.ndarray) -
     return q1_rows @ hits @ q2_rows.T, q1_rows @ _entropy_many(hits, np) @ q2_rows.T
 
 
-def miso_mutual_info(config: MisoConfig, q1: JointPmf | NuPmf, q2: JointPmf | NuPmf) -> float:
+def miso_mutual_info(config: MisoConfig, q1: JointPmf, q2: JointPmf) -> float:
     """Per-slot mutual information for arbitrary joint on/off PMFs of both users."""
     ph, mix = _joint_terms(
         config, _dense_masses(q1, len(config.peaks_user1)), _dense_masses(q2, len(config.peaks_user2))
@@ -237,27 +216,12 @@ def miso_pmf_enumeration(
     return float(np.max(np.fmax(_entropy_many(ph, np) - mix, -np.inf)))  # a NaN cell never wins
 
 
-class MisoReport(NamedTuple):
-    """Reduction outcome: the equivalent one-antenna solve plus the expansion."""
+def solve_miso(config: MisoConfig) -> SolveReport:
+    """Capacity of the multi-antenna channel: the solve at the summed peaks.
 
-    capacity: float
-    duty_user1: float
-    duty_user2: float
-    pmf_user1: NuPmf
-    pmf_user2: NuPmf
-    siso: SolveReport
-    regime_ok: bool
-
-
-def solve_miso(config: MisoConfig) -> MisoReport:
-    """Capacity of the multi-antenna channel via the summed-peak reduction.
-
-    All antennas of a user share the optimal duty cycle and switch together,
-    so each user's PMF is the two-point all-on/all-off staircase and the
-    capacity equals the one-antenna solve at the summed peaks.  Out of regime
-    the equivalence is not guaranteed and the report is flagged.
+    Collapsing each user's joint PMF to all-on/all-off with the same mean
+    no-hit factor never lowers the rate, at any dead time (the chord argument
+    of the module docstring), so the antennas of a user switch together.  The
+    report's regime_ok is config.in_regime, the paper's condition.
     """
-    siso_report = solve(config.as_siso())
-    mu1, mu2 = siso_report.optimum
-    pmfs = nu_pmf([mu1] * len(config.peaks_user1)), nu_pmf([mu2] * len(config.peaks_user2))
-    return MisoReport(siso_report.capacity, mu1, mu2, *pmfs, siso_report, config.in_regime)
+    return solve(config.as_siso())

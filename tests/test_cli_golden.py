@@ -123,6 +123,14 @@ CASES = [
         "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
         "6,4,0.01,0.05,2.09109755316,0.35345942909,0.130552267742,BothActive,true\n",
     ),
+    # Out of regime without --strict: the row is printed and flagged.
+    (
+        "solve-miso --peaks1 10,10 --peaks2 10 --tau 0.03",
+        0,
+        "# command=solve-miso peaks1=10:10 peaks2=10 lambda0=0.001 tau=0.03\n"
+        "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
+        "20,10,0.001,0.03,6.55349515468,0.396073737387,0,OnlyUser1,false\n",
+    ),
     (
         "intersections --a1 1 --a2 20 --tau 0.02",
         0,

@@ -11,7 +11,7 @@ from poisson_mac import channel
 from poisson_mac.channel import ChannelParams, DutyPair, HitProbs, binary_entropy, hit_probs
 from poisson_mac.continuous import ContinuousParams, ConvergenceRow, convergence_report
 from poisson_mac.gridsearch import GridResult, GridSpec, grid_capacity
-from poisson_mac.miso import JointPmf, MisoConfig, MisoReport, NuPmf, solve_miso
+from poisson_mac.miso import JointPmf, MisoConfig
 from poisson_mac.siso import (
     Candidate,
     IntersectionSearch,
@@ -45,8 +45,6 @@ FIELDS = {
     ),
     MisoConfig: ("peaks_user1", "peaks_user2", "lambda0", "tau"),
     JointPmf: ("masses",),
-    NuPmf: ("order", "support", "masses"),
-    MisoReport: ("capacity", "duty_user1", "duty_user2", "pmf_user1", "pmf_user2", "siso", "regime_ok"),
     ContinuousParams: ("a1", "a2", "lambda0"),
     ConvergenceRow: ("tau", "capacity", "duty", "cont_capacity", "cont_duty", "gap", "rel_gap", "report"),
     GridSpec: ("step", "refine_rounds"),
@@ -57,7 +55,6 @@ FIELDS = {
 def samples():
     """One instance of each record, as the library builds it where it can."""
     report, sym = solve(FIG2), solve_symmetric(10.0, 0.001, 0.02)
-    miso = solve_miso(MisoConfig((5.0, 5.0), (6.0, 6.0), 0.001, 0.02))
     grid = grid_capacity(FIG2, GridSpec(1e-2, 0))
     assert sym.boundary is not None and report.search.points
     return [
@@ -75,8 +72,6 @@ def samples():
         sym,
         MisoConfig((5.0, 5.0), (6.0, 6.0), 0.001, 0.02),
         JointPmf((0.5, 0.25, 0.25, 0.0)),
-        miso.pmf_user1,
-        miso,
         ContinuousParams(10.0, 12.0, 0.001),
         convergence_report(10.0, 12.0, 0.001, [1e-3])[0],
         grid.spec,
@@ -143,10 +138,15 @@ REJECTED = [
     (lambda: MisoConfig((5.0,), (1.0,) * 17, 0.001, 0.02), "peaks_user2 supports at most 16 antennas"),
     (lambda: MisoConfig((5.0, 0.0), (6.0,), 0.001, 0.02), "every peak in peaks_user1 must be positive"),
     (lambda: MisoConfig((5.0,), (math.inf,), 0.001, 0.02), "every peak in peaks_user2 must be finite"),
+    (lambda: MisoConfig((-math.inf,), (6.0,), 0.001, 0.02), "every peak in peaks_user1 must be finite"),
+    (lambda: MisoConfig((1e308, 1e308), (1.0,), 0.001, 0.02), "the sum of peaks_user1 must be finite, got inf"),
+    (lambda: MisoConfig((5.0,), (1e308, 1e308), 0.001, 0.02), "the sum of peaks_user2 must be finite, got inf"),
     (lambda: MisoConfig((5.0,), (6.0,), 0.001, tau=0.0), "tau must be positive, got 0.0"),
     (lambda: JointPmf((0.5, 0.25, 0.25)), "masses length must be a power of two, got 3"),
     (lambda: JointPmf(masses=(1.5, -0.5)), "PMF masses must be nonnegative"),
     (lambda: JointPmf((0.25, 0.25)), "PMF masses must sum to 1, got 0.5"),
+    (lambda: JointPmf((math.nan, 1.0)), "PMF masses must be finite, got (nan, 1.0)"),
+    (lambda: JointPmf((math.nan, math.nan)), "PMF masses must be finite, got (nan, nan)"),
     (lambda: GridSpec(0.0), "step must lie in (0, 0.1], got 0.0"),
     (lambda: GridSpec(step=math.nan), "step must lie in (0, 0.1], got nan"),
     (lambda: GridSpec(refine_rounds=7), "refine_rounds must lie in [0, 6], got 7"),
@@ -189,7 +189,8 @@ def test_grid_spec_defaults():
 def test_valid_edges_are_accepted():
     assert DutyPair(0.0, 1.0) == (0.0, 1.0)
     assert JointPmf((1.0 + 5e-10, -5e-10)).n_antennas == 1
-    assert MisoConfig((1.0,) * 16, (2.0,), 0.001, 0.02).total_peak == 18.0
+    assert MisoConfig((1.0,) * 16, (2.0,), 0.001, 0.02).as_siso() == (16.0, 2.0, 0.001, 0.02)
+    assert MisoConfig((8e307, 8e307), (1e308,), 0.001, 0.02).as_siso() == (1.6e308, 1e308, 0.001, 0.02)
 
 
 class TestHitProbsEntropies:
