@@ -22,7 +22,7 @@ logarithms throughout.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "ChannelParams",
@@ -47,16 +47,16 @@ def hit_prob(x: float, tau: float) -> float:
 
     Evaluated as -expm1(-x*tau) so small x*tau keeps full relative precision.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"rate x must be nonnegative, got {x}")
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     return -math.expm1(-x * tau)
 
 
 def binary_entropy(q: float) -> float:
     """Binary entropy -q ln q - (1-q) ln(1-q) in nats, with h(0) = h(1) = 0."""
-    if q < 0.0 or q > 1.0:
+    if not 0.0 <= q <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {q}")
     if q == 0.0 or q == 1.0:
         return 0.0
@@ -65,14 +65,14 @@ def binary_entropy(q: float) -> float:
 
 def entropy_slope(q: float) -> float:
     """Derivative of binary_entropy, ln((1-q)/q); defined on open (0, 1)."""
-    if q <= 0.0 or q >= 1.0:
+    if not 0.0 < q < 1.0:
         raise ValueError(f"entropy_slope needs q in (0, 1), got {q}")
     return math.log1p(-q) - math.log(q)
 
 
 def phi(x: float) -> float:
     """x ln x with the continuity extension phi(0) = 0."""
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"phi needs x >= 0, got {x}")
     if x == 0.0:
         return 0.0
@@ -84,20 +84,28 @@ def alpha_cont(x: float) -> float:
 
     Equals ((1+x)^(1+1/x) / e - 1) / x; tends to 1/e as x -> infinity.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"alpha_cont needs x > 0, got {x}")
     return (math.exp((1.0 + 1.0 / x) * math.log1p(x) - 1.0) - 1.0) / x
 
 
-def _require_positive(record: object, names: tuple[str, ...], lambda0_hint: str = "") -> None:
-    """Reject the first named field that is infinite or NaN, else the first
-    not above 0, with lambda0_hint after a lambda0's message."""
-    for name in names:
-        if not math.isfinite(value := getattr(record, name)):
-            raise ValueError(f"{name} must be finite, got {value}")
-    for name in names:
-        if not (value := getattr(record, name)) > 0.0:
-            raise ValueError(f"{name} must be positive, got {value}{lambda0_hint if name == 'lambda0' else ''}")
+def _require_positive(names: str | tuple, values: Sequence[float], text: object = None, lambda0_hint: str = "") -> None:
+    """The one input check: reject the first value that is infinite or NaN, else the first not
+    above 0, by its name in names (or names itself, when a str), with "got" text (else the value)
+    and, for a lambda0, lambda0_hint."""
+    for value in values:  # the common case, all valid, in one pass
+        if not 0.0 < value < math.inf:
+            break
+    else:
+        return
+    names = (names,) * len(values) if isinstance(names, str) else names
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value if text is None else text}")
+    for name, value in zip(names, values):
+        if not value > 0.0:
+            hint = lambda0_hint if name == "lambda0" else ""
+            raise ValueError(f"{name} must be positive, got {value if text is None else text}{hint}")
 
 
 class _ChannelFields(NamedTuple):
@@ -114,11 +122,10 @@ class ChannelParams(_ChannelFields):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace and _make check too
 
     def __new__(cls, a1: float, a2: float, lambda0: float, tau: float) -> ChannelParams:
-        self = tuple.__new__(cls, (a1, a2, lambda0, tau))
         # A zero background makes the log-odds of the all-off slot singular.
         dark = "; for a dark-current-free study use lambda0 = 1e-9 * (a1 + a2)"
-        _require_positive(self, ("a1", "a2", "lambda0", "tau"), lambda0_hint=dark)
-        return self
+        _require_positive(("a1", "a2", "lambda0", "tau"), (a1, a2, lambda0, tau), lambda0_hint=dark)
+        return tuple.__new__(cls, (a1, a2, lambda0, tau))
 
     @property
     def in_regime(self) -> bool:

@@ -39,15 +39,15 @@ solve, intersections, symmetric, solve-miso and converge run on the math
 module alone, so a process that runs only those never loads numpy; the
 sweeps and the out-of-regime checks load numpy on first use.
 
-Exit status: 0 on success, 2 on a validation error (the message names the
-offending field), 3 when --strict is set and an instance is out of regime
+Exit status: 0 on success, 2 on a validation error (the library's own checks
+name the field), 3 when --strict is set and an instance is out of regime
 (checked before anything is solved), 4 when the arithmetic breaks down (hit
-probabilities that round to 1 far out of regime, rates and dead times so
-small that the arithmetic underflows, a hit-level difference that rounds to
-0, a continuous reference with no finite candidate rate, or every candidate
-rate, or an equal-peak balanced rate, below zero: no capacity printed is
-negative), 141 (128 + SIGPIPE) when the reader of the output goes away
-first, as in `... | head`; that case prints nothing on stderr.
+probabilities that round to 1 far out of regime, rates and dead times so small
+that the arithmetic underflows, a hit-level difference that rounds to 0, a
+continuous reference with no finite candidate rate, or every candidate rate,
+or an equal-peak balanced rate, below zero: no capacity printed is negative),
+141 (128 + SIGPIPE) when the reader of the output goes away first, as in
+`... | head`; that case prints nothing on stderr.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from itertools import islice
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
-from .channel import ChannelParams
+from .channel import ChannelParams, _require_positive
 from .siso import Strategy, find_intersections, regime_fraction_rule, solve, solve_many, sweep_strategy_region
 
 if TYPE_CHECKING:
@@ -150,24 +150,11 @@ def _parse_floats(args: SimpleNamespace, name: str) -> list[float]:
     return values
 
 
-def _check_positive(name: str, values: list[float], text: str) -> None:
-    """Refuse a non-finite value, then a non-positive one, quoting the typed text."""
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{name} must be finite, got '{text}'")
-    if not all(v > 0.0 for v in values):
-        raise ValueError(f"{name} must be positive, got '{text}'")
-
-
-def _parse_peaks(args: SimpleNamespace, name: str, max_antennas: int) -> tuple[float, ...]:
-    """A list of at most max_antennas peaks, each finite and positive, with a finite sum."""
-    peaks = _parse_floats(args, name)
-    text = _require(args, name)
-    if len(peaks) > max_antennas:
-        raise ValueError(f"{name} supports at most {max_antennas} antennas, got '{text}'")
-    _check_positive(name, peaks, text)
-    if not math.isfinite(sum(peaks)):  # the summed peak is the user's a1 or a2
-        raise ValueError(f"the sum of {name} must be finite, got '{text}'")
-    return tuple(peaks)
+def _parse_peaks(args: SimpleNamespace, name: str, require_peaks: Callable[..., None]) -> tuple[float, ...]:
+    """A list of peaks that miso's peak check passes, its messages naming the flag and quoting its text."""
+    peaks = tuple(_parse_floats(args, name))
+    require_peaks(name, peaks, f"'{_require(args, name)}'")
+    return peaks
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -250,8 +237,8 @@ def _cmd_solve_miso(args: SimpleNamespace) -> Steps:
 
     # MisoConfig would name peaks_user1 and peaks_user2, not the flags.
     config = miso.MisoConfig(
-        peaks_user1=_parse_peaks(args, "peaks1", miso.MAX_ANTENNAS),
-        peaks_user2=_parse_peaks(args, "peaks2", miso.MAX_ANTENNAS),
+        peaks_user1=_parse_peaks(args, "peaks1", miso._require_peaks),
+        peaks_user2=_parse_peaks(args, "peaks2", miso._require_peaks),
         lambda0=_lambda0(args),
         tau=_flag(args, "tau"),
     )
@@ -313,7 +300,7 @@ def _cmd_sweep_region(args: SimpleNamespace) -> Steps:
     if tau_flag is None:  # the scale rule is in use, so its flag is checked
         text = str(_merged(args, "tau-scale", 0.8))
         tau_scale = _number(text, "tau-scale")
-        _check_positive("tau-scale", [tau_scale], text)
+        _require_positive("tau-scale", (tau_scale,), f"'{text}'")
         rule, tau_meta = regime_fraction_rule(tau_scale, lambda0), f"scale:{_fmt(tau_scale)}"
     else:
         rule, tau_meta = _number(tau_flag, "tau"), tau_flag
@@ -331,19 +318,8 @@ def _cmd_sweep_region(args: SimpleNamespace) -> Steps:
 def _cmd_symmetric(args: SimpleNamespace) -> Steps:
     import poisson_mac.symmetric as symmetric
 
-    a = _flag(args, "a")
-    lambda0 = _lambda0(args)
-    tau = _flag(args, "tau")
-    # ChannelParams would name a1 and a2; this command has the one peak a.
-    if not math.isfinite(a):
-        raise ValueError(f"a must be finite, got {a}")
-    if a <= 0.0:
-        raise ValueError(f"a must be positive, got {a}")
-    if lambda0 <= 0.0:  # a non-finite lambda0 is left to ChannelParams
-        raise ValueError(
-            f"lambda0 must be positive, got {lambda0}; for a dark-current-free study use lambda0 = 2e-9 * a"
-        )
-    params = ChannelParams(a, a, lambda0, tau)
+    a, lambda0, tau = _flag(args, "a"), _lambda0(args), _flag(args, "tau")
+    params = symmetric._channel(a, lambda0, tau)  # ChannelParams would name a1 and a2
     yield lambda: params.in_regime
     report = symmetric.solve_symmetric(a, lambda0, tau)
     meta = {"a": a, "lambda0": lambda0, "tau": tau}
@@ -359,7 +335,7 @@ def _cmd_converge(args: SimpleNamespace) -> Steps:
     a2 = _flag(args, "a2")
     lambda0 = _lambda0(args)
     taus = _parse_floats(args, "taus")
-    _check_positive("taus", taus, _require(args, "taus"))
+    _require_positive("taus", taus, f"'{_require(args, 'taus')}'")
     yield lambda: all(ChannelParams(a1, a2, lambda0, tau).in_regime for tau in taus)
     report = continuous.convergence_report(a1, a2, lambda0, taus)
     meta = {"a1": a1, "a2": a2, "lambda0": lambda0, "taus": _require(args, "taus")}

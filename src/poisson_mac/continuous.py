@@ -56,9 +56,8 @@ class ContinuousParams(_ContinuousFields):
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, a1: float, a2: float, lambda0: float) -> ContinuousParams:
-        self = tuple.__new__(cls, (a1, a2, lambda0))
-        _require_positive(self, ("a1", "a2", "lambda0"))
-        return self
+        _require_positive(("a1", "a2", "lambda0"), (a1, a2, lambda0))
+        return tuple.__new__(cls, (a1, a2, lambda0))
 
 
 def cont_mutual_info_rate(cp: ContinuousParams, duty: DutyPair) -> float:

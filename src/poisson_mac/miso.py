@@ -49,6 +49,18 @@ PMF_TOL = 1e-9
 MAX_ANTENNAS = 16
 
 
+def _require_peaks(name: str, peaks: Sequence[float], text: object) -> None:
+    """The one check of a user's peaks, for MisoConfig and the command line: 1 to MAX_ANTENNAS,
+    each finite and positive, and a finite sum (the user's a1 or a2); messages quote text."""
+    if len(peaks) == 0:
+        raise ValueError(f"{name} must list at least one antenna")
+    if len(peaks) > MAX_ANTENNAS:
+        raise ValueError(f"{name} supports at most {MAX_ANTENNAS} antennas, got {text}")
+    _require_positive(name, peaks, text)
+    if not math.isfinite(sum(peaks)):
+        raise ValueError(f"the sum of {name} must be finite, got {text}")
+
+
 class _MisoFields(NamedTuple):
     peaks_user1: tuple[float, ...]
     peaks_user2: tuple[float, ...]
@@ -63,20 +75,10 @@ class MisoConfig(_MisoFields):
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, peaks_user1: tuple, peaks_user2: tuple, lambda0: float, tau: float) -> MisoConfig:
-        for name, peaks in (("peaks_user1", peaks_user1), ("peaks_user2", peaks_user2)):
-            if len(peaks) == 0:
-                raise ValueError(f"{name} must list at least one antenna")
-            if len(peaks) > MAX_ANTENNAS:
-                raise ValueError(f"{name} supports at most {MAX_ANTENNAS} antennas")
-            if not all(math.isfinite(a) for a in peaks):
-                raise ValueError(f"every peak in {name} must be finite")
-            if any(a <= 0.0 for a in peaks):
-                raise ValueError(f"every peak in {name} must be positive")
-            if not math.isfinite(total := sum(peaks)):  # the summed peak is the user's a1 or a2
-                raise ValueError(f"the sum of {name} must be finite, got {total}")
-        self = tuple.__new__(cls, (peaks_user1, peaks_user2, lambda0, tau))
-        _require_positive(self, ("lambda0", "tau"))
-        return self
+        _require_peaks("peaks_user1", peaks_user1, peaks_user1)
+        _require_peaks("peaks_user2", peaks_user2, peaks_user2)
+        _require_positive(("lambda0", "tau"), (lambda0, tau))
+        return tuple.__new__(cls, (peaks_user1, peaks_user2, lambda0, tau))
 
     @property
     def in_regime(self) -> bool:

@@ -63,6 +63,7 @@ from .channel import (
     hit_probs,
     _grad,
     _rate,
+    _require_positive,
 )
 
 __all__ = [
@@ -270,8 +271,8 @@ _REL_WIDTH = 4.5e-16  # a bracket this narrow, relative to its upper end, is ~2 
 
 
 def _root(fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Root of a continuous function on [lo, hi], 0 <= lo < hi, with flo =
-    fn(lo) and fhi = fn(hi) of opposite signs: regula falsi with the
+    """Root of a continuous function on [lo, hi], 0 <= lo < hi, with flo = fn(lo) and fhi =
+    fn(hi) finite (a NaN bracket never ends) and of opposite signs: regula falsi with the
     Anderson-Bjorck weight, the midpoint when the secant point is off the
     bracket or three steps have not halved it, and a step of at least ~1 ulp
     from each end, without which a secant point beside a root one ulp from an
@@ -365,6 +366,7 @@ def _intersections(g: Callable, d: Callable, reliable: bool) -> IntersectionSear
 def single_user_duty(a: float, lambda0: float, tau: float) -> float:
     """Closed-form optimal duty cycle when one user at peak rate a transmits alone.
     ArithmeticError if rounding puts it outside [0, 1]."""
+    _require_positive(("a", "lambda0", "tau"), (a, lambda0, tau))
     p_on, p_off = hit_prob(a + lambda0, tau), hit_prob(lambda0, tau)
     return _solo_duty(p_on, p_off, binary_entropy(p_on), binary_entropy(p_off))
 

@@ -31,10 +31,10 @@ the balanced (s, s) wins; in the sliver between, both ends compete.
 The balanced optimum itself is the unique fixed point mu = g(mu) of the
 convex curve: f is the diagonal to the bit, so it is solve's interior root.
 
-solve_symmetric builds its set-up once: one closure of the flip level over
-a (_flip_of) and one hit_probs, which run the cores of the threshold search,
-the half-sums and the fixed point.  peak_threshold, boundary_half_sums and
-symmetric_fixed_point are each their own set-up plus a call to that core.
+Each function checks its rates, named a, lambda0 and tau, before it computes:
+_channel checks (a, lambda0, tau) and builds the channel, whose hit levels
+each caller takes, and _flip_of checks (lambda0, tau) and closes the flip
+level over a.  solve_symmetric runs every core on one of each.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .channel import (
     ChannelParams,
     DutyPair,
     HitProbs,
+    _require_positive,
     binary_entropy,
     entropy_slope,
     hit_prob,
@@ -125,16 +126,24 @@ class SymmetricReport(NamedTuple):
     schur_mode: SchurMode
 
 
+def _channel(a: float, lambda0: float, tau: float) -> ChannelParams:
+    """The equal-peak channel, once a, lambda0 and tau pass the check under their own names."""
+    dark = "; for a dark-current-free study use lambda0 = 2e-9 * a"
+    _require_positive(("a", "lambda0", "tau"), (a, lambda0, tau), lambda0_hint=dark)
+    return ChannelParams(a, a, lambda0, tau)
+
+
 def flip_log_odds(a: float, lambda0: float, tau: float) -> float:
     """Log-odds level at which the majorization direction flips (_flip_of)."""
-    if not a >= 0.0:
-        raise ValueError(f"a must be nonnegative, got {a}")
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"a must be {'finite' if a == math.inf else 'nonnegative'}, got {a}")
     return _flip_of(lambda0, tau)(a)
 
 
 def _flip_of(lambda0: float, tau: float) -> Callable[[float], float]:
-    """a -> flip level for peaks a >= 0: p4 and h(p4) once, then the operations
-    of hit_prob and binary_entropy (h(0) = h(1) = 0) inline, in their order."""
+    """a -> flip level for peaks a >= 0, lambda0 and tau checked: p4 and h(p4) once, then the
+    operations of hit_prob and binary_entropy (h(0) = h(1) = 0) inline, in their order."""
+    _require_positive(("lambda0", "tau"), (lambda0, tau))
     p4 = hit_prob(lambda0, tau)
     h4 = binary_entropy(p4)
 
@@ -212,9 +221,9 @@ def boundary_half_sums(
     positive), so the one-user split is optimal for half-sums up to axis and
     the balanced pair from diagonal on.
     """
+    hp = hit_probs(_channel(a, lambda0, tau))
     if a < threshold.value:
         return None
-    hp = hit_probs(ChannelParams(a, a, lambda0, tau))
     return _half_sums(hp, flip_log_odds(a, lambda0, tau))
 
 
@@ -235,9 +244,9 @@ def schur_classify(
     a: float, lambda0: float, tau: float, duty: DutyPair, threshold: ThresholdSearch
 ) -> SchurRegion:
     """Majorization behaviour at one duty pair of the symmetric instance."""
+    hp = hit_probs(_channel(a, lambda0, tau))
     if a < threshold.value:
         return SchurRegion.GLOBAL
-    hp = hit_probs(ChannelParams(a, a, lambda0, tau))
     w11 = duty.mu1 * duty.mu2
     w00 = (1.0 - duty.mu1) * (1.0 - duty.mu2)
     ph = w11 * hp.p1 + (duty.mu1 + duty.mu2 - 2.0 * w11) * hp.p2 + w00 * hp.p4
@@ -249,7 +258,7 @@ def symmetric_fixed_point(a: float, lambda0: float, tau: float) -> float:
     """The unique mu in (0, 1) with mu = g(mu), the balanced optimum: solve's interior
     root, the first in-box point of siso._search (out of regime, the scan's first),
     whose mu1 - mu2 (mu - g(mu), as f is the diagonal) is within FIXED_POINT_TOL."""
-    return _fixed_point(hit_probs(params := ChannelParams(a, a, lambda0, tau)), params.in_regime)
+    return _fixed_point(hit_probs(params := _channel(a, lambda0, tau)), params.in_regime)
 
 
 def _fixed_point(hp: HitProbs, reliable: bool) -> float:
@@ -266,7 +275,9 @@ def line_constrained_max(a: float, lambda0: float, tau: float, half_sum: float) 
     Verification utility for the split-region dichotomy; a plain grid with
     step LINE_STEP over the mu1 >= mu2 half of the segment.
     """
-    hp = hit_probs(ChannelParams(a, a, lambda0, tau))
+    hp = hit_probs(_channel(a, lambda0, tau))
+    if not 0.0 <= half_sum <= 1.0:
+        raise ValueError(f"half_sum must lie in [0, 1], got {half_sum}")
     p, h = hp, hp.entropies
     lo = max(half_sum, 2.0 * half_sum - 1.0)
     hi = min(1.0, 2.0 * half_sum)
@@ -282,10 +293,11 @@ def line_constrained_max(a: float, lambda0: float, tau: float, half_sum: float) 
 
 def solve_symmetric(a: float, lambda0: float, tau: float) -> SymmetricReport:
     """Full symmetric-instance report: flip level, threshold, boundary, optimum.
-    The cores run in the public helpers' order, so each input raises what they would."""
+    The inputs are checked first; then the cores run in the public helpers'
+    order, so each valid input raises what they would."""
+    hp = hit_probs(params := _channel(a, lambda0, tau))
     flip = _flip_of(lambda0, tau)
     threshold = _threshold(flip, lambda0, tau)
-    hp = hit_probs(params := ChannelParams(a, a, lambda0, tau))  # a is positive and finite from here on
     below = a < threshold.value
     # flip(a) runs once, where the helpers first read it: before the half-sums, else after the fixed point.
     boundary = None if below else _half_sums(hp, flip_level := flip(a))

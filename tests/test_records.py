@@ -8,7 +8,17 @@ import re
 import pytest
 
 from poisson_mac import channel
-from poisson_mac.channel import ChannelParams, DutyPair, HitProbs, binary_entropy, hit_probs
+from poisson_mac.channel import (
+    ChannelParams,
+    DutyPair,
+    HitProbs,
+    alpha_cont,
+    binary_entropy,
+    entropy_slope,
+    hit_prob,
+    hit_probs,
+    phi,
+)
 from poisson_mac.continuous import ContinuousParams, ConvergenceRow, convergence_report
 from poisson_mac.gridsearch import GridResult, GridSpec, grid_capacity
 from poisson_mac.miso import JointPmf, MisoConfig
@@ -135,12 +145,12 @@ REJECTED = [
     (lambda: ContinuousParams(10.0, math.nan, 0.001), "a2 must be finite, got nan"),
     (lambda: ContinuousParams(a1=10.0, a2=12.0, lambda0=0.0), "lambda0 must be positive, got 0.0"),
     (lambda: MisoConfig((), (6.0,), 0.001, 0.02), "peaks_user1 must list at least one antenna"),
-    (lambda: MisoConfig((5.0,), (1.0,) * 17, 0.001, 0.02), "peaks_user2 supports at most 16 antennas"),
-    (lambda: MisoConfig((5.0, 0.0), (6.0,), 0.001, 0.02), "every peak in peaks_user1 must be positive"),
-    (lambda: MisoConfig((5.0,), (math.inf,), 0.001, 0.02), "every peak in peaks_user2 must be finite"),
-    (lambda: MisoConfig((-math.inf,), (6.0,), 0.001, 0.02), "every peak in peaks_user1 must be finite"),
-    (lambda: MisoConfig((1e308, 1e308), (1.0,), 0.001, 0.02), "the sum of peaks_user1 must be finite, got inf"),
-    (lambda: MisoConfig((5.0,), (1e308, 1e308), 0.001, 0.02), "the sum of peaks_user2 must be finite, got inf"),
+    (lambda: MisoConfig((5.0,), (1.0,) * 17, 0.001, 0.02), f"peaks_user2 supports at most 16 antennas, got {(1.0,) * 17}"),
+    (lambda: MisoConfig((5.0, 0.0), (6.0,), 0.001, 0.02), "peaks_user1 must be positive, got (5.0, 0.0)"),
+    (lambda: MisoConfig((5.0,), (math.inf,), 0.001, 0.02), "peaks_user2 must be finite, got (inf,)"),
+    (lambda: MisoConfig((-math.inf,), (6.0,), 0.001, 0.02), "peaks_user1 must be finite, got (-inf,)"),
+    (lambda: MisoConfig((1e308, 1e308), (1.0,), 0.001, 0.02), "the sum of peaks_user1 must be finite, got (1e+308, 1e+308)"),
+    (lambda: MisoConfig((5.0,), (1e308, 1e308), 0.001, 0.02), "the sum of peaks_user2 must be finite, got (1e+308, 1e+308)"),
     (lambda: MisoConfig((5.0,), (6.0,), 0.001, tau=0.0), "tau must be positive, got 0.0"),
     (lambda: JointPmf((0.5, 0.25, 0.25)), "masses length must be a power of two, got 3"),
     (lambda: JointPmf(masses=(1.5, -0.5)), "PMF masses must be nonnegative"),
@@ -151,6 +161,13 @@ REJECTED = [
     (lambda: GridSpec(step=math.nan), "step must lie in (0, 0.1], got nan"),
     (lambda: GridSpec(refine_rounds=7), "refine_rounds must lie in [0, 6], got 7"),
     (lambda: GridSpec(1e-2, 2.5), "refine_rounds must be an integer, got 2.5"),
+    # The primitives' guards fail on NaN too.
+    (lambda: hit_prob(math.nan, 0.02), "rate x must be nonnegative, got nan"),
+    (lambda: hit_prob(1.0, math.nan), "tau must be positive, got nan"),
+    (lambda: binary_entropy(math.nan), "probability must lie in [0, 1], got nan"),
+    (lambda: entropy_slope(math.nan), "entropy_slope needs q in (0, 1), got nan"),
+    (lambda: phi(math.nan), "phi needs x >= 0, got nan"),
+    (lambda: alpha_cont(math.nan), "alpha_cont needs x > 0, got nan"),
 ]
 
 

@@ -1,8 +1,12 @@
 """Equal-peak analysis: flip level, threshold, boundary geometry, fixed point."""
 
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,8 +236,11 @@ class TestBoundary:
             lambda: boundary_half_sums(a, LAMBDA0, TAU, thr),
             lambda: schur_classify(a, LAMBDA0, TAU, DutyPair(0.3, 0.1), thr),
             lambda: symmetric_fixed_point(a, LAMBDA0, TAU),
+            lambda: line_constrained_max(a, LAMBDA0, TAU, 0.1),
+            lambda: solve_symmetric(a, LAMBDA0, TAU),
+            lambda: single_user_duty(a, LAMBDA0, TAU),
         ):
-            with pytest.raises(ValueError, match=f"^a1 must be finite, got {a}$"):
+            with pytest.raises(ValueError, match=f"^a must be finite, got {a}$"):
                 call()
 
 
@@ -477,3 +484,57 @@ class TestSolveSymmetric:
         out, err = capsys.readouterr()
         assert out == ""
         assert re.match(rf"error: numerical failure \(ArithmeticError: {message}", err), err
+
+
+# Every public function of symmetric that takes raw rates, and siso's
+# single_user_duty, called at (a, lambda0, tau), with the rates it takes.
+RAW_ENTRY_POINTS = {
+    "flip_log_odds": (flip_log_odds, ("a", "lambda0", "tau")),
+    "peak_threshold": (lambda a, lambda0, tau: peak_threshold(lambda0, tau), ("lambda0", "tau")),
+    "boundary_half_sums": (
+        lambda a, lambda0, tau: boundary_half_sums(a, lambda0, tau, peak_threshold(LAMBDA0, TAU)),
+        ("a", "lambda0", "tau"),
+    ),
+    "schur_classify": (
+        lambda a, lambda0, tau: schur_classify(a, lambda0, tau, DutyPair(0.3, 0.1), peak_threshold(LAMBDA0, TAU)),
+        ("a", "lambda0", "tau"),
+    ),
+    "symmetric_fixed_point": (symmetric_fixed_point, ("a", "lambda0", "tau")),
+    "line_constrained_max": (lambda a, lambda0, tau: line_constrained_max(a, lambda0, tau, 0.1), ("a", "lambda0", "tau")),
+    "solve_symmetric": (solve_symmetric, ("a", "lambda0", "tau")),
+    "single_user_duty": (single_user_duty, ("a", "lambda0", "tau")),
+}
+BAD_RATES = (math.nan, math.inf, 0.0, -1.0)
+BAD_RATE_CASES = [
+    (entry, arg, value)
+    for entry, (_, args) in RAW_ENTRY_POINTS.items()
+    for arg in args
+    for value in BAD_RATES
+    if (entry, arg, value) != ("flip_log_odds", "a", 0.0)  # the flip level is defined at a = 0
+    # A NaN background once hung these two, so test_nan_background_ends_in_a_value_error runs them.
+    and not (entry in ("peak_threshold", "solve_symmetric") and arg == "lambda0" and math.isnan(value))
+]
+
+
+@pytest.mark.parametrize("entry, arg, value", BAD_RATE_CASES, ids=[f"{e}-{a}-{v}" for e, a, v in BAD_RATE_CASES])
+def test_bad_rate_is_a_value_error_naming_it(entry, arg, value):
+    call, _ = RAW_ENTRY_POINTS[entry]
+    rates = {"a": 10.0, "lambda0": LAMBDA0, "tau": TAU, arg: value}
+    with pytest.raises(ValueError, match=rf"^{arg} must be \w+, got {value}"):
+        call(rates["a"], rates["lambda0"], rates["tau"])
+
+
+@pytest.mark.parametrize("half_sum", [math.nan, math.inf, -1.0, 1.5])
+def test_bad_half_sum_is_named(half_sum):
+    with pytest.raises(ValueError, match=rf"^half_sum must lie in \[0, 1\], got {half_sum}$"):
+        line_constrained_max(10.0, LAMBDA0, TAU, half_sum)
+
+
+@pytest.mark.parametrize("call", ["solve_symmetric(10.0, math.nan, 0.02)", "peak_threshold(math.nan, 0.02)"])
+def test_nan_background_ends_in_a_value_error(call):
+    # A NaN bracket never ends siso._root's loop, so run in a process that a timeout can end.
+    code = f"import math\nfrom poisson_mac.symmetric import *\ntry:\n    {call}\nexcept ValueError as exc:\n    print(exc)"
+    src = str(Path(symmetric.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "lambda0 must be finite, got nan\n", "")
