@@ -37,9 +37,8 @@ _HOMES = {
         "gridsearch": "GridResult GridSpec fd_gradient fd_hessian grid_capacity",
         "miso": "JointPmf MisoConfig miso_mutual_info miso_pmf_enumeration nu_pmf solve_miso subset_rates",
         "siso": (
-            "Candidate IntersectionSearch LineCoefficients SolveBatch SolveReport Strategy"
-            " SufficiencyRecord f_mac find_intersections g_mac regime_fraction_rule single_user_duty solve"
-            " solve_many sufficiency_tests sweep_strategy_region uvw"
+            "Candidate IntersectionSearch LineCoefficients SolveBatch SolveReport Strategy SufficiencyRecord f_mac"
+            " find_intersections g_mac single_user_duty solve solve_many sufficiency_tests sweep_strategy_region uvw"
         ),
         "symmetric": (
             "BoundaryHalfSums SchurMode SchurRegion SymmetricReport ThresholdSearch boundary_half_sums"

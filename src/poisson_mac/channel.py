@@ -171,11 +171,14 @@ class DutyPair(_DutyFields):
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, mu1: float, mu2: float) -> DutyPair:
-        if not 0.0 <= mu1 <= 1.0:
-            raise ValueError(f"mu1 must lie in [0, 1], got {mu1}")
-        if not 0.0 <= mu2 <= 1.0:
-            raise ValueError(f"mu2 must lie in [0, 1], got {mu2}")
+        _require_duty("mu1", mu1)
+        _require_duty("mu2", mu2)
         return tuple.__new__(cls, (mu1, mu2))
+
+
+def _require_duty(name: str, mu: float) -> None:  # DutyPair's check, NaN failing it too
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {mu}")
 
 
 def hit_probs(params: ChannelParams) -> HitProbs:

@@ -27,7 +27,9 @@ abbreviated flag, --flag=value or a value such as -1e-3, goes to the argparse
 parser, which is imported and built from the same table on first need, kept
 for the process, and fills a SimpleNamespace too.  Either way main then
 applies --strict and writes the CSV.  A sweep grid of more than MAX_GRID
-values, in one range or in all its rows, is refused before it is built.
+values, in one range or in all its rows, is refused before it is built.  A
+sweep's cells go to siso as arrays, checked once by its lane check, and
+--tau-scale derives the dead time of only the cells whose a1, a2 and lambda0 pass.
 
 Importing this module runs only the package, _numpy, channel, siso and this
 module, and imports neither numpy (see _numpy.py) nor argparse (see above).
@@ -57,12 +59,12 @@ import math
 import os
 import sys
 from contextlib import nullcontext, suppress
-from itertools import islice
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
+from ._numpy import np
 from .channel import ChannelParams, _require_positive
-from .siso import Strategy, find_intersections, regime_fraction_rule, solve, solve_many, sweep_strategy_region
+from .siso import Strategy, _checked_lanes, find_intersections, solve, solve_many, sweep_strategy_region
 
 if TYPE_CHECKING:
     import argparse  # else argparse loads with the parser (_build_parser)
@@ -268,14 +270,15 @@ def _cmd_sweep_peak(args: SimpleNamespace) -> Steps:
     a2_values = _parse_range(args, "a2")
     taus = _parse_floats(args, "tau")
     _check_size("a2 x tau", len(a2_values) * len(taus))
-    # The finite-tau (a2, tau) lanes in row order; tau = 0 rows are continuous.
-    lanes = [(a2, tau) for tau in taus if tau != 0.0 for a2 in a2_values]
-    yield lambda: all(ChannelParams(a1, a2, lambda0, tau).in_regime for a2, tau in lanes)
-    solved_rows = iter([])
-    if lanes:  # with no finite-tau lane, numpy is never loaded
-        batch = solve_many(a1, [a2 for a2, _ in lanes], lambda0, [tau for _, tau in lanes])
-        solved = zip(lanes, batch.mu1.tolist(), batch.mu2.tolist(), batch.capacity.tolist())
-        solved_rows = iter([(a2, tau, mu1, mu2, capacity) for (a2, tau), mu1, mu2, capacity in solved])
+    # The finite-tau lanes in row order, the a2 row against the column of finite
+    # taus (tau = 0 rows are continuous); with none, numpy is never loaded.
+    finite = [tau for tau in taus if tau != 0.0]
+    lanes = (a1, np.array(a2_values), lambda0, np.array(finite)[:, None]) if finite else ()
+    yield lambda: not lanes or _checked_lanes(*lanes)[1].all()
+    solved = iter([])
+    if lanes:
+        batch = solve_many(*lanes)
+        solved = zip(batch.mu1.tolist(), batch.mu2.tolist(), batch.capacity.tolist())
     # The continuous rows, solved once each in row order and reused for a repeated 0.
     cont_rows: list[tuple[float, ...]] = []
     if 0.0 in taus:
@@ -286,7 +289,7 @@ def _cmd_sweep_peak(args: SimpleNamespace) -> Steps:
             cont_rows.append((a2, 0.0, duty.mu1, duty.mu2, rate))
     rows: list[tuple[float, ...]] = []
     for tau in taus:
-        rows += cont_rows if tau == 0.0 else islice(solved_rows, len(a2_values))
+        rows += cont_rows if tau == 0.0 else [(a2, tau, *next(solved)) for a2 in a2_values]
     meta = {"a1": a1, "lambda0": lambda0, "a2": _require(args, "a2"), "tau": _require(args, "tau")}
     yield meta, ("a2", "tau", "mu1", "mu2", "capacity"), rows
 
@@ -296,19 +299,22 @@ def _cmd_sweep_region(args: SimpleNamespace) -> Steps:
     a1_values = _parse_range(args, "a1")
     a2_values = _parse_range(args, "a2")
     _check_size("a1 x a2", len(a1_values) * len(a2_values))
+    a1, a2 = np.array(a1_values)[:, None], np.array(a2_values)  # a column and a row: the grid's cells
     tau_flag = _merged(args, "tau")
     if tau_flag is None:  # the scale rule is in use, so its flag is checked
         text = str(_merged(args, "tau-scale", 0.8))
         tau_scale = _number(text, "tau-scale")
         _require_positive("tau-scale", (tau_scale,), f"'{text}'")
-        rule, tau_meta = regime_fraction_rule(tau_scale, lambda0), f"scale:{_fmt(tau_scale)}"
+        # The scalar rule's operations in its order, (scale * ln2) / ((a1 + a2) + lambda0), so each cell gets
+        # its doubles; 1.0 where a1, a2 (finite, as parsed) or lambda0 fails, so the lane check names that field.
+        ok = (a1 > 0.0) & (a2 > 0.0) & (0.0 < lambda0 < math.inf)
+        with np.errstate(all="ignore"):
+            tau = np.where(ok, tau_scale * math.log(2.0) / (a1 + a2 + lambda0), 1.0)
+        tau_meta = f"scale:{_fmt(tau_scale)}"
     else:
-        rule, tau_meta = _number(tau_flag, "tau"), tau_flag
-    tau_of = rule if callable(rule) else lambda a1, a2: rule
-    yield lambda: all(
-        ChannelParams(a1, a2, lambda0, tau_of(a1, a2)).in_regime for a1 in a1_values for a2 in a2_values
-    )
-    labels = sweep_strategy_region(a1_values, a2_values, lambda0, rule)
+        tau, tau_meta = _number(tau_flag, "tau"), tau_flag
+    yield lambda: _checked_lanes(a1, a2, lambda0, tau)[1].all()
+    labels = sweep_strategy_region(a1_values, a2_values, lambda0, tau)
     meta = {"a1": _require(args, "a1"), "a2": _require(args, "a2"), "lambda0": lambda0, "tau": tau_meta}
     text = {id(s): s.value for s in Strategy}  # by identity: an Enum member hashes in Python code
     rows = ((a1, a2, text[id(label)]) for a1, line in zip(a1_values, labels) for a2, label in zip(a2_values, line))

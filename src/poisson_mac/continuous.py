@@ -29,7 +29,7 @@ from types import ModuleType
 from typing import NamedTuple, Sequence
 
 from ._numpy import np
-from .channel import ChannelParams, DutyPair, _require_positive, phi
+from .channel import ChannelParams, DutyPair, _require_duty, _require_positive, phi
 from .siso import SolveReport, _intersections, solve
 
 __all__ = [
@@ -67,6 +67,7 @@ def cont_mutual_info_rate(cp: ContinuousParams, duty: DutyPair) -> float:
 
 def cont_f(cp: ContinuousParams, mu1: float) -> float:
     """Zero-dead-time limit of the affine stationarity curve."""
+    _require_duty("mu1", mu1)
     slope, intercept = _line(_levels(cp.a1, cp.a2, cp.lambda0))
     return slope * mu1 + intercept
 
@@ -87,6 +88,8 @@ def _line(levels: Sequence[float]) -> tuple[float, float]:
 
 def cont_g(cp: ContinuousParams, mu1: float | np.ndarray) -> float | np.ndarray:
     """Zero-dead-time limit of the convex stationarity curve, elementwise."""
+    for mu in np.ravel(mu1).tolist():  # every duty, the first outside [0, 1] named
+        _require_duty("mu1", mu)
     return _g(_levels(cp.a1, cp.a2, cp.lambda0), mu1, np)
 
 

@@ -43,7 +43,8 @@ settle the strategy without the solve.
 
 solve_many runs the same enumeration over arrays of channels at once, with
 results identical to solve lane by lane, because its in-regime lanes call the
-math module lane by lane for every exp and log; the sweeps are built on it.
+math module lane by lane for every exp and log.  The sweeps pass it their cells
+as arrays, and their --strict runs its one lane check, _checked_lanes.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .channel import (
     hit_probs,
     _grad,
     _rate,
+    _require_duty,
     _require_positive,
 )
 
@@ -83,11 +85,12 @@ __all__ = [
     "solve",
     "solve_many",
     "sweep_strategy_region",
-    "regime_fraction_rule",
 ]
 
 TIE_TOL = 1e-12
 SCAN_POINTS = 33  # equispaced samples of g - f on [0, 1] out of regime
+EXP_CAP = 700.0  # caps every exponent of g and the solo duty: saturated hit levels can pass exp's range
+BOX_SLACK = 1e-12  # a root's mu2 this far outside [0, 1] still counts as in the box
 
 
 class Strategy(Enum):
@@ -195,6 +198,7 @@ def _line(p: tuple, h: tuple) -> tuple:
 
 def f_mac(params: ChannelParams, mu1: float) -> float:
     """mu2 on the affine stationarity line at the given mu1."""
+    _require_duty("mu1", mu1)
     hp = hit_probs(params)
     u, v, w = _line(hp, hp.entropies)
     return _named_zero_division(hp, lambda: (u / v) * mu1 + w / v)
@@ -202,6 +206,7 @@ def f_mac(params: ChannelParams, mu1: float) -> float:
 
 def g_mac(params: ChannelParams, mu1: float) -> float:
     """mu2 solving d I/d mu2 = 0 at the given mu1; strictly convex in regime."""
+    _require_duty("mu1", mu1)
     hp = hit_probs(params)
     return _named_zero_division(hp, lambda: _curves_of(hp)[0](mu1))
 
@@ -209,27 +214,25 @@ def g_mac(params: ChannelParams, mu1: float) -> float:
 def _curves_of(hp: HitProbs) -> tuple[Callable[[float], float], Callable[[], Callable[[float], float]]]:
     """g, and a maker of d = g - f, on one set-up of both curves' coefficients.
     d repeats g's operations inline, so d(x) is g(x) - f(x) to the last bit,
-    NaN too (700.0 if 700.0 < e else e is min(e, 700.0)).  It is made on
+    NaN too (cap if cap < e else e is min(e, cap)).  It is made on
     demand: f divides by the line's v, which is 0 where g is still defined."""
     (h1, h2, h3, h4), p1, p2, p3, p4 = hp.entropies, hp.p1, hp.p2, hp.p3, hp.p4
     dp_13, dp_24, dh_13, dh_24 = p1 - p3, p2 - p4, h1 - h3, h2 - h4
 
     def g(mu1: float) -> float:
         den = mu1 * dp_13 + (1.0 - mu1) * dp_24
-        # Exponent capped: far out of regime the hit levels saturate and the
-        # chord ratio can exceed the double-precision exp range.
-        a_m = math.exp(min((mu1 * dh_13 + (1.0 - mu1) * dh_24) / den, 700.0))
+        a_m = math.exp(min((mu1 * dh_13 + (1.0 - mu1) * dh_24) / den, EXP_CAP))
         return (1.0 / (a_m + 1.0) - (mu1 * p3 + (1.0 - mu1) * p4)) / den
 
     def make_d() -> Callable[[float], float]:
         u, v, w = _line((p1, p2, p3, p4), (h1, h2, h3, h4))
-        slope, intercept = u / v, w / v
+        slope, intercept, cap = u / v, w / v, EXP_CAP
 
         def d(mu1: float) -> float:
             nu1 = 1.0 - mu1
             den = mu1 * dp_13 + nu1 * dp_24
             e = (mu1 * dh_13 + nu1 * dh_24) / den
-            mu2 = (1.0 / (math.exp(700.0 if 700.0 < e else e) + 1.0) - (mu1 * p3 + nu1 * p4)) / den
+            mu2 = (1.0 / (math.exp(cap if cap < e else e) + 1.0) - (mu1 * p3 + nu1 * p4)) / den
             return mu2 - (slope * mu1 + intercept)
 
         return d
@@ -356,10 +359,8 @@ def _intersections(g: Callable, d: Callable, reliable: bool) -> IntersectionSear
     rejected: list[DutyPair] = []
     for r in roots:
         mu2 = g(r)
-        if -1e-12 <= mu2 <= 1.0 + 1e-12:
-            points.append(DutyPair(min(max(r, 0.0), 1.0), min(max(mu2, 0.0), 1.0)))
-        else:
-            rejected.append(DutyPair(min(max(r, 0.0), 1.0), min(max(mu2, 0.0), 1.0)))
+        kept = points if -BOX_SLACK <= mu2 <= 1.0 + BOX_SLACK else rejected
+        kept.append(DutyPair(min(max(r, 0.0), 1.0), min(max(mu2, 0.0), 1.0)))
     return IntersectionSearch(points=tuple(points), rejected=tuple(rejected), reliable=reliable)
 
 
@@ -375,7 +376,7 @@ def _solo_duty(p_on: float, p_off: float, h_on: float, h_off: float) -> float:
     if p_on == p_off:
         return 0.0  # the hit levels saturate alike: every duty has rate 0
     chord = (h_on - h_off) / (p_on - p_off)
-    duty = (1.0 / (1.0 + math.exp(min(chord, 700.0))) - p_off) / (p_on - p_off)
+    duty = (1.0 / (1.0 + math.exp(min(chord, EXP_CAP))) - p_off) / (p_on - p_off)
     if not 0.0 <= duty <= 1.0:  # peaks far below the background: both differences cancel
         raise ArithmeticError(f"the single-user duty {duty:.3g} is outside [0, 1]: its entropy chord cancelled")
     return duty
@@ -505,7 +506,7 @@ class _CurvesMany(NamedTuple):
     def g(self, mu1: np.ndarray, xp: ModuleType = math) -> np.ndarray:
         nu1 = 1.0 - mu1  # the scalar g rounds 1 - mu1 alike at each of its three uses
         den = mu1 * self.dp_13 + nu1 * self.dp_24
-        a_m = _call(xp, "exp", np.minimum((mu1 * self.dh_13 + nu1 * self.dh_24) / den, 700.0))
+        a_m = _call(xp, "exp", np.minimum((mu1 * self.dh_13 + nu1 * self.dh_24) / den, EXP_CAP))
         return (1.0 / (a_m + 1.0) - (mu1 * self.p3 + nu1 * self.p4)) / den
 
     def d(self, mu1: np.ndarray) -> np.ndarray:
@@ -523,7 +524,7 @@ def _curves_many(p: tuple[np.ndarray, ...], h: tuple[np.ndarray, ...]) -> _Curve
 def _solo_duty_many(p_on: np.ndarray, p_off: np.ndarray, h_on: np.ndarray, h_off: np.ndarray) -> np.ndarray:
     """_solo_duty lane by lane, without its p_on == p_off shortcut."""
     chord = (h_on - h_off) / (p_on - p_off)
-    return (1.0 / (1.0 + _lanes(math.exp, np.minimum(chord, 700.0))) - p_off) / (p_on - p_off)
+    return (1.0 / (1.0 + _lanes(math.exp, np.minimum(chord, EXP_CAP))) - p_off) / (p_on - p_off)
 
 
 def _golden_min_many(curves: _CurvesMany, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -633,9 +634,10 @@ def _enumerate_many(
     solo2 = _solo_duty_many(p[1], p[3], h[1], h[3])
     # solve's candidates in its tie order, a row each: mu1, mu2, rank in
     # _BY_RANK, and a mask.  A root whose mu2 leaves the box rates -inf.
+    in_l, in_r = ((-BOX_SLACK <= mu2) & (mu2 <= 1.0 + BOX_SLACK) for mu2 in (mu2_l, mu2_r))
     table = (
-        (np.clip(root_l, 0.0, 1.0), np.clip(mu2_l, 0.0, 1.0), 0, has_l & (-1e-12 <= mu2_l) & (mu2_l <= 1.0 + 1e-12)),
-        (np.clip(root_r, 0.0, 1.0), np.clip(mu2_r, 0.0, 1.0), 0, has_r & (-1e-12 <= mu2_r) & (mu2_r <= 1.0 + 1e-12)),
+        (np.clip(root_l, 0.0, 1.0), np.clip(mu2_l, 0.0, 1.0), 0, has_l & in_l),
+        (np.clip(root_r, 0.0, 1.0), np.clip(mu2_r, 0.0, 1.0), 0, has_r & in_r),
         (zeros, solo2, 1, True),
         (solo1, zeros, 2, True),
     )
@@ -667,14 +669,7 @@ def solve_many(
     which keeps the scan, the grid witness and the errors in one place.
     An invalid input raises the ValueError of ChannelParams for its first lane.
     """
-    lanes = tuple(np.ravel(x).astype(float) for x in np.broadcast_arrays(a1, a2, lambda0, tau))
-    a1, a2, lambda0, tau = lanes
-    valid = np.logical_and.reduce([np.isfinite(x) & (x > 0.0) for x in lanes])
-    if not valid.all():
-        ChannelParams(*(float(x[np.argmin(valid)]) for x in lanes))  # raises
-
-    with np.errstate(over="ignore"):  # a1 + a2 + lambda0 = inf puts the lane out of regime
-        regime = tau <= math.log(2.0) / (a1 + a2 + lambda0)
+    (a1, a2, lambda0, tau), regime = _checked_lanes(a1, a2, lambda0, tau)
     capacity, mu1, mu2 = (np.full(tau.size, np.nan) for _ in range(3))
     code = np.full(tau.size, -1)
     fast = np.flatnonzero(regime)
@@ -684,38 +679,31 @@ def solve_many(
         fast = fast[finite]
         capacity[fast], mu1[fast], mu2[fast], code[fast] = cap[finite], m1[finite], m2[finite], cd[finite]
     for i in np.flatnonzero(code < 0).tolist():
-        report = solve(ChannelParams(*(float(x[i]) for x in lanes)))
+        report = solve(ChannelParams(float(a1[i]), float(a2[i]), float(lambda0[i]), float(tau[i])))
         capacity[i], mu1[i], mu2[i] = report.capacity, report.optimum.mu1, report.optimum.mu2
         code[i] = _BY_RANK.index(report.strategy)
     return SolveBatch(capacity, mu1, mu2, code, regime)
 
 
-def regime_fraction_rule(fraction: float, lambda0: float) -> Callable[[float, float], float]:
-    """Dead-time rule tau = fraction * ln2 / (a1 + a2 + lambda0), always in regime
-    for fraction <= 1."""
-
-    def rule(a1: float, a2: float) -> float:
-        return fraction * math.log(2.0) / (a1 + a2 + lambda0)
-
-    return rule
+def _checked_lanes(*channels: np.typing.ArrayLike) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The lane check of solve_many and the sweeps' --strict: (a1, a2, lambda0, tau) broadcast and
+    flattened to float lanes, with the mask of those in regime, tau <= ln2/(a1 + a2 + lambda0).  An
+    invalid input raises the ValueError of ChannelParams for its first lane."""
+    a1, a2, lambda0, tau = lanes = tuple(np.ravel(x).astype(float) for x in np.broadcast_arrays(*channels))
+    valid = np.logical_and.reduce([np.isfinite(x) & (x > 0.0) for x in lanes])
+    if not valid.all():
+        ChannelParams(*(float(x[np.argmin(valid)]) for x in lanes))  # raises
+    with np.errstate(over="ignore"):  # a1 + a2 + lambda0 = inf puts the lane out of regime
+        return lanes, tau <= math.log(2.0) / (a1 + a2 + lambda0)
 
 
 def sweep_strategy_region(
-    a1_grid: Sequence[float],
-    a2_grid: Sequence[float],
-    lambda0: float,
-    tau_rule: float | Callable[[float, float], float],
+    a1_grid: Sequence[float], a2_grid: Sequence[float], lambda0: float, tau: float | np.ndarray
 ) -> list[list[Strategy]]:
-    """Optimal-strategy label for every (a1, a2) cell, solved as one batch.
-
-    tau_rule is either a fixed dead time or a callable (a1, a2) -> tau,
-    evaluated per cell.
-    """
-    n2 = len(a2_grid)
-    tau = (
-        [tau_rule(a1, a2) for a1 in a1_grid for a2 in a2_grid]
-        if callable(tau_rule)
-        else float(tau_rule)
-    )
-    labels = solve_many(np.repeat(a1_grid, n2), np.tile(a2_grid, len(a1_grid)), lambda0, tau).strategies()
-    return [labels[i * n2 : (i + 1) * n2] for i in range(len(a1_grid))]
+    """Optimal-strategy label for every (a1, a2) cell, solved as one batch; tau
+    is one dead time, or an array of shape (len(a1_grid), len(a2_grid)), one a cell."""
+    n1, n2 = len(a1_grid), len(a2_grid)
+    if np.ndim(tau) and np.shape(tau) != (n1, n2):
+        raise ValueError(f"tau must be one dead time or one per cell, of shape {(n1, n2)}, got shape {np.shape(tau)}")
+    labels = solve_many(np.reshape(a1_grid, (n1, 1)), a2_grid, lambda0, tau).strategies()  # a column and a row
+    return [labels[i * n2 : (i + 1) * n2] for i in range(n1)]

@@ -10,6 +10,7 @@ import random
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from poisson_mac.channel import (
@@ -226,8 +227,8 @@ def test_criterion_8_schur_dichotomy():
 def test_criterion_9_strategy_region():
     with criterion(9, 600.0, "50x50 strategy map: diagonal, wedges, row runs"):
         grid = [1.0 + 29.0 * k / 49.0 for k in range(50)]
-        rule = lambda a1, a2: 0.8 * math.log(2) / (a1 + a2 + LAMBDA0)
-        labels = sweep_strategy_region(grid, grid, LAMBDA0, rule)
+        tau = 0.8 * math.log(2) / (np.add.outer(grid, grid) + LAMBDA0)  # one dead time per cell
+        labels = sweep_strategy_region(grid, grid, LAMBDA0, tau)
         for i in range(50):
             assert labels[i][i] is Strategy.BOTH_ACTIVE
         for i, a1 in enumerate(grid):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import runpy
@@ -149,6 +150,20 @@ class TestStrict:
         code, text = run(tmp_path, *argv.split(), "--strict")
         assert code == 3
         assert text == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("sweep-peak --a1 3 --a2 1e-3 --tau 5,-0.01", "tau must be positive, got -0.01"),
+            ("sweep-region --a1 1:0 --a2 1e-3:10 --cells 4 --tau 1", "a1 must be positive, got 0.0"),
+        ],
+    )
+    def test_invalid_cell_after_an_out_of_regime_one_is_named(self, tmp_path, capsys, argv, message):
+        # Every cell is checked before any regime flag is read, so --strict
+        # names the same bad field as the plain command line.
+        for strict in ((), ("--strict",)):
+            assert run(tmp_path, *argv.split(), *strict) == (2, "")
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_in_regime_region_passes(self, tmp_path):
         argv = ("sweep-region", "--a1", "1:30", "--a2", "1:30", "--cells", "4")
@@ -397,6 +412,21 @@ class TestExitCodes:
             ((*REGION, "--tau-scale", "inf"), "tau-scale must be finite, got 'inf'"),
             (("converge", "--a1", "10", "--a2", "12", "--taus", "0.01,nan"), "taus must be finite, got '0.01,nan'"),
             (("converge", "--a1", "10", "--a2", "12", "--taus", "1e-3,0"), "taus must be positive, got '1e-3,0'"),
+            # The scale rule's cell would divide by a1 + a2 + lambda0 = 0: the bad field is named first.
+            *(
+                (
+                    ("sweep-region", "--a1", "2", "--a2", "2", "--lambda0", "-4", "--tau-scale", "0.5", *strict),
+                    "lambda0 must be positive, got -4.0; for a dark-current-free study use lambda0 = 1e-9 * (a1 + a2)",
+                )
+                for strict in ((), ("--strict",))
+            ),
+            *(
+                (
+                    ("sweep-region", "--a1", "2", "--a2", "-2", "--lambda0", "0", "--tau-scale", "0.5", *strict),
+                    "a2 must be positive, got -2.0",
+                )
+                for strict in ((), ("--strict",))
+            ),
         ],
     )
     def test_dead_time_errors_quote_the_typed_flag(self, tmp_path, capsys, argv, message):
@@ -407,6 +437,20 @@ class TestExitCodes:
 
     def test_fixed_tau_leaves_the_scale_unchecked(self, tmp_path):
         assert run(tmp_path, *REGION, "--tau", "0.05", "--tau-scale", "-1") == run(tmp_path, *REGION, "--tau", "0.05")
+
+    def test_scale_rule_gives_each_cell_the_doubles_of_the_scalar_rule(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(a1_grid, a2_grid, lambda0, tau):
+            seen.append((a1_grid, a2_grid, lambda0, tau))
+            return [[siso.Strategy.BOTH_ACTIVE] * len(a2_grid) for _ in a1_grid]
+
+        monkeypatch.setattr(cli, "sweep_strategy_region", record)
+        argv = ("sweep-region", "--a1", "0.5:40", "--a2", "0.01:7", "--cells", "60", "--lambda0", "0.37")
+        assert run(tmp_path, *argv, "--tau-scale", "0.7")[0] == 0
+        (a1_grid, a2_grid, lambda0, tau), = seen
+        rule = [[0.7 * math.log(2.0) / (a1 + a2 + lambda0) for a2 in a2_grid] for a1 in a1_grid]
+        assert tau.shape == (60, 60) and tau.tolist() == rule
 
     @pytest.mark.parametrize(
         "argv, message",

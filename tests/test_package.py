@@ -20,7 +20,7 @@ PUBLIC = """
     convergence_report entropy_slope f_mac fd_gradient fd_hessian find_intersections flip_log_odds g_mac
     grad_mutual_info grid_capacity hessian_mutual_info hit_prob hit_probs line_constrained_max
     miso_mutual_info miso_pmf_enumeration mutual_info mutual_info_rate nu_pmf p_hat peak_threshold phi
-    regime_fraction_rule schur_classify single_user_duty solve solve_many solve_miso solve_symmetric
+    schur_classify single_user_duty solve solve_many solve_miso solve_symmetric
     subset_rates sufficiency_tests sweep_strategy_region symmetric_fixed_point uvw
 """.split()
 
@@ -68,6 +68,6 @@ def test_readme_quick_start_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     snippet = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
     report = "print(f'{report.capacity:.12g}', report.strategy.name, [f'{c:.9g}' for c in batch.capacity],"
-    report += " [s.name for s in batch.strategies()])"
+    report += " [s.name for s in batch.strategies()], [s.name for s in labels[1]])"
     out = fresh_python(snippet + report)
-    assert out == "4.53858634865 BOTH_ACTIVE ['4.53858635', '6.81588948'] ['BOTH_ACTIVE', 'ONLY_USER2']\n"
+    assert out == "4.53858634865 BOTH_ACTIVE ['4.53858635', '6.81588948'] ['BOTH_ACTIVE', 'ONLY_USER2'] ['ONLY_USER1', 'BOTH_ACTIVE']\n"

@@ -5,6 +5,7 @@ and validated with the messages the commands print."""
 import math
 import re
 
+import numpy as np
 import pytest
 
 from poisson_mac import channel
@@ -19,7 +20,7 @@ from poisson_mac.channel import (
     hit_probs,
     phi,
 )
-from poisson_mac.continuous import ContinuousParams, ConvergenceRow, convergence_report
+from poisson_mac.continuous import ContinuousParams, ConvergenceRow, cont_f, cont_g, convergence_report
 from poisson_mac.gridsearch import GridResult, GridSpec, grid_capacity
 from poisson_mac.miso import JointPmf, MisoConfig
 from poisson_mac.siso import (
@@ -29,6 +30,8 @@ from poisson_mac.siso import (
     SolveBatch,
     SolveReport,
     SufficiencyRecord,
+    f_mac,
+    g_mac,
     solve,
     sufficiency_tests,
     uvw,
@@ -169,9 +172,27 @@ REJECTED = [
     (lambda: phi(math.nan), "phi needs x >= 0, got nan"),
     (lambda: alpha_cont(math.nan), "alpha_cont needs x > 0, got nan"),
 ]
+# The curves check their duty with DutyPair's message; cont_g checks every
+# element of an array and names the first bad one.  Each id names the curve.
+CP = ContinuousParams(10.0, 12.0, 0.001)
+CURVE_DUTIES = [
+    ("f_mac", lambda: f_mac(FIG2, math.nan), "mu1 must lie in [0, 1], got nan"),
+    ("f_mac", lambda: f_mac(FIG2, 2.0), "mu1 must lie in [0, 1], got 2.0"),
+    ("g_mac", lambda: g_mac(FIG2, math.nan), "mu1 must lie in [0, 1], got nan"),
+    ("g_mac", lambda: g_mac(FIG2, -1.0), "mu1 must lie in [0, 1], got -1.0"),
+    ("cont_f", lambda: cont_f(CP, math.nan), "mu1 must lie in [0, 1], got nan"),
+    ("cont_f", lambda: cont_f(CP, 1.5), "mu1 must lie in [0, 1], got 1.5"),
+    ("cont_g", lambda: cont_g(CP, math.nan), "mu1 must lie in [0, 1], got nan"),
+    ("cont_g", lambda: cont_g(CP, np.array([0.5, 1.0, -0.25, math.nan])), "mu1 must lie in [0, 1], got -0.25"),
+    ("cont_g", lambda: cont_g(CP, np.array([[0.0], [math.inf]])), "mu1 must lie in [0, 1], got inf"),
+]
 
 
-@pytest.mark.parametrize("build, message", REJECTED, ids=[m for _, m in REJECTED])
+@pytest.mark.parametrize(
+    "build, message",
+    REJECTED + [(build, message) for _, build, message in CURVE_DUTIES],
+    ids=[m for _, m in REJECTED] + [f"{name}: {m}" for name, _, m in CURVE_DUTIES],
+)
 def test_bad_input_is_rejected_with_the_same_message(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()

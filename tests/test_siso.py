@@ -18,7 +18,6 @@ from poisson_mac.siso import (
     f_mac,
     find_intersections,
     g_mac,
-    regime_fraction_rule,
     single_user_duty,
     solve,
     solve_many,
@@ -134,6 +133,13 @@ class TestScalarKernel:
     def d_at(params, mu1):
         return siso._curves_of(hit_probs(params))[1]()(mu1)
 
+    @staticmethod
+    def g_minus_f(params, mu1):
+        """g_mac - f_mac at any mu1, NaN and the infinities too, which their duty check refuses."""
+        hp = hit_probs(params)
+        u, v, w = siso._line(hp, hp.entropies)
+        return siso._named_zero_division(hp, lambda: siso._curves_of(hp)[0](mu1) - ((u / v) * mu1 + w / v))
+
     def channels(self):
         rng = random.Random(1313)
         for _ in range(150):
@@ -153,9 +159,9 @@ class TestScalarKernel:
             for x in points + [rng.random() for _ in range(8)]:
                 # d's division by 0 named as _search names it, and as g_mac and f_mac do.
                 named_d = outcome(siso._named_zero_division, hit_probs(params), lambda: self.d_at(params, x))
-                assert named_d == outcome(
-                    lambda x: g_mac(params, x) - f_mac(params, x), x
-                ), (params, x)
+                assert named_d == outcome(self.g_minus_f, params, x), (params, x)
+                if 0.0 <= x <= 1.0:
+                    assert named_d == outcome(lambda x: g_mac(params, x) - f_mac(params, x), x), (params, x)
 
     def test_g_stays_defined_where_the_line_is_not(self):
         params = ChannelParams(1000.0, 1000.0, 0.001, 1.0)
@@ -989,21 +995,23 @@ class TestSufficiency:
                 assert solve(params).strategy is not Strategy.BOTH_ACTIVE
 
 
+def region_tau(a1_grid, a2_grid, fraction=0.8, lambda0=0.001):
+    """One dead time per cell, fraction * ln2 / (a1 + a2 + lambda0), the rule of --tau-scale."""
+    return fraction * math.log(2.0) / (np.add.outer(a1_grid, a2_grid) + lambda0)
+
+
 class TestSweep:
     def test_labels_shape_and_diagonal(self):
         grid = [2.0, 6.0, 10.0]
-        labels = sweep_strategy_region(
-            grid, grid, 0.001, regime_fraction_rule(0.8, 0.001)
-        )
+        labels = sweep_strategy_region(grid, grid, 0.001, region_tau(grid, grid))
         assert len(labels) == 3 and all(len(row) == 3 for row in labels)
         for i in range(3):
             assert labels[i][i] is Strategy.BOTH_ACTIVE
 
     def test_transpose_symmetry_with_users_swapped(self):
         a1_grid, a2_grid = [2.0, 8.0], [3.0, 12.0]
-        rule = regime_fraction_rule(0.8, 0.001)
-        fwd = sweep_strategy_region(a1_grid, a2_grid, 0.001, rule)
-        rev = sweep_strategy_region(a2_grid, a1_grid, 0.001, rule)
+        fwd = sweep_strategy_region(a1_grid, a2_grid, 0.001, region_tau(a1_grid, a2_grid))
+        rev = sweep_strategy_region(a2_grid, a1_grid, 0.001, region_tau(a2_grid, a1_grid))
         swap = {
             Strategy.ONLY_USER1: Strategy.ONLY_USER2,
             Strategy.ONLY_USER2: Strategy.ONLY_USER1,
@@ -1013,13 +1021,35 @@ class TestSweep:
             for j in range(len(a2_grid)):
                 assert fwd[i][j] is swap[rev[j][i]]
 
+    def test_per_cell_tau_is_the_cells_own(self):
+        # Each cell is solved at its own dead time, in row order.
+        a1_grid, a2_grid = [1.0, 10.0, 30.0], [2.0, 12.0]
+        tau = region_tau(a1_grid, a2_grid, fraction=1.5)
+        labels = sweep_strategy_region(a1_grid, a2_grid, 0.001, tau)
+        for i, a1 in enumerate(a1_grid):
+            for j, a2 in enumerate(a2_grid):
+                assert labels[i][j] is solve(ChannelParams(a1, a2, 0.001, float(tau[i, j]))).strategy
+
     def test_fixed_tau_rule(self):
         labels = sweep_strategy_region([1.0], [20.0], 0.001, 0.02)
         assert labels[0][0] is Strategy.ONLY_USER2
 
+    def test_constant_tau_array_gives_the_labels_of_the_float(self):
+        # At tau = 0.02 the grid crosses the regime bound, so both kinds of lane run.
+        a1_grid, a2_grid = [1.0, 5.0, 10.0, 30.0], [1.0, 12.0, 20.0]
+        fixed = sweep_strategy_region(a1_grid, a2_grid, 0.001, 0.02)
+        assert {label for row in fixed for label in row} == set(Strategy)
+        assert sweep_strategy_region(a1_grid, a2_grid, 0.001, np.full((4, 3), 0.02)) == fixed
+
+    @pytest.mark.parametrize("shape", [(2, 3), (6,), (2,), (1, 2), (3, 1), (1, 3, 2)])
+    def test_tau_of_the_wrong_shape_is_refused(self, shape):
+        with pytest.raises(ValueError, match=rf"^tau must be one dead time or one per cell, of shape \(3, 2\), got shape"):
+            sweep_strategy_region([1.0, 2.0, 3.0], [4.0, 5.0], 0.001, np.full(shape, 0.02))
+
     def test_empty_axes(self):
         assert sweep_strategy_region([], [1.0], 0.001, 0.02) == []
         assert sweep_strategy_region([1.0, 2.0], [], 0.001, 0.02) == [[], []]
+        assert sweep_strategy_region([1.0, 2.0], [], 0.001, np.empty((2, 0))) == [[], []]
 
 
 @contextlib.contextmanager
@@ -1048,8 +1078,7 @@ def curves_of(channels):
 
 
 def in_regime_row(a1, a2_values, fraction=0.8):
-    rule = regime_fraction_rule(fraction, 0.001)
-    return [a1] * len(a2_values), list(a2_values), [rule(a1, x) for x in a2_values]
+    return [a1] * len(a2_values), list(a2_values), [fraction * math.log(2.0) / (a1 + x + 0.001) for x in a2_values]
 
 
 def golden_lane_counts(monkeypatch):
