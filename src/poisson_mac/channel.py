@@ -216,11 +216,20 @@ def _rate(p: tuple, h: tuple, mu1, mu2, entropy=binary_entropy):
 
 
 def _weighted_rate(p: tuple, h: tuple, w: tuple, entropy=binary_entropy):
-    """I at the duty weights w from the four hit levels p and their entropies h:
-    the only definition of the slot rate.  On floats, or on broadcast arrays with
-    an array entropy (siso._entropy_many); divide by tau for a rate per unit time."""
-    ph = w[0] * p[0] + w[1] * p[1] + w[2] * p[2] + w[3] * p[3]
-    return entropy(ph) - (w[0] * h[0] + w[1] * h[1] + w[2] * h[2] + w[3] * h[3])
+    """I at the duty weights w from the four hit levels p and their entropies h: the only
+    definition of the slot rate, on floats or on broadcast arrays with an array entropy
+    (siso._entropy_many); divide by tau for a rate per unit time.  Each sum runs left to right
+    in its first product's array, so the four weights share one shape, as _weights builds them."""
+    ph, mix = w[0] * p[0], w[0] * h[0]
+    ph += w[1] * p[1]
+    ph += w[2] * p[2]
+    ph += w[3] * p[3]
+    mix += w[1] * h[1]
+    mix += w[2] * h[2]
+    mix += w[3] * h[3]
+    rate = entropy(ph)
+    rate -= mix
+    return rate
 
 
 def mutual_info_rate(params: ChannelParams, duty: DutyPair) -> float:

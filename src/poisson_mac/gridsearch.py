@@ -9,9 +9,9 @@ derivative oracles are central finite differences.
 The grid maximiser, _grid_max, takes any vectorized objective (the tests
 run it on the continuous rate too).  The grid rates its cells with
 channel._weighted_rate, its full pass on duty weights that _lattice builds
-once per step, and takes entropies from siso._entropy_many on numpy's logs,
-so a cell whose slot probability rounds outside [0, 1] is NaN, which never
-wins a maximum.
+once per step, each sum built in place (the bits of one expression), with
+siso._entropy_many on numpy's logs for the entropy, so a cell whose slot
+probability rounds outside [0, 1] is NaN, which never wins a maximum.
 """
 
 from __future__ import annotations
@@ -94,7 +94,9 @@ def _rate_grid(hp: HitProbs, tau: float, m1: np.ndarray, m2: np.ndarray, w: tupl
     numpy's logs: NaN where the slot probability rounds outside [0, 1] (on
     saturated channels, ChannelParams(1, 0.1, 10, 5), it rounds an ulp above 1)."""
     w = _weights(m1, m2) if w is None else w
-    return _weighted_rate(hp, hp.entropies, w, lambda q: _entropy_many(q, np)) / tau
+    rate = _weighted_rate(hp, hp.entropies, w, lambda q: _entropy_many(q, np))
+    rate /= tau
+    return rate
 
 
 def _grad_norm_grid(hp: HitProbs, tau: float, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:

@@ -17,13 +17,13 @@ E[phi]: collapsing nu1 to it never lowers I.  Doing the same for user 2
 leaves the one-antenna channel at the summed peaks.
 
 The argument does not use the paper's condition tau <= ln2 / (total peak +
-lambda0), under which g is convex and siso's curve search exact; solve_miso
-reports it as regime_ok.  For given per-antenna duties the best PMF is the
-staircase (nu_pmf), on the chain of on-sets that switch antennas on in order
-of decreasing duty, with the duty gaps as masses.  miso_mutual_info rates any
-PMF pair, and the oracle miso_pmf_enumeration every PMF pair with given
-marginals (at most two antennas per user), both through one kernel,
-_joint_terms.
+lambda0), under which siso's curve search relies on g - f being unimodal
+(measured, not proved); solve_miso reports it as regime_ok.  For given
+per-antenna duties the best PMF is the staircase (nu_pmf), on the chain of
+on-sets that switch antennas on in order of decreasing duty, with the duty
+gaps as masses.  miso_mutual_info rates any PMF pair, and the oracle
+miso_pmf_enumeration every PMF pair with given marginals (at most two
+antennas per user), both through one kernel, _joint_terms.
 """
 
 from __future__ import annotations

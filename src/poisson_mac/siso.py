@@ -8,21 +8,21 @@ problem:
 * interior stationary points have both partials zero.  Eliminating the common
   log-odds factor between the two partial-derivative equations leaves an
   affine relation mu1*u - mu2*v + w = 0 (curve ``f``); the second partial
-  alone solves to a closed form mu2 = g(mu1) that is strictly convex whenever
-  tau <= ln2/(a1+a2+lambda0).  An affine curve meets a strictly convex one at
-  most twice, so any point where g - f <= 0 lies between the two meetings: a
-  golden-section pass towards the minimum of g - f ends at its first such
-  sample, and one bracketed root search (_root: regula falsi with the
-  Anderson-Bjorck weight and a bisection safeguard) on each side finds every
-  interior candidate, both on one closure d (_curves_of), g - f to the last
-  bit in one Python call a step.
+  alone solves to a closed form mu2 = g(mu1), which need not be convex.  Where
+  tau <= ln2/(a1+a2+lambda0), g - f is measured unimodal, not proved (dense
+  grids of seeded channels show no interior local maximum), so a point where
+  g - f <= 0 lies between its at most two roots: a golden-section pass towards
+  its minimum ends at its first such sample, and one bracketed root search
+  (_root: regula falsi with the Anderson-Bjorck weight and a bisection
+  safeguard) on each side finds every interior candidate, both on one closure
+  d (_curves_of), g - f to the last bit in one Python call a step.
 * the two edge candidates put one user at its closed-form solo duty cycle and
   silence the other.
 
 In tie order (interior points, user 2 alone, user 1 alone), the first candidate
 rated >= 0 and within TIE_TOL of the best is the capacity; if every rate is
 below zero (rounding noise), solve raises ArithmeticError.  Out of the stated
-regime the convexity guarantee lapses and g - f may have more roots, so it is
+regime g - f is not relied on to be unimodal and may have more roots, so it is
 scanned at SCAN_POINTS equispaced points, one root search per sign change, and
 the report is flagged.  The enumeration still holds there: at every tau the
 hit probability and the entropy mixture are affine in each duty, so I(mu1, .)
@@ -144,7 +144,7 @@ class SufficiencyRecord(NamedTuple):
 class IntersectionSearch(NamedTuple):
     """Roots of g - f on [0, 1].  points carry the in-box stationary pairs;
     rejected carries roots whose mu2 coordinate left the unit interval.
-    reliable is False out of regime, where g may fail to be convex."""
+    reliable is False out of regime, where g - f is not relied on to be unimodal."""
 
     points: tuple[DutyPair, ...]
     rejected: tuple[DutyPair, ...]
@@ -205,7 +205,7 @@ def f_mac(params: ChannelParams, mu1: float) -> float:
 
 
 def g_mac(params: ChannelParams, mu1: float) -> float:
-    """mu2 solving d I/d mu2 = 0 at the given mu1; strictly convex in regime."""
+    """mu2 solving d I/d mu2 = 0 at the given mu1; not convex in general, even in regime."""
     _require_duty("mu1", mu1)
     hp = hit_probs(params)
     return _named_zero_division(hp, lambda: _curves_of(hp)[0](mu1))
@@ -305,12 +305,12 @@ def _root(fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: f
 
 
 def find_intersections(params: ChannelParams) -> IntersectionSearch:
-    """All stationary pairs where the affine and convex curves meet on [0, 1].
+    """All stationary pairs where the affine curve f and the curve g meet on [0, 1].
 
-    Exploits strict convexity of g - f: golden-section samples towards its
-    minimum until one sample is <= 0, then one _root search per side.  Out of
-    regime g - f is scanned at SCAN_POINTS points instead, one _root search
-    per sign change, and the result is flagged unreliable.
+    In regime g - f is measured unimodal, not proved: golden-section samples
+    towards its minimum until one sample is <= 0, then one _root search per
+    side.  Out of regime g - f is scanned at SCAN_POINTS points instead, one
+    _root search per sign change, and the result is flagged unreliable.
     """
     return _search(hit_probs(params), params.in_regime)
 
@@ -334,7 +334,7 @@ def _named_zero_division(hp: HitProbs, compute: Callable[[], Any]) -> Any:
 
 def _intersections(g: Callable, d: Callable, reliable: bool) -> IntersectionSearch:
     roots: list[float] = []
-    if reliable:  # d is convex
+    if reliable:  # d is measured unimodal, not proved
         m_star, d_m = _golden_min(d, 0.0, 1.0, 1e-14)
         d_m = d(m_star) if d_m is None else d_m
         if d_m <= 0.0:
@@ -409,10 +409,10 @@ def solve(params: ChannelParams) -> SolveReport:
     regime_ok=False, the interior roots come from the scan of g - f, and the
     enumerated result gives way to one unrefined step-1e-2 pass of
     gridsearch.grid_capacity only when that is higher by more than TIE_TOL.
-    The grid is a brute-force witness that rates its 101x101 cells on duty
-    weights built once per process.  Every rate is on math's exp and logs
-    but the grid's, which are on numpy's and can differ in the last bit; a
-    lattice point away from the optimum wins only by a real margin.
+    The grid is a brute-force witness: one pass rates its 101x101 cells on
+    duty weights built once per process, each sum built in place.  Every rate
+    is on math's exp and logs but the grid's (numpy's, which can differ in the
+    last bit); a lattice point away from the optimum wins only by a real margin.
     """
     hp = hit_probs(params)
     try:
@@ -480,8 +480,12 @@ def _call(xp: ModuleType, name: str, x: np.ndarray) -> np.ndarray:
 
 def _entropy_many(q: np.ndarray, xp: ModuleType = math) -> np.ndarray:
     """binary_entropy over an array, on xp's logs (see _call); nan outside [0, 1]."""
-    if q.size and q.min() > 0.0 and q.max() < 1.0:  # nothing to mask
-        return -q * _call(xp, "log", q) - (1.0 - q) * _call(xp, "log1p", -q)
+    if q.size and q.min() > 0.0 and q.max() < 1.0:  # nothing to mask; binary_entropy's order, in place
+        h, tail = _call(xp, "log", q), _call(xp, "log1p", -q)
+        h *= -q
+        tail *= 1.0 - q
+        h -= tail
+        return h
     inside = (q > 0.0) & (q < 1.0)
     q_in = np.where(inside, q, 0.5)
     h = -q_in * _call(xp, "log", q_in) - (1.0 - q_in) * _call(xp, "log1p", -q_in)

@@ -29,7 +29,7 @@ sit wholly on the convex side, so their maximum is the one-user split
 the balanced (s, s) wins; in the sliver between, both ends compete.
 
 The balanced optimum itself is the unique fixed point mu = g(mu) of the
-convex curve: f is the diagonal to the bit, so it is solve's interior root.
+curve g: f is the diagonal to the bit, so it is solve's interior root.
 
 Each function checks its rates, named a, lambda0 and tau, before it computes:
 _channel checks (a, lambda0, tau) and builds the channel, whose hit levels

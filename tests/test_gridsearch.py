@@ -8,7 +8,17 @@ import numpy as np
 import pytest
 
 from poisson_mac import gridsearch, siso
-from poisson_mac.channel import ChannelParams, DutyPair, _rate, _weights, grad_mutual_info, hit_probs, mutual_info
+from poisson_mac.channel import (
+    ChannelParams,
+    DutyPair,
+    _rate,
+    _weighted_rate,
+    _weights,
+    binary_entropy,
+    grad_mutual_info,
+    hit_probs,
+    mutual_info,
+)
 from poisson_mac.gridsearch import GridSpec, _grid_max, fd_gradient, grid_capacity
 from poisson_mac.miso import MisoConfig, miso_mutual_info, miso_pmf_enumeration, nu_pmf
 from poisson_mac.siso import solve
@@ -137,6 +147,20 @@ def _old_rate_grid(hp, tau, m1, m2, w=None):
     return (_old_entropy_arr(ph) - mix) / tau
 
 
+def _one_expression_entropy(q, xp):
+    """siso._entropy_many with its unmasked branch as the one expression it was
+    before it ran in place (its masked branch is unchanged)."""
+    if q.size and q.min() > 0.0 and q.max() < 1.0:
+        return -q * siso._call(xp, "log", q) - (1.0 - q) * siso._call(xp, "log1p", -q)
+    return siso._entropy_many(q, xp)
+
+
+def _one_expression_rate(p, h, w, entropy):
+    """channel._weighted_rate as the one expression it was before it summed in place."""
+    ph = w[0] * p[0] + w[1] * p[1] + w[2] * p[2] + w[3] * p[3]
+    return entropy(ph) - (w[0] * h[0] + w[1] * h[1] + w[2] * h[2] + w[3] * h[3])
+
+
 def _old_local_peaks(values, g, sep, count):
     """gridsearch._local_peaks as it was before it skipped the last mask."""
     picked = []
@@ -191,6 +215,87 @@ class TestWitnessHelpers:
         for params, new in zip(channels, results):
             old = grid_capacity(params, spec)
             assert (new.capacity, new.duty) == (old.capacity, old.duty), params
+
+
+def _seeded_channels(count, seed):
+    """SATURATED and count channels at peaks 1e-4 to 1e4, lambda0 1e-6 to 10 and
+    tau 0.01 to 1000 times the regime bound."""
+    rng, channels = random.Random(seed), list(SATURATED)
+    for _ in range(count):
+        a1, a2, lam0 = 10 ** rng.uniform(-4, 4), 10 ** rng.uniform(-4, 4), 10 ** rng.uniform(-6, 1)
+        channels.append(ChannelParams(a1, a2, lam0, 10 ** rng.uniform(-2, 3) * math.log(2) / (a1 + a2 + lam0)))
+    return channels
+
+
+def _float_outcome(fn, *args):
+    """The bits of a float result, or the ValueError text of binary_entropy."""
+    try:
+        return fn(*args).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestInPlaceKernels:
+    """channel._weighted_rate and siso._entropy_many sum in place: the bits of
+    their one-expression forms, on floats, on lanes and on the grid's planes,
+    and no input written.  The math module's lanes are 1-D, so the 2-D planes
+    run on numpy's logs, as the grid does."""
+
+    @staticmethod
+    def assert_unwritten(arrays, copies):
+        assert all(a.tobytes() == c.tobytes() for a, c in zip(arrays, copies))
+
+    @pytest.mark.parametrize("xp", [math, np])
+    def test_entropy_has_the_one_expression_bits(self, xp):
+        rng = np.random.default_rng(36)
+        qs = [rng.uniform(0.0, 1.0, 1001), np.exp(-rng.uniform(0.0, 700.0, 500)), -np.expm1(-rng.uniform(0.0, 36.0, 500))]
+        qs += [np.array([5e-324, 0.5, 1.0 - 2**-53]), rng.uniform(-0.5, 1.5, 300), np.empty(0)]
+        if xp is np:
+            qs += [q.reshape(-1, 50) for q in (rng.uniform(0.0, 1.0, 2500), rng.uniform(-0.5, 1.5, 2500))]
+        for q in qs:
+            before = q.copy()
+            new, old = siso._entropy_many(q, xp), _one_expression_entropy(q, xp)
+            assert new.shape == old.shape and new.tobytes() == old.tobytes(), q
+            self.assert_unwritten([q], [before])
+
+    def test_rate_has_the_one_expression_bits_on_floats(self):
+        rng = random.Random(36)
+        for params in _seeded_channels(600, 36):
+            hp = hit_probs(params)
+            w = _weights(rng.random(), rng.random())
+            new = _float_outcome(_weighted_rate, hp, hp.entropies, w)
+            assert new == _float_outcome(_one_expression_rate, hp, hp.entropies, w, binary_entropy), params
+
+    @pytest.mark.parametrize("xp", [math, np])
+    def test_rate_has_the_one_expression_bits_on_lanes(self, xp):
+        channels, rng = _seeded_channels(600, 37), np.random.default_rng(37)
+        p = tuple(np.array(x) for x in zip(*map(hit_probs, channels)))
+        h = tuple(siso._entropy_many(x, xp) for x in p)
+        n = len(channels)
+        # The batch's candidate rows: duties in the square, and a user silent.
+        for m1, m2 in ((rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)), (np.zeros(n), rng.uniform(0.0, 1.0, n))):
+            w = _weights(m1, m2)
+            inputs = [*p, *h, *w, m1, m2]
+            copies = [a.copy() for a in inputs]
+            new = _weighted_rate(p, h, w, lambda q: siso._entropy_many(q, xp))
+            old = _one_expression_rate(p, h, w, lambda q: _one_expression_entropy(q, xp))
+            assert new.tobytes() == old.tobytes()
+            self.assert_unwritten(inputs, copies)
+
+    def test_rate_has_the_one_expression_bits_on_the_lattice(self):
+        g, lattice = gridsearch._lattice(1e-2)
+        w = tuple(a.copy() for a in lattice)  # writable, so that a write would show rather than raise
+        nan_planes = 0
+        for params in _seeded_channels(40, 38):
+            hp = hit_probs(params)
+            new = _weighted_rate(hp, hp.entropies, w, lambda q: siso._entropy_many(q, np))
+            old = _one_expression_rate(hp, hp.entropies, w, lambda q: _one_expression_entropy(q, np))
+            assert new.tobytes() == old.tobytes(), params
+            plane = gridsearch._rate_grid(hp, params.tau, g[:, None], g[None, :], lattice)
+            assert plane.tobytes() == (old / params.tau).tobytes(), params
+            nan_planes += bool(np.isnan(old).any())
+        self.assert_unwritten(w, lattice)
+        assert nan_planes >= 1  # ChannelParams(1, 0.1, 10, 5)
 
 
 class TestLattice:

@@ -154,7 +154,7 @@ def _log_uniform(lo, hi):
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(_log_uniform(1e-2, 1e3), _log_uniform(1e-2, 1e3), _log_uniform(1e-4, 10.0), fractions)
 def test_early_exit_finds_the_full_pass_roots(a1, a2, lambda0, fraction):
-    # In regime g - f is convex, so its first sample <= 0 splits its roots as
+    # In regime g - f is unimodal (measured), so its first sample <= 0 splits its roots as
     # well as the minimum does.  The root searches start from other brackets, so
     # their roots may differ within the rounding noise of g - f (~1e-13).
     params = _channel(a1, a2, lambda0, fraction)

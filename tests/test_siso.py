@@ -31,6 +31,8 @@ from oracles import profile_max, profile_max_many, profile_of
 FIG1 = ChannelParams(1.0, 20.0, 0.001, 0.02)   # no intersection, user 2 only
 FIG2 = ChannelParams(10.0, 12.0, 0.001, 0.02)  # one intersection, both active
 SYM = ChannelParams(10.0, 10.0, 0.001, 0.02)
+# In regime (0.88 of the bound), where g bends down: (g(0) - 2g(h) + g(2h))/h^2 = -15.75 at h = 1e-3.
+BENDS_DOWN = ChannelParams(7.117993079090798, 0.23993726143486577, 0.0010123357794915053, 0.08268423068748347)
 
 
 def random_in_regime(rng: random.Random) -> ChannelParams:
@@ -108,13 +110,40 @@ class TestCurves:
         assert g_mac(SYM, 0.0) > 0.0
         assert g_mac(SYM, 1.0) < 1.0
 
-    def test_g_midpoint_convexity_in_regime(self):
-        rng = random.Random(23)
-        for _ in range(40):
+    def test_g_minus_f_has_no_interior_maximum_in_regime(self):
+        # g is not convex in regime: midpoint convexity fails on 23 of this
+        # sampler's first 4,000 draws.  The search needs only that d = g - f is
+        # unimodal.  On the first 40 draws and those 23, on a 2,001-point grid,
+        # d never rises above its running minimum before its lowest point, nor
+        # falls below its running maximum after it, by more than a rounding
+        # allowance of 8 ulps of its largest magnitude.
+        rng, xs, checked = random.Random(23), [i / 2000 for i in range(2001)], 0
+        for k in range(4000):
             params = random_in_regime(rng)
             x, y = rng.random(), rng.random()
-            mid = g_mac(params, 0.5 * (x + y))
-            assert mid <= 0.5 * (g_mac(params, x) + g_mac(params, y)) + 1e-14
+            convex = g_mac(params, 0.5 * (x + y)) <= 0.5 * (g_mac(params, x) + g_mac(params, y)) + 1e-14
+            if k >= 40 and convex:
+                continue
+            checked += 1
+            d = np.array(list(map(siso._curves_of(hit_probs(params))[1](), xs)))
+            low, allowance = int(np.argmin(d)), 8.0 * np.finfo(float).eps * np.abs(d).max()
+            rise = d[: low + 1] - np.minimum.accumulate(d[: low + 1])
+            fall = np.maximum.accumulate(d[low:]) - d[low:]
+            assert max(rise.max(), fall.max()) <= allowance, (k, params)
+        assert checked == 40 + 23
+
+    def test_g_bends_down_in_regime_and_the_search_finds_every_crossing(self):
+        params, h = BENDS_DOWN, 1e-3
+        assert params.in_regime
+        assert (g_mac(params, 0.0) - 2.0 * g_mac(params, h) + g_mac(params, 2.0 * h)) / h**2 < 0.0
+        d = siso._curves_of(hit_probs(params))[1]()
+        xs = [i / 2000 for i in range(2001)]
+        ds = [d(x) for x in xs]
+        crossings = [(xs[i], xs[i + 1]) for i in range(2000) if (ds[i] < 0.0) != (ds[i + 1] < 0.0)]
+        search = find_intersections(params)
+        roots = sorted(pt.mu1 for pt in search.points + search.rejected)
+        assert search.reliable and len(roots) == len(crossings) == 1
+        assert all(lo <= r <= hi for r, (lo, hi) in zip(roots, crossings))
 
 
 def outcome(fn, *args):
@@ -240,7 +269,7 @@ class TestIntersections:
     @pytest.mark.parametrize(
         "params, evaluations",
         [
-            # In regime g - f is convex, so its first sample <= 0 (here the
+            # In regime g - f is unimodal (measured), so its first sample <= 0 (here the
             # first of all) splits its roots: 1 golden-section sample, 2 end
             # values and 8 steps of the root search on [0, 0.382], which is
             # handed d at both ends (52 midpoints of the earlier bisection).
