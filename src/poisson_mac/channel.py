@@ -199,9 +199,7 @@ def _weights(mu1: float, mu2: float) -> tuple[float, float, float, float]:
 
 def p_hat(params: ChannelParams, duty: DutyPair) -> float:
     """Slot hit probability under independent on/off signalling at the given duties."""
-    hp = hit_probs(params)
-    w = _weights(duty.mu1, duty.mu2)
-    return w[0] * hp.p1 + w[1] * hp.p2 + w[2] * hp.p3 + w[3] * hp.p4
+    return _weighted_sum(_weights(duty.mu1, duty.mu2), hit_probs(params))
 
 
 def mutual_info(params: ChannelParams, duty: DutyPair) -> float:
@@ -218,18 +216,21 @@ def _rate(p: tuple, h: tuple, mu1, mu2, entropy=binary_entropy):
 def _weighted_rate(p: tuple, h: tuple, w: tuple, entropy=binary_entropy):
     """I at the duty weights w from the four hit levels p and their entropies h: the only
     definition of the slot rate, on floats or on broadcast arrays with an array entropy
-    (siso._entropy_many); divide by tau for a rate per unit time.  Each sum runs left to right
-    in its first product's array, so the four weights share one shape, as _weights builds them."""
-    ph, mix = w[0] * p[0], w[0] * h[0]
-    ph += w[1] * p[1]
-    ph += w[2] * p[2]
-    ph += w[3] * p[3]
-    mix += w[1] * h[1]
-    mix += w[2] * h[2]
-    mix += w[3] * h[3]
-    rate = entropy(ph)
-    rate -= mix
+    (siso._entropy_many); divide by tau for a rate per unit time."""
+    rate = entropy(_weighted_sum(w, p))
+    rate -= _weighted_sum(w, h)
     return rate
+
+
+def _weighted_sum(w: tuple, x: tuple):
+    """w[0]*x[0] + ... + w[3]*x[3], left to right, in the array of the first product (on floats
+    += rebinds): the slot probability and the entropy mixture of the rate, the gradient and
+    p_hat.  The four weights share one broadcast shape, as _weights builds them."""
+    total = w[0] * x[0]
+    total += w[1] * x[1]
+    total += w[2] * x[2]
+    total += w[3] * x[3]
+    return total
 
 
 def mutual_info_rate(params: ChannelParams, duty: DutyPair) -> float:
@@ -254,9 +255,7 @@ def _grad_terms(hp: HitProbs, mu1, mu2) -> tuple:
     c2 = mu1 * (hp.p1 - hp.p3) + (1.0 - mu1) * (hp.p2 - hp.p4)
     e1 = mu2 * (h1 - h2) + (1.0 - mu2) * (h3 - h4)
     e2 = mu1 * (h1 - h3) + (1.0 - mu1) * (h2 - h4)
-    w = _weights(mu1, mu2)
-    ph = w[0] * hp.p1 + w[1] * hp.p2 + w[2] * hp.p3 + w[3] * hp.p4
-    return c1, c2, e1, e2, ph
+    return c1, c2, e1, e2, _weighted_sum(_weights(mu1, mu2), hp)
 
 
 def _grad(hp: HitProbs, mu1: float, mu2: float) -> tuple[float, float]:

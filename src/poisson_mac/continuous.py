@@ -129,8 +129,8 @@ def cont_capacity(cp: ContinuousParams) -> tuple[float, DutyPair]:
     duties: list[tuple[float, float]] = []
     try:
         if math.isfinite(slope) and math.isfinite(intercept):  # else no line, so no interior pair
-            inter = _intersections(lambda x: _g(levels, x), lambda x: _g(levels, x) - (slope * x + intercept), True)
-            duties += [(pt.mu1, pt.mu2) for pt in inter.points]
+            points, _ = _intersections(lambda x: _g(levels, x), lambda x: _g(levels, x) - (slope * x + intercept))
+            duties += [(pt.mu1, pt.mu2) for pt in points]
         # cont_g at 0 is user 2's solo duty in closed form; with the labels swapped, user 1's.
         solo2, solo1 = _g(levels, 0.0), _g(_levels(a2, a1, l0), 0.0)
     except OverflowError as exc:  # the exponent is ~ln of a rate: only rounding noise passes exp's range

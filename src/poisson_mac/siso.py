@@ -8,33 +8,33 @@ problem:
 * interior stationary points have both partials zero.  Eliminating the common
   log-odds factor between the two partial-derivative equations leaves an
   affine relation mu1*u - mu2*v + w = 0 (curve ``f``); the second partial
-  alone solves to a closed form mu2 = g(mu1), which need not be convex.  Where
-  tau <= ln2/(a1+a2+lambda0), g - f is measured unimodal, not proved (dense
-  grids of seeded channels show no interior local maximum), so a point where
-  g - f <= 0 lies between its at most two roots: a golden-section pass towards
-  its minimum ends at its first such sample, and one bracketed root search
-  (_root: regula falsi with the Anderson-Bjorck weight and a bisection
-  safeguard) on each side finds every interior candidate, both on one closure
-  d (_curves_of), g - f to the last bit in one Python call a step.
+  alone solves to a closed form mu2 = g(mu1), which need not be convex.  At
+  every tau, g - f is measured unimodal, not proved (dense grids of seeded
+  channels, in and out of the regime tau <= ln2/(a1+a2+lambda0), show no
+  interior local maximum).  So it has no root where it is < 0 at both ends of
+  [0, 1], and a point where it is <= 0 lies between its at most two roots: a
+  golden-section pass towards its minimum ends at its first such sample, and
+  one bracketed root search (_root: regula falsi with the Anderson-Bjorck
+  weight and a bisection safeguard) on each side finds every interior
+  candidate, both on one closure d (_curves_of), g - f to the last bit in one
+  Python call a step.
 * the two edge candidates put one user at its closed-form solo duty cycle and
   silence the other.
 
 In tie order (interior points, user 2 alone, user 1 alone), the first candidate
 rated >= 0 and within TIE_TOL of the best is the capacity; if every rate is
 below zero (rounding noise), solve raises ArithmeticError.  Out of the stated
-regime g - f is not relied on to be unimodal and may have more roots, so it is
-scanned at SCAN_POINTS equispaced points, one root search per sign change, and
-the report is flagged.  The enumeration still holds there: at every tau the
-hit probability and the entropy mixture are affine in each duty, so I(mu1, .)
-and I(., mu2) are each concave, and the maximum over the box is an interior
-root of g - f or the best point of one of its four edges, each a one-user
-problem with a closed-form duty.  Two edges are the solo candidates; on the
-other two one user is always on, and its light is noise independent of the
-other's input (a slot is a hit when any photon arrives), so by data
-processing neither is above its solo edge.  solve keeps a coarse grid
-witness.  The continuous reference (continuous.cont_capacity) runs the
-in-regime search: its g - f is convex at every parameter, so _intersections
-enumerates its candidates.
+regime the search is the same and the report is flagged.  The enumeration
+holds there too: at every tau the hit probability and the entropy mixture are
+affine in each duty, so I(mu1, .) and I(., mu2) are each concave, and the
+maximum over the box is an interior root of g - f or the best point of one of
+its four edges, each a one-user problem with a closed-form duty.  Two edges
+are the solo candidates; on the other two one user is always on, and its
+light is noise independent of the other's input (a slot is a hit when any
+photon arrives), so by data processing neither is above its solo edge.  solve
+keeps a coarse grid witness.  The continuous reference
+(continuous.cont_capacity) runs the same search: its g - f is convex at every
+parameter, so _intersections enumerates its candidates.
 
 solve builds a channel's set-up once for private cores; find_intersections,
 single_user_duty and the equal-peak fixed point call the same cores (the curve
@@ -88,7 +88,6 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-12
-SCAN_POINTS = 33  # equispaced samples of g - f on [0, 1] out of regime
 EXP_CAP = 700.0  # caps every exponent of g and the solo duty: saturated hit levels can pass exp's range
 BOX_SLACK = 1e-12  # a root's mu2 this far outside [0, 1] still counts as in the box
 
@@ -144,7 +143,8 @@ class SufficiencyRecord(NamedTuple):
 class IntersectionSearch(NamedTuple):
     """Roots of g - f on [0, 1].  points carry the in-box stationary pairs;
     rejected carries roots whose mu2 coordinate left the unit interval.
-    reliable is False out of regime, where g - f is not relied on to be unimodal."""
+    reliable is the channel's in_regime: the search is the same at every tau,
+    but only in regime does the paper state its result."""
 
     points: tuple[DutyPair, ...]
     rejected: tuple[DutyPair, ...]
@@ -305,21 +305,16 @@ def _root(fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: f
 
 
 def find_intersections(params: ChannelParams) -> IntersectionSearch:
-    """All stationary pairs where the affine curve f and the curve g meet on [0, 1].
-
-    In regime g - f is measured unimodal, not proved: golden-section samples
-    towards its minimum until one sample is <= 0, then one _root search per
-    side.  Out of regime g - f is scanned at SCAN_POINTS points instead, one
-    _root search per sign change, and the result is flagged unreliable.
-    """
-    return _search(hit_probs(params), params.in_regime)
+    """All stationary pairs where the affine curve f and the curve g meet on [0, 1], by
+    the search of _intersections at every tau; out of regime they are flagged unreliable."""
+    return IntersectionSearch(*_search(hit_probs(params)), params.in_regime)
 
 
-def _search(hp: HitProbs, reliable: bool) -> IntersectionSearch:
+def _search(hp: HitProbs) -> tuple[tuple[DutyPair, ...], tuple[DutyPair, ...]]:
     """_intersections on one set-up of the curves: the search of solve,
     find_intersections and the equal-peak fixed point."""
     g, make_d = _curves_of(hp)
-    return _named_zero_division(hp, lambda: _intersections(g, make_d(), reliable))
+    return _named_zero_division(hp, lambda: _intersections(g, make_d()))
 
 
 def _named_zero_division(hp: HitProbs, compute: Callable[[], Any]) -> Any:
@@ -332,28 +327,27 @@ def _named_zero_division(hp: HitProbs, compute: Callable[[], Any]) -> Any:
         raise ArithmeticError(f"{msg} at the hit levels {levels}") from None
 
 
-def _intersections(g: Callable, d: Callable, reliable: bool) -> IntersectionSearch:
+def _intersections(g: Callable, d: Callable) -> tuple[tuple[DutyPair, ...], tuple[DutyPair, ...]]:
+    """The in-box and the rejected roots of d = g - f on [0, 1], as duty pairs.
+    d is measured unimodal, not proved, at every tau, so it has no root where
+    it is < 0 at both ends; else golden-section samples run towards its minimum
+    until one is <= 0, and one _root search runs on each side whose end is >= 0.
+    A NaN at an end or at that minimum would drop a root unseen, so it raises."""
+    d_0, d_1 = d(0.0), d(1.0)
+    if d_0 < 0.0 and d_1 < 0.0:
+        return (), ()
+    m_star, d_m = _golden_min(d, 0.0, 1.0, 1e-14)
+    d_m = d(m_star) if d_m is None else d_m
+    if math.isnan(d_0) or math.isnan(d_1) or math.isnan(d_m):
+        raise ArithmeticError("g - f is NaN at an end of [0, 1] or at its golden-section minimum")
     roots: list[float] = []
-    if reliable:  # d is measured unimodal, not proved
-        m_star, d_m = _golden_min(d, 0.0, 1.0, 1e-14)
-        d_m = d(m_star) if d_m is None else d_m
-        if d_m <= 0.0:
-            if (d_0 := d(0.0)) >= 0.0:
-                roots.append(_root(d, 0.0, m_star, d_0, d_m))
-            if (d_1 := d(1.0)) >= 0.0:
-                roots.append(_root(d, m_star, 1.0, d_m, d_1))
-        if len(roots) == 2 and abs(roots[0] - roots[1]) < 1e-9:
-            roots = roots[:1]
-    else:
-        xs = [i / (SCAN_POINTS - 1) for i in range(SCAN_POINTS)]
-        ds = [d(x) for x in xs]
-        if any(v != v for v in ds):
-            raise ArithmeticError("g - f is NaN at a scan point")
-        for i, (x, v) in enumerate(zip(xs, ds)):
-            if v == 0.0:
-                roots.append(x)
-            elif i + 1 < SCAN_POINTS and (v < 0.0) != (ds[i + 1] < 0.0) and ds[i + 1] != 0.0:
-                roots.append(_root(d, x, xs[i + 1], v, ds[i + 1]))
+    if d_m <= 0.0:
+        if d_0 >= 0.0:
+            roots.append(_root(d, 0.0, m_star, d_0, d_m))
+        if d_1 >= 0.0:
+            roots.append(_root(d, m_star, 1.0, d_m, d_1))
+    if len(roots) == 2 and abs(roots[0] - roots[1]) < 1e-9:
+        roots = roots[:1]
 
     points: list[DutyPair] = []
     rejected: list[DutyPair] = []
@@ -361,7 +355,7 @@ def _intersections(g: Callable, d: Callable, reliable: bool) -> IntersectionSear
         mu2 = g(r)
         kept = points if -BOX_SLACK <= mu2 <= 1.0 + BOX_SLACK else rejected
         kept.append(DutyPair(min(max(r, 0.0), 1.0), min(max(mu2, 0.0), 1.0)))
-    return IntersectionSearch(points=tuple(points), rejected=tuple(rejected), reliable=reliable)
+    return tuple(points), tuple(rejected)
 
 
 def single_user_duty(a: float, lambda0: float, tau: float) -> float:
@@ -406,8 +400,8 @@ def solve(params: ChannelParams) -> SolveReport:
     """Sum-rate capacity with the optimal duty pair and strategy.
 
     In regime the enumeration is exact.  Out of regime the report carries
-    regime_ok=False, the interior roots come from the scan of g - f, and the
-    enumerated result gives way to one unrefined step-1e-2 pass of
+    regime_ok=False, the interior roots come from the same search of g - f,
+    and the enumerated result gives way to one unrefined step-1e-2 pass of
     gridsearch.grid_capacity only when that is higher by more than TIE_TOL.
     The grid is a brute-force witness: one pass rates its 101x101 cells on
     duty weights built once per process, each sum built in place.  Every rate
@@ -416,7 +410,7 @@ def solve(params: ChannelParams) -> SolveReport:
     """
     hp = hit_probs(params)
     try:
-        inter = _search(hp, params.in_regime)
+        inter = IntersectionSearch(*_search(hp), params.in_regime)
     except (ArithmeticError, ValueError):
         # Saturated hit levels break the curve algebra; that only happens far
         # out of regime, where the solo candidates and the grid below carry the result.
@@ -460,9 +454,8 @@ def solve(params: ChannelParams) -> SolveReport:
 # differ from it in the last bit for a few percent of arguments).  So each
 # lane runs the same IEEE operations as the scalar code, and its result is bit
 # for bit the scalar one.  A lane skips only work whose result solve never
-# reads: the golden-section pass where g - f < 0 at both ends of [0, 1], and
-# any step after the one that fixes a pass's result (in the golden-section
-# pass, its first sample with g - f <= 0), where the lane leaves it.
+# reads: any step after the one that fixes a pass's result (in the
+# golden-section pass, its first sample with g - f <= 0), where the lane leaves it.
 # g and the entropy take xp, the module of their exp and logs (math by
 # default, see _call); the grid and MISO oracles and the tests' profile pass numpy.
 # The rate is channel._rate, on the entropy it is given.
@@ -670,7 +663,7 @@ def solve_many(
     lanes where g - f >= 0 at an end of [0, 1], and one root pass over the
     lanes with a root.  Lanes out of regime, whose curve algebra is not
     finite, or with no candidate rate >= 0 go through solve() one at a time,
-    which keeps the scan, the grid witness and the errors in one place.
+    which keeps the grid witness and the errors in one place.
     An invalid input raises the ValueError of ChannelParams for its first lane.
     """
     (a1, a2, lambda0, tau), regime = _checked_lanes(a1, a2, lambda0, tau)

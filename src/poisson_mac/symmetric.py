@@ -256,13 +256,13 @@ def schur_classify(
 
 def symmetric_fixed_point(a: float, lambda0: float, tau: float) -> float:
     """The unique mu in (0, 1) with mu = g(mu), the balanced optimum: solve's interior
-    root, the first in-box point of siso._search (out of regime, the scan's first),
-    whose mu1 - mu2 (mu - g(mu), as f is the diagonal) is within FIXED_POINT_TOL."""
-    return _fixed_point(hit_probs(params := _channel(a, lambda0, tau)), params.in_regime)
+    root, the first in-box point of siso._search at every tau, whose mu1 - mu2
+    (mu - g(mu), as f is the diagonal) is within FIXED_POINT_TOL."""
+    return _fixed_point(hit_probs(_channel(a, lambda0, tau)))
 
 
-def _fixed_point(hp: HitProbs, reliable: bool) -> float:
-    points = _search(hp, reliable).points
+def _fixed_point(hp: HitProbs) -> float:
+    points = _search(hp)[0]
     resid = points[0].mu1 - points[0].mu2 if points else math.nan
     if not abs(resid) <= FIXED_POINT_TOL:
         raise ArithmeticError(f"fixed-point residual {resid:.3e} above {FIXED_POINT_TOL}")
@@ -295,13 +295,13 @@ def solve_symmetric(a: float, lambda0: float, tau: float) -> SymmetricReport:
     """Full symmetric-instance report: flip level, threshold, boundary, optimum.
     The inputs are checked first; then the cores run in the public helpers'
     order, so each valid input raises what they would."""
-    hp = hit_probs(params := _channel(a, lambda0, tau))
+    hp = hit_probs(_channel(a, lambda0, tau))
     flip = _flip_of(lambda0, tau)
     threshold = _threshold(flip, lambda0, tau)
     below = a < threshold.value
     # flip(a) runs once, where the helpers first read it: before the half-sums, else after the fixed point.
     boundary = None if below else _half_sums(hp, flip_level := flip(a))
-    mu = _fixed_point(hp, params.in_regime)
+    mu = _fixed_point(hp)
     if below:
         flip_level = flip(a)
     if (rate := _rate(hp, hp.entropies, mu, mu)) < 0.0:

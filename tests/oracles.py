@@ -5,7 +5,7 @@ affine in mu2, so I(mu1, .) is concave and peaks at clip(g(mu1), 0, 1): the
 capacity is the maximum over mu1 of that profile.  profile_of builds it from
 the batch's g and channel._rate on numpy's exp, log and log1p, and
 profile_max_many maximises lanes of profiles at once.  siso.solve enumerates
-instead (a scan of g - f and the four edges of the box); the tests hold it to
+instead (the roots of g - f and the four edges of the box); the tests hold it to
 this maximum, and the continuous enumeration to the same maximiser run on the
 continuous profile.
 """

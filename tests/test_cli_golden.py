@@ -77,16 +77,16 @@ CASES = [
         "20,5,0.001,0.05,6.04425417978,0.413127985386,0,OnlyUser1,false\n",
     ),
     # Peaks 0.025 of the background: the capacity's 12th digit is rounding
-    # of the rate formula.  50-digit mpmath rates the printed duty, and the
-    # earlier bisection's 1.6e-15 away, 0.000635456524343748 (they differ by
-    # 1e-28 relative); the printed capacity is 5.4e-12 above that, the
-    # bisection's was 1.6e-12 below it.
+    # of the rate formula.  50-digit mpmath rates the printed duty
+    # (mu1 = 0.4991873219426238, mu2 = 0.48909098740545937) at
+    # 0.000635456524343748; solve's capacity, 9.9e-13 relative above it,
+    # prints as its correct rounding.
     (
         "solve --a1 0.5 --a2 0.3 --lambda0 20 --tau 0.1",
         0,
         "# command=solve a1=0.5 a2=0.3 lambda0=20 tau=0.1 intersections=1\n"
         "a1,a2,lambda0,tau,capacity_nats,mu1,mu2,strategy,regime_ok\n"
-        "0.5,0.3,20,0.1,0.000635456524347,0.499187321943,0.489090987405,BothActive,false\n",
+        "0.5,0.3,20,0.1,0.000635456524344,0.499187321943,0.489090987405,BothActive,false\n",
     ),
     (
         "solve --a1 10 --a2 12 --tau 0.02 --out {out}",

@@ -11,6 +11,7 @@ from poisson_mac import gridsearch, siso
 from poisson_mac.channel import (
     ChannelParams,
     DutyPair,
+    _grad_terms,
     _rate,
     _weighted_rate,
     _weights,
@@ -18,6 +19,7 @@ from poisson_mac.channel import (
     grad_mutual_info,
     hit_probs,
     mutual_info,
+    p_hat,
 )
 from poisson_mac.gridsearch import GridSpec, _grid_max, fd_gradient, grid_capacity
 from poisson_mac.miso import MisoConfig, miso_mutual_info, miso_pmf_enumeration, nu_pmf
@@ -161,6 +163,19 @@ def _one_expression_rate(p, h, w, entropy):
     return entropy(ph) - (w[0] * h[0] + w[1] * h[1] + w[2] * h[2] + w[3] * h[3])
 
 
+def _one_expression_grad_terms(hp, mu1, mu2):
+    """channel._grad_terms with its slot probability as the one expression it was
+    before it summed in place (as channel.p_hat did)."""
+    h1, h2, h3, h4 = hp.entropies
+    c1 = mu2 * (hp.p1 - hp.p2) + (1.0 - mu2) * (hp.p3 - hp.p4)
+    c2 = mu1 * (hp.p1 - hp.p3) + (1.0 - mu1) * (hp.p2 - hp.p4)
+    e1 = mu2 * (h1 - h2) + (1.0 - mu2) * (h3 - h4)
+    e2 = mu1 * (h1 - h3) + (1.0 - mu1) * (h2 - h4)
+    w = _weights(mu1, mu2)
+    ph = w[0] * hp.p1 + w[1] * hp.p2 + w[2] * hp.p3 + w[3] * hp.p4
+    return c1, c2, e1, e2, ph
+
+
 def _old_local_peaks(values, g, sep, count):
     """gridsearch._local_peaks as it was before it skipped the last mask."""
     picked = []
@@ -236,7 +251,8 @@ def _float_outcome(fn, *args):
 
 
 class TestInPlaceKernels:
-    """channel._weighted_rate and siso._entropy_many sum in place: the bits of
+    """channel._weighted_rate, _grad_terms, p_hat (all three on
+    channel._weighted_sum) and siso._entropy_many sum in place: the bits of
     their one-expression forms, on floats, on lanes and on the grid's planes,
     and no input written.  The math module's lanes are 1-D, so the 2-D planes
     run on numpy's logs, as the grid does."""
@@ -265,6 +281,22 @@ class TestInPlaceKernels:
             w = _weights(rng.random(), rng.random())
             new = _float_outcome(_weighted_rate, hp, hp.entropies, w)
             assert new == _float_outcome(_one_expression_rate, hp, hp.entropies, w, binary_entropy), params
+
+    def test_slot_probability_has_the_one_expression_bits_on_floats(self):
+        rng = random.Random(39)
+        for params in _seeded_channels(600, 39):
+            hp = hit_probs(params)
+            for duty in (DutyPair(rng.random(), rng.random()), DutyPair(0.0, rng.random()), DutyPair(1.0, 1.0)):
+                new, old = _grad_terms(hp, *duty), _one_expression_grad_terms(hp, *duty)
+                assert [x.hex() for x in new] == [x.hex() for x in old], (params, duty)
+                assert p_hat(params, duty).hex() == old[4].hex(), (params, duty)
+
+    def test_grad_terms_have_the_one_expression_bits_on_the_lattice(self):
+        g, _ = gridsearch._lattice(1e-2)
+        for params in _seeded_channels(40, 40):
+            hp = hit_probs(params)
+            new, old = _grad_terms(hp, g[:, None], g[None, :]), _one_expression_grad_terms(hp, g[:, None], g[None, :])
+            assert [x.tobytes() for x in new] == [x.tobytes() for x in old], params
 
     @pytest.mark.parametrize("xp", [math, np])
     def test_rate_has_the_one_expression_bits_on_lanes(self, xp):

@@ -41,7 +41,7 @@ duties = st.floats(0.01, 0.99)
 # Fraction of the regime bound ln2/(a1+a2+lambda0).
 fractions = st.floats(0.01, 1.0)
 # From 0.01x to 30x the regime bound.  About half of the draws are out of
-# regime, where solve runs its scan, edges and grid check (~0.5 ms each).
+# regime, where solve runs its grid check as well (~0.2 ms each).
 solve_fractions = st.floats(0.01, 30.0)
 SOLVE_SETTINGS = settings(derandomize=True, deadline=None, max_examples=15, database=None)
 

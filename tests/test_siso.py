@@ -110,27 +110,40 @@ class TestCurves:
         assert g_mac(SYM, 0.0) > 0.0
         assert g_mac(SYM, 1.0) < 1.0
 
-    def test_g_minus_f_has_no_interior_maximum_in_regime(self):
-        # g is not convex in regime: midpoint convexity fails on 23 of this
-        # sampler's first 4,000 draws.  The search needs only that d = g - f is
-        # unimodal.  On the first 40 draws and those 23, on a 2,001-point grid,
-        # d never rises above its running minimum before its lowest point, nor
-        # falls below its running maximum after it, by more than a rounding
-        # allowance of 8 ulps of its largest magnitude.
-        rng, xs, checked = random.Random(23), [i / 2000 for i in range(2001)], 0
+    def test_g_minus_f_has_no_interior_maximum(self):
+        # g is not convex in regime: midpoint convexity fails on 23 of
+        # random_in_regime's first 4,000 draws.  The search needs only that
+        # d = g - f is unimodal, at every tau.  It is checked on the first 40
+        # of those draws and the 23, and on 200 seeded draws at 1.01-30x the
+        # bound.  On a 2,001-point grid, d never rises above its running
+        # minimum before its lowest point, nor falls below its running maximum
+        # after it, by more than 8 ulps of its largest magnitude; and
+        # find_intersections has one root in each interval where d changes sign.
+        rng, channels = random.Random(23), []
         for k in range(4000):
             params = random_in_regime(rng)
             x, y = rng.random(), rng.random()
-            convex = g_mac(params, 0.5 * (x + y)) <= 0.5 * (g_mac(params, x) + g_mac(params, y)) + 1e-14
-            if k >= 40 and convex:
-                continue
-            checked += 1
+            if k < 40 or g_mac(params, 0.5 * (x + y)) > 0.5 * (g_mac(params, x) + g_mac(params, y)) + 1e-14:
+                channels.append(params)
+        assert len(channels) == 40 + 23
+        out = random.Random(37)
+        for _ in range(200):
+            a1, a2, lam0 = 10 ** out.uniform(-2, 3), 10 ** out.uniform(-2, 3), 10 ** out.uniform(-4, 0)
+            channels.append(ChannelParams(a1, a2, lam0, out.uniform(1.01, 30.0) * math.log(2) / (a1 + a2 + lam0)))
+        xs, roots_seen = [i / 2000 for i in range(2001)], collections.Counter()
+        for params in channels:
             d = np.array(list(map(siso._curves_of(hit_probs(params))[1](), xs)))
             low, allowance = int(np.argmin(d)), 8.0 * np.finfo(float).eps * np.abs(d).max()
             rise = d[: low + 1] - np.minimum.accumulate(d[: low + 1])
             fall = np.maximum.accumulate(d[low:]) - d[low:]
-            assert max(rise.max(), fall.max()) <= allowance, (k, params)
-        assert checked == 40 + 23
+            assert max(rise.max(), fall.max()) <= allowance, params
+            below = d < 0.0
+            crossings = [(xs[i], xs[i + 1]) for i in np.flatnonzero(below[:-1] != below[1:])]
+            search = find_intersections(params)
+            roots = sorted(pt.mu1 for pt in search.points + search.rejected)
+            assert len(roots) == len(crossings) and all(lo <= r <= hi for r, (lo, hi) in zip(roots, crossings)), params
+            roots_seen[params.in_regime, len(roots)] += 1
+        assert {(False, 0), (False, 1)} <= set(roots_seen), roots_seen
 
     def test_g_bends_down_in_regime_and_the_search_finds_every_crossing(self):
         params, h = BENDS_DOWN, 1e-3
@@ -269,14 +282,16 @@ class TestIntersections:
     @pytest.mark.parametrize(
         "params, evaluations",
         [
-            # In regime g - f is unimodal (measured), so its first sample <= 0 (here the
-            # first of all) splits its roots: 1 golden-section sample, 2 end
-            # values and 8 steps of the root search on [0, 0.382], which is
-            # handed d at both ends (52 midpoints of the earlier bisection).
+            # g - f is unimodal (measured) at every tau, so its first sample <= 0
+            # splits its roots.  In regime: 2 end values, 1 golden-section
+            # sample (0.382, the first) and 8 steps of the root search on
+            # [0, 0.382], which is handed d at both ends (52 midpoints of the
+            # earlier bisection).
             (FIG2, 11),
-            # Out of regime g - f is scanned at its 33 points, and the one
-            # sign change, on [15/32, 16/32], takes 11 steps (49 midpoints).
-            (ChannelParams(0.5, 0.3, 20.0, 0.1), 44),
+            # Out of regime, at 3.0x the bound: 2 end values, 2 golden-section
+            # samples (0.382 above 0, then 0.618) and 10 steps of the root
+            # search on [0, 0.618].
+            (ChannelParams(0.5, 0.3, 20.0, 0.1), 14),
         ],
     )
     def test_evaluations_of_g_minus_f_per_solve(self, monkeypatch, params, evaluations):
@@ -295,24 +310,36 @@ class TestIntersections:
         assert len(solve(params).search.points) == 1
         assert len(samples) == evaluations
 
-    def test_scan_bisects_every_sign_change(self):
-        # Out of regime d is scanned at siso.SCAN_POINTS = 33 points, k/32:
-        # each strict sign change between neighbours gets one root search, and a
-        # sample that is exactly 0 is a root of its own, counted once.
+    def test_search_finds_the_roots_of_synthetic_curves(self):
+        # The search on synthetic unimodal curves d: no root where d < 0 at
+        # both ends, nor where d > 0 at its golden-section minimum, else one
+        # root search on each side of that minimum whose end is >= 0.
         def roots(d):
-            search = siso._intersections(lambda x: 0.5, d, False)
-            assert not search.reliable and search.rejected == ()
-            return [pt.mu1 for pt in search.points]
+            points, rejected = siso._intersections(lambda x: 0.5, d)
+            assert rejected == ()
+            return [pt.mu1 for pt in points]
 
-        three = roots(lambda x: (x - 0.2) * (x - 0.55) * (x - 0.8))
-        assert three == [pytest.approx(r, abs=1e-15) for r in (0.2, 0.55, 0.8)]
-        # Two roots 0.01 apart, inside one interval [0.25, 0.28125]: the same
-        # sign at both ends, so the scan does not see them.
-        assert roots(lambda x: (x - 0.26) * (x - 0.27)) == []
-        assert roots(lambda x: x - 0.25) == [0.25]  # sample 8 is exactly 0
-        assert roots(lambda x: (x - 0.25) * (x - 0.75) * (x - 0.9)) == [0.25, 0.75, pytest.approx(0.9, abs=1e-15)]
-        with pytest.raises(ArithmeticError, match="NaN"):
-            roots(lambda x: math.nan if x > 0.5 else x - 0.2)
+        # Two roots 0.01 apart, which the 33-point scan missed: its interval
+        # [0.25, 0.28125] had the same sign at both ends.
+        assert roots(lambda x: (x - 0.26) * (x - 0.27)) == [pytest.approx(r, abs=1e-15) for r in (0.26, 0.27)]
+        assert roots(lambda x: x - 0.25) == [0.25]
+        assert roots(lambda x: (x - 0.3) * (x - 0.7)) == [pytest.approx(r, abs=1e-15) for r in (0.3, 0.7)]
+        assert roots(lambda x: x - 2.0) == roots(lambda x: (x - 0.5) ** 2 + 0.01) == []
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            lambda x: math.nan if x < 0.1 else (x - 0.3) * (x - 0.7),  # at 0: the root 0.3 would drop
+            lambda x: math.nan if x > 0.9 else (x - 0.3) * (x - 0.7),  # at 1: the root 0.7 would drop
+            # NaN samples never count as <= 0 and send the golden-section pass
+            # to the right, where its last midpoint, below 1, is NaN.
+            lambda x: math.nan if 0.2 < x < 1.0 else (x - 0.3) * (x - 0.7),
+        ],
+        ids=["end 0", "end 1", "minimum"],
+    )
+    def test_search_names_a_nan_that_decides_a_root(self, d):
+        with pytest.raises(ArithmeticError, match=r"^g - f is NaN at an end of \[0, 1\] or at its golden-section minimum$"):
+            siso._intersections(lambda x: 0.5, d)
 
     @pytest.mark.parametrize(
         "fn, lo, hi",
@@ -590,8 +617,7 @@ class TestSolve:
         # the search is patched to return two; they come first, in root order.
         assert [c.strategy for c in solve(FIG1).candidates] == [Strategy.ONLY_USER2, Strategy.ONLY_USER1]
         points = (DutyPair(0.2, 0.3), DutyPair(0.25, 0.35))
-        search = siso.IntersectionSearch(points=points, rejected=(), reliable=True)
-        monkeypatch.setattr(siso, "_intersections", lambda *_: search)
+        monkeypatch.setattr(siso, "_intersections", lambda *_: (points, ()))
         report = solve(FIG2)
         assert [c.strategy for c in report.candidates] == [
             Strategy.BOTH_ACTIVE, Strategy.BOTH_ACTIVE, Strategy.ONLY_USER2, Strategy.ONLY_USER1
@@ -651,9 +677,7 @@ class TestSolve:
         channels = [ChannelParams(10.0, 12.0, 0.001, 0.05), *seeded_out_of_regime()[1]]
         expected = [solve(params) for params in channels]
         assert expected[0].strategy is Strategy.BOTH_ACTIVE and not expected[0].regime_ok
-        monkeypatch.setattr(
-            siso, "_intersections", lambda *_: siso.IntersectionSearch(points=(), rejected=(), reliable=False)
-        )
+        monkeypatch.setattr(siso, "_intersections", lambda *_: ((), ()))
         for params, want in zip(channels, expected):
             report = solve(params)
             grid = grid_capacity(params, GridSpec(step=1e-2, refine_rounds=0))
@@ -664,12 +688,11 @@ class TestSolve:
             expected_rate = mutual_info_rate(params, report.optimum)
             assert abs(report.capacity - expected_rate) <= 4.0 * math.ulp(1.0) * abs(expected_rate), params
 
-    def test_scan_matches_a_fine_scan(self):
+    def test_search_matches_a_fine_scan(self):
         # Seeded out-of-regime channels with unsaturated hit levels: the
-        # roots of g - f that the 33-point scan finds are the sign changes of
-        # a 1,001-point scan, one in each of its intervals.  Such channels
-        # have at most one root; the ones with more are saturated, where
-        # g - f is rounding noise.
+        # roots of g - f that the search finds are the sign changes of a
+        # 1,001-point scan, one in each of its intervals.  None of them has
+        # more than one root.
         rng = random.Random(2026)
         kinds = collections.Counter()
         while sum(kinds.values()) < 300:
