@@ -454,8 +454,8 @@ def solve(params: ChannelParams) -> SolveReport:
 # differ from it in the last bit for a few percent of arguments).  So each
 # lane runs the same IEEE operations as the scalar code, and its result is bit
 # for bit the scalar one.  A lane skips only work whose result solve never
-# reads: any step after the one that fixes a pass's result (in the
-# golden-section pass, its first sample with g - f <= 0), where the lane leaves it.
+# reads: any step after the one that fixes a pass's result (in the golden-section
+# pass, its first sample with g - f <= 0), and the interior candidates it lacks.
 # g and the entropy take xp, the module of their exp and logs (math by
 # default, see _call); the grid and MISO oracles and the tests' profile pass numpy.
 # The rate is channel._rate, on the entropy it is given.
@@ -591,7 +591,8 @@ def _root_many(curves: _CurvesMany, lo: np.ndarray, hi: np.ndarray, flo: np.ndar
 def _enumerate_many(
     a1: np.ndarray, a2: np.ndarray, lambda0: np.ndarray, tau: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four-candidate enumeration of solve for in-regime lanes.
+    """The four-candidate enumeration of solve, lane by lane.  An interior
+    candidate is rated only on the lanes that have it; the tie rule is one argmax.
 
     Returns capacity, mu1, mu2, strategy code and a mask of the lanes whose
     algebra stayed finite; the others carry no result.
@@ -623,30 +624,33 @@ def _enumerate_many(
     )
     root_l, root_r = np.full(n, np.nan), np.full(n, np.nan)
     root_l[left], root_r[right] = roots[: left.size], roots[left.size :]
-    has_l, has_r = ~np.isnan(root_l), ~np.isnan(root_r)
-    has_r &= ~(has_l & (np.abs(root_l - root_r) < 1e-9))
+    root_r[np.abs(root_l - root_r) < 1e-9] = np.nan  # one root, found from both sides
 
-    mu2_l, mu2_r = curves.g(root_l), curves.g(root_r)
     solo1 = _solo_duty_many(p[2], p[3], h[2], h[3])
     solo2 = _solo_duty_many(p[1], p[3], h[1], h[3])
-    # solve's candidates in its tie order, a row each: mu1, mu2, rank in
-    # _BY_RANK, and a mask.  A root whose mu2 leaves the box rates -inf.
-    in_l, in_r = ((-BOX_SLACK <= mu2) & (mu2 <= 1.0 + BOX_SLACK) for mu2 in (mu2_l, mu2_r))
-    table = (
-        (np.clip(root_l, 0.0, 1.0), np.clip(mu2_l, 0.0, 1.0), 0, has_l & in_l),
-        (np.clip(root_r, 0.0, 1.0), np.clip(mu2_r, 0.0, 1.0), 0, has_r & in_r),
-        (zeros, solo2, 1, True),
-        (solo1, zeros, 2, True),
-    )
-    rates = [np.where(mask, _rate(p, h, m1, m2, _entropy_many) / tau, -np.inf) for m1, m2, _, mask in table]
+    # solve's candidates in tie order (left root, right root, user 2 alone, user 1 alone), a row each of
+    # mu1, mu2 and rate.  A root row rates only the lanes with that root and mu2 in the box; -inf elsewhere.
+    mu1s, mu2s, rates = np.zeros((4, n)), np.zeros((4, n)), np.full((4, n), -np.inf)
+    mu1s[3], mu2s[2] = solo1, solo2
+    for row, root in enumerate((root_l, root_r)):
+        lane = np.flatnonzero(~np.isnan(root))
+        if not lane.size:  # the right root's row, nearly always
+            continue
+        mu2 = curves.take(lane).g(root[lane])
+        kept = (-BOX_SLACK <= mu2) & (mu2 <= 1.0 + BOX_SLACK)
+        lane = lane[kept]
+        mu1s[row, lane], mu2s[row, lane] = np.clip(root[lane], 0.0, 1.0), np.clip(mu2[kept], 0.0, 1.0)
+        pl, hl = (tuple(x[lane] for x in v) for v in (p, h))
+        rates[row, lane] = _rate(pl, hl, mu1s[row, lane], mu2s[row, lane], _entropy_many) / tau[lane]
+    for row in (2, 3):
+        rates[row] = _rate(p, h, mu1s[row], mu2s[row], _entropy_many) / tau
 
     # Tie rule of solve: the first non-negative rate within TIE_TOL of the
-    # best, in table order.  A lane with none keeps code -1 and NaN.
-    best = np.max(rates, axis=0)
-    near = [(r >= 0.0) & (best - r <= TIE_TOL) for r in rates]
-    mu1s, mu2s, ranks, _ = zip(*table)
-    capacity, mu1, mu2 = (np.select(near, x, np.nan) for x in (rates, mu1s, mu2s))
-    code = np.select(near, ranks, -1)
+    # best, in row order.  A lane with none keeps code -1 and NaN.
+    near = (rates >= 0.0) & (rates.max(0) - rates <= TIE_TOL)
+    first, lane, some = near.argmax(0), np.arange(n), near.any(0)
+    capacity, mu1, mu2 = (np.where(some, x[first, lane], np.nan) for x in (rates, mu1s, mu2s))
+    code = np.where(some, np.array([0, 0, 1, 2])[first], -1)  # ranks in _BY_RANK
     finite = np.isfinite(d_0) & np.isfinite(d_1) & np.isfinite(capacity)
     finite[ends] &= np.isfinite(d_m[ends])  # a finite capacity leaves no NaN or +inf rate
     finite &= (0.0 <= solo1) & (solo1 <= 1.0) & (0.0 <= solo2) & (solo2 <= 1.0)
@@ -660,10 +664,11 @@ def solve_many(
 
     Inputs broadcast against each other.  In-regime lanes run the enumeration
     and solve's tie rule as array operations: one golden-section pass over the
-    lanes where g - f >= 0 at an end of [0, 1], and one root pass over the
-    lanes with a root.  Lanes out of regime, whose curve algebra is not
-    finite, or with no candidate rate >= 0 go through solve() one at a time,
-    which keeps the grid witness and the errors in one place.
+    lanes where g - f >= 0 at an end of [0, 1], one root pass over the lanes
+    with a root, and a rate for each candidate a lane has.  Lanes out of
+    regime, whose curve algebra is not finite, or with no candidate rate >= 0
+    go through solve() one at a time, which keeps the grid witness and the
+    errors in one place.
     An invalid input raises the ValueError of ChannelParams for its first lane.
     """
     (a1, a2, lambda0, tau), regime = _checked_lanes(a1, a2, lambda0, tau)

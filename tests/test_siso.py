@@ -1208,6 +1208,25 @@ class TestSolveMany:
         batch = assert_batch_matches_scalar(a1, a2, 0.001, [channel(x1, x2).tau for x1, x2 in zip(a1, a2)])
         assert set(batch.strategies()) == {Strategy.BOTH_ACTIVE, Strategy.ONLY_USER2}
 
+    def test_knife_edges_where_mu2_leaves_the_box(self):
+        # Just below the a2 where the interior root's mu2 crosses 0, mu2 is
+        # -6e-11 to -6e-7: out of the box by more than BOX_SLACK, yet the
+        # clipped pair rates within TIE_TOL of user 1 alone, so a root rated
+        # without the box check would win the tie as both-active.
+        def channel(a1, a2):
+            return ChannelParams(a1, a2, 0.001, 0.8 * math.log(2) / (a1 + a2 + 0.001))
+
+        a1, a2 = [], []
+        for peak in (2.5, 10.0, 40.0):
+            lo, hi = 0.3 * peak, 0.7 * peak
+            assert not find_intersections(channel(peak, lo)).points and find_intersections(channel(peak, hi)).points
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                lo, hi = (lo, mid) if find_intersections(channel(peak, mid)).points else (mid, hi)
+            a1 += [peak] * 5
+            a2 += [lo * (1.0 - 10.0**-k) for k in range(6, 11)]
+        batch = assert_batch_matches_scalar(a1, a2, 0.001, [channel(x1, x2).tau for x1, x2 in zip(a1, a2)])
+        assert batch.strategies() == [Strategy.ONLY_USER1] * len(a1)
+
     def test_saturated_lanes_take_the_scalar_guard(self):
         batch = assert_batch_matches_scalar([1000.0, 10.0], [1000.0, 12.0], 0.001, [1.0, 0.02])
         assert list(batch.regime_ok) == [False, True]
@@ -1234,6 +1253,38 @@ class TestSolveMany:
             batch = assert_batch_matches_scalar(a1, a2, 0.001, tau)
         assert sizes == [0]
         assert batch.strategies() == [Strategy.ONLY_USER2] * len(a2)
+
+    def test_lanes_without_a_root_rate_no_interior_candidate(self, monkeypatch):
+        # On the a1 = 1 row above a lane takes 4 expm1s (its hit levels), 4
+        # exps (g at both ends, both solo duties), and 6 logs and 6 log1ps
+        # (its four entropies, the two solo rates): no g or rate at a root.
+        a1, a2, tau = in_regime_row(1.0, [10.0 + k for k in range(31)])
+        counts, lanes = collections.Counter(), siso._lanes
+        monkeypatch.setattr(siso, "_lanes", lambda fn, x: counts.update({fn: x.size}) or lanes(fn, x))
+        solve_many(a1, a2, 0.001, tau)
+        assert dict(counts) == {math.expm1: 124, math.exp: 124, math.log: 186, math.log1p: 186}
+
+    def test_out_of_regime_lanes_enumerate_as_solve(self):
+        # Seeded lanes at 1.01-1000x the regime bound: every lane the
+        # enumeration marks finite gives solve's result to the bit, and some
+        # have a root on [m*, 1], a row that in regime is nearly always empty.
+        rng = np.random.default_rng(2)
+        a1, a2 = 10.0 ** rng.uniform(-1.0, 2.0, 800), 10.0 ** rng.uniform(-1.0, 2.0, 800)
+        lambda0 = 10.0 ** rng.uniform(-3.0, 0.0, 800)
+        tau = np.exp(rng.uniform(math.log(1.01), math.log(1000.0), 800)) * math.log(2.0) / (a1 + a2 + lambda0)
+        with np.errstate(all="ignore"):
+            capacity, mu1, mu2, code, finite = siso._enumerate_many(a1, a2, lambda0, tau)
+        right = 0
+        for i in np.flatnonzero(finite).tolist():
+            params = ChannelParams(float(a1[i]), float(a2[i]), float(lambda0[i]), float(tau[i]))
+            report = solve(params)
+            assert not report.regime_ok, params
+            got = (capacity[i], mu1[i], mu2[i], siso._BY_RANK[code[i]])
+            assert got == (report.capacity, *report.optimum, report.strategy), params
+            d = siso._curves_of(hit_probs(params))[1]()
+            m_star, d_m = siso._golden_min(d, 0.0, 1.0, 1e-14)
+            right += d(1.0) >= 0.0 and (d(m_star) if d_m is None else d_m) <= 0.0
+        assert finite.sum() > 500 and right > 0
 
     def test_mixed_grid_searches_only_the_lanes_that_can_cross(self, monkeypatch):
         # Rows a1 = 1 (g - f < 0 at both ends from a2 ~ 1.9) and a1 = 10
